@@ -41,6 +41,7 @@ from .distributions import (
     make_reverse_weibull,
     make_uniform,
     negate,
+    normal_spec,
     sample,
 )
 from .entropy import (
@@ -96,7 +97,6 @@ from .extremal import (
     gamma_gap_root,
     gaussian_cumulative_entropy,
     make_s_logistic,
-    normal_spec,
 )
 from .relevation import (
     SimulationResult,

@@ -20,9 +20,8 @@ import sys
 
 import numpy as np
 
-from . import extremal  # noqa: F401  (registers the normal law)
 from . import distributions as dist
-from . import entropy, relevation, risk, skewness
+from . import entropy, extremal, relevation, risk, skewness
 from .errors import (
     DivergentEntropy,
     DomainError,

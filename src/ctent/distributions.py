@@ -1,13 +1,14 @@
 """Distribution catalog and generic distribution plumbing.
 
 A :class:`DistributionSpec` bundles the CDF, survival function, quantile
-function, support, first two moments and, where they exist, closed forms
-for the cumulative Tsallis entropy ``delta(s)`` and its dual ``nabla(s)``.
-The catalog covers the analytic families with known closed forms: powers
-of a uniform, the exponential pair, the Lomax pair, Frechet, reverse
-Weibull, Gumbel and logistic.  ``affine`` and ``negate`` produce derived
-specs; ``negate`` carries closed forms across whenever the mirrored law is
-itself (a translate of) a catalog member.
+function and its derivative (the quantile density), support, first two
+moments and, where they exist, closed forms for the cumulative Tsallis
+entropy ``delta(s)`` and its dual ``nabla(s)``.  The catalog covers the
+analytic families with known closed forms: powers of a uniform, the
+exponential pair, the Lomax pair, Frechet, reverse Weibull, Gumbel and
+logistic, plus the standard normal (no closed forms).  ``affine`` and
+``negate`` produce derived specs; ``negate`` carries closed forms across
+whenever the mirrored law is itself (a translate of) a catalog member.
 
 All CDF/survival/quantile callables accept scalars or numpy arrays and are
 written in overflow-safe form (expm1/log1p, branch masks under errstate).
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from .errors import DivergentEntropy, DomainError
 from .series import pochhammer_ratio_coeffs, pochhammer_ratio_tail
@@ -34,6 +36,11 @@ ClosedForm = Optional[Callable[[float], float]]
 class DistributionSpec:
     """A distribution exposed through CDF, quantile, support and moments.
 
+    ``qdensity(u, v)`` is the quantile density q'(u) = dq/du, called with
+    ``v = 1 - u`` passed separately and exactly, so that it stays accurate
+    as either u or v approaches zero; it accepts arrays.  ``None`` means
+    the law has no quantile density and cannot be integrated in quantile
+    space.
     ``closed_delta``/``closed_nabla`` evaluate the entropies in closed form
     and raise :class:`DivergentEntropy` at orders where the entropy is
     infinite (at or below ``finiteness_threshold``).  The ``neg_*`` slots
@@ -49,6 +56,7 @@ class DistributionSpec:
     mean: float | None
     variance: float | None
     sf: Callable = None
+    qdensity: Callable = None
     closed_delta: ClosedForm = None
     closed_nabla: ClosedForm = None
     finiteness_threshold: float | None = None
@@ -241,6 +249,18 @@ def _nabla_logistic(s: float) -> float:
 # ---------------------------------------------------------------------------
 # catalog constructors
 
+def _neg_log(u, v):
+    # -log u, taken as -log1p(-v) where u is near 1 so that it keeps v's digits
+    u = np.asarray(u, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.where(u < 0.5, -np.log(u), -np.log1p(-np.asarray(v, dtype=float)))
+
+
+def _lomax_variance(b: float) -> float | None:
+    # b / ((b-1)^2 (b-2)), divided out term by term so that no factor overflows
+    return b / (b - 1.0) / (b - 1.0) / (b - 2.0) if b > 2.0 else None
+
+
 def make_power_uniform(beta: float) -> DistributionSpec:
     """Law of U^(1/beta) on (0,1): cdf x^beta."""
     b = _check_beta(beta, 0.0)
@@ -261,6 +281,7 @@ def make_power_uniform(beta: float) -> DistributionSpec:
     return DistributionSpec(
         name="power_uniform", params={"beta": b},
         cdf=cdf, sf=sf, quantile=quantile, support=(0.0, 1.0),
+        qdensity=lambda u, v: np.power(u, 1.0 / b - 1.0) / b,
         mean=b / (b + 1.0), variance=b / ((b + 2.0) * (b + 1.0) ** 2),
         closed_delta=lambda s: _delta_power(b, s),
         closed_nabla=lambda s: _nabla_power(b, s),
@@ -289,6 +310,7 @@ def make_reflected_power(beta: float) -> DistributionSpec:
     return DistributionSpec(
         name="reflected_power", params={"beta": b},
         cdf=cdf, sf=sf, quantile=quantile, support=(0.0, 1.0),
+        qdensity=lambda u, v: np.power(v, 1.0 / b - 1.0) / b,
         mean=1.0 / (b + 1.0), variance=b / ((b + 2.0) * (b + 1.0) ** 2),
         closed_delta=lambda s: _delta_reflected(b, s),
         closed_nabla=lambda s: _nabla_reflected(b, s),
@@ -314,6 +336,7 @@ def make_exponential() -> DistributionSpec:
     return DistributionSpec(
         name="exponential", params={},
         cdf=cdf, sf=sf, quantile=quantile, support=(0.0, math.inf),
+        qdensity=lambda u, v: np.power(v, -1.0),
         mean=1.0, variance=1.0,
         closed_delta=_delta_exponential,
         closed_nabla=_nabla_exponential,
@@ -340,8 +363,8 @@ def make_lomax(beta: float) -> DistributionSpec:
     return DistributionSpec(
         name="lomax", params={"beta": b},
         cdf=cdf, sf=sf, quantile=quantile, support=(0.0, math.inf),
-        mean=1.0 / (b - 1.0),
-        variance=b / ((b - 1.0) ** 2 * (b - 2.0)) if b > 2.0 else None,
+        qdensity=lambda u, v: np.power(v, -1.0 / b - 1.0) / b,
+        mean=1.0 / (b - 1.0), variance=_lomax_variance(b),
         closed_delta=lambda s: _delta_lomax(b, s),
         closed_nabla=lambda s: _nabla_lomax(b, s),
         neg_closed_delta=lambda s: _delta_negative_lomax(b, s),
@@ -371,8 +394,8 @@ def make_negative_lomax(beta: float) -> DistributionSpec:
     return DistributionSpec(
         name="negative_lomax", params={"beta": b},
         cdf=cdf, sf=sf, quantile=quantile, support=(-math.inf, 0.0),
-        mean=-1.0 / (b - 1.0),
-        variance=b / ((b - 1.0) ** 2 * (b - 2.0)) if b > 2.0 else None,
+        qdensity=lambda u, v: np.power(u, -1.0 / b - 1.0) / b,
+        mean=-1.0 / (b - 1.0), variance=_lomax_variance(b),
         closed_delta=lambda s: _delta_negative_lomax(b, s),
         closed_nabla=lambda s: _nabla_negative_lomax(b, s),
         finiteness_threshold=1.0 / b - 1.0,
@@ -398,6 +421,7 @@ def make_negative_exponential() -> DistributionSpec:
     return DistributionSpec(
         name="negative_exponential", params={},
         cdf=cdf, sf=sf, quantile=quantile, support=(-math.inf, 0.0),
+        qdensity=lambda u, v: np.power(u, -1.0),
         mean=-1.0, variance=1.0,
         closed_delta=_delta_negative_exponential,
         closed_nabla=_nabla_negative_exponential,
@@ -430,6 +454,7 @@ def make_frechet(beta: float) -> DistributionSpec:
     return DistributionSpec(
         name="frechet", params={"beta": b},
         cdf=cdf, sf=sf, quantile=quantile, support=(0.0, math.inf),
+        qdensity=lambda u, v: np.power(_neg_log(u, v), -1.0 / b - 1.0) / (b * u),
         mean=mean, variance=var,
         closed_delta=lambda s: _delta_frechet(b, s),
         closed_nabla=lambda s: _nabla_frechet(b, s),
@@ -461,6 +486,7 @@ def make_reverse_weibull(beta: float) -> DistributionSpec:
     return DistributionSpec(
         name="reverse_weibull", params={"beta": b},
         cdf=cdf, sf=sf, quantile=quantile, support=(-math.inf, 0.0),
+        qdensity=lambda u, v: np.power(_neg_log(u, v), 1.0 / b - 1.0) / (b * u),
         mean=mean, variance=var,
         closed_delta=lambda s: _delta_reverse_weibull(b, s),
         closed_nabla=lambda s: _nabla_reverse_weibull(b, s),
@@ -486,6 +512,7 @@ def make_gumbel() -> DistributionSpec:
     return DistributionSpec(
         name="gumbel", params={},
         cdf=cdf, sf=sf, quantile=quantile, support=(-math.inf, math.inf),
+        qdensity=lambda u, v: np.power(u * _neg_log(u, v), -1.0),
         mean=EULER_GAMMA, variance=math.pi ** 2 / 6.0,
         closed_delta=_delta_gumbel,
         closed_nabla=_nabla_gumbel,
@@ -511,11 +538,26 @@ def make_logistic() -> DistributionSpec:
     return DistributionSpec(
         name="logistic", params={},
         cdf=cdf, sf=sf, quantile=quantile, support=(-math.inf, math.inf),
+        qdensity=lambda u, v: np.power(u * v, -1.0),
         mean=0.0, variance=math.pi ** 2 / 3.0,
         closed_delta=_delta_logistic,
         closed_nabla=_nabla_logistic,
         neg_closed_delta=_delta_logistic,
         neg_closed_nabla=_nabla_logistic,
+    )
+
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def normal_spec() -> DistributionSpec:
+    """Standard normal (symmetric, unit variance); no closed forms."""
+    return DistributionSpec(
+        name="normal", params={},
+        cdf=ndtr, sf=lambda x: ndtr(-np.asarray(x, dtype=float)), quantile=ndtri,
+        # q'(u) = sqrt(2 pi) exp(x^2/2) at x = q(u), symmetric about u = 1/2
+        qdensity=lambda u, v: _SQRT_2PI * np.exp(0.5 * ndtri(np.minimum(u, v)) ** 2),
+        support=(-math.inf, math.inf), mean=0.0, variance=1.0,
     )
 
 
@@ -542,7 +584,7 @@ def affine(d: DistributionSpec, a: float, b: float) -> DistributionSpec:
     b = float(b)
     if not a > 0.0:
         raise DomainError(f"affine scale must be positive, got {a}")
-    cdf, sf, q = d.cdf, d.sf, d.quantile
+    cdf, sf, q, qd = d.cdf, d.sf, d.quantile, d.qdensity
     lo, hi = d.support
     return DistributionSpec(
         name=f"affine[{d.name}]",
@@ -550,6 +592,7 @@ def affine(d: DistributionSpec, a: float, b: float) -> DistributionSpec:
         cdf=lambda x: cdf((np.asarray(x, dtype=float) - b) / a),
         sf=lambda x: sf((np.asarray(x, dtype=float) - b) / a),
         quantile=lambda u: a * q(u) + b,
+        qdensity=None if qd is None else (lambda u, v: a * qd(u, v)),
         support=(a * lo + b, a * hi + b),
         mean=None if d.mean is None else a * d.mean + b,
         variance=None if d.variance is None else a * a * d.variance,
@@ -565,7 +608,7 @@ def affine(d: DistributionSpec, a: float, b: float) -> DistributionSpec:
 def negate(d: DistributionSpec) -> DistributionSpec:
     """Spec of -X.  Closed forms are not inherited; they come from the
     mirrored-partner slots when the mirrored law is known analytically."""
-    cdf, sf, q = d.cdf, d.sf, d.quantile
+    cdf, sf, q, qd = d.cdf, d.sf, d.quantile, d.qdensity
     lo, hi = d.support
     return DistributionSpec(
         name=f"negated[{d.name}]",
@@ -573,6 +616,7 @@ def negate(d: DistributionSpec) -> DistributionSpec:
         cdf=lambda x: sf(-np.asarray(x, dtype=float)),
         sf=lambda x: cdf(-np.asarray(x, dtype=float)),
         quantile=lambda u: -q(1.0 - np.asarray(u, dtype=float)),
+        qdensity=None if qd is None else (lambda u, v: qd(v, u)),
         support=(-hi, -lo),
         mean=None if d.mean is None else -d.mean,
         variance=d.variance,
@@ -587,11 +631,15 @@ def negate(d: DistributionSpec) -> DistributionSpec:
 
 def from_quantile(name: str, quantile: Callable, support: tuple,
                   mean: float | None = None, variance: float | None = None,
-                  params: dict | None = None) -> DistributionSpec:
+                  params: dict | None = None,
+                  qdensity: Callable | None = None) -> DistributionSpec:
     """Build a spec from a strictly increasing quantile function.
 
     The CDF is obtained by monotone bisection on (0,1); adequate for
-    quadrature but much slower than an analytic CDF.
+    quadrature but much slower than an analytic CDF.  ``qdensity(u, v)``
+    is the quantile's derivative at u, given v = 1 - u exactly (see
+    :class:`DistributionSpec`); without it the quantile-space evaluators
+    refuse the law.
     """
     lo, hi = support
 
@@ -620,7 +668,7 @@ def from_quantile(name: str, quantile: Callable, support: tuple,
 
     return DistributionSpec(
         name=name, params=params or {},
-        cdf=cdf, quantile=quantile, support=support,
+        cdf=cdf, quantile=quantile, qdensity=qdensity, support=support,
         mean=mean, variance=variance,
     )
 
@@ -686,6 +734,7 @@ register("reverse_weibull", make_reverse_weibull, ("beta",))
 register("gumbel", make_gumbel, ())
 register("logistic", make_logistic, ())
 register("uniform", make_uniform, ("a", "length"))
+register("normal", normal_spec, ())
 
 
 def available_distributions() -> list:

@@ -30,7 +30,6 @@ from .series import pochhammer_ratio_coeffs, sign_fix_index
 from .specfun import gamma_negative, lgamma
 
 _MAX_TERMS = 1_000_000
-_CHUNK = 4096
 
 
 @dataclass(frozen=True)

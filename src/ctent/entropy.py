@@ -5,7 +5,7 @@ Two independent quadrature routes are provided for the entropy delta(s):
 * ``delta_quadrature`` integrates F(x)(1-F(x)^s)/s over the support in
   x-space (improper intervals handled by the adaptive routine directly);
 * ``delta_quantile`` integrates the quantile-space kernel
-  g_s(u) = u(1-u^s)/s against a numerically differentiated quantile.
+  g_s(u) = u(1-u^s)/s against the law's analytic quantile density q'(u).
 
 The dual nabla(s) uses the quantile-space kernel
 
@@ -13,8 +13,15 @@ The dual nabla(s) uses the quantile-space kernel
 
 whose inner integral is reduced by parts to J(u) = integral_u^1 (1-t)^s/t dt
 and evaluated by two rapidly convergent series (accurate to ~1e-15; a
-nested adaptive rule degrades near the (1-t)^s endpoint for s < 0).
-Plug-in estimators apply the same kernels to order-statistic spacings.
+nested adaptive rule degrades near the (1-t)^s endpoint for s < 0).  For
+u >= 1/2 the kernel is summed as G_s = v - u sum_k (k+1) v^{k+s+2}/(k+s+2)
+in v = 1 - u, which has no cancellation as v -> 0.
+
+Both quantile-space integrals, of g_s q' and of G_s q', run through one
+vectorised tanh-sinh rule (Takahasi & Mori 1974): over u on (0, 1/2) and
+over v = 1 - u on (0, 1/2), so that each endpoint singularity sits at an
+exact zero of its own variable.  Plug-in estimators apply the same kernels
+to order-statistic spacings.
 
 The near-zero order branch uses expm1/log1p forms throughout, realising
 the convention (1-x^0)/0 = -log x continuously.
@@ -29,7 +36,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import IntegrationWarning, quad, tanhsinh
 
 from .distributions import DistributionSpec, EmpiricalSample
 from .errors import DivergentEntropy, DomainError, NonIntegrableError
@@ -44,8 +51,8 @@ class EntropyOrder:
     s: float
 
     def __post_init__(self):
-        if not self.s > -1.0:
-            raise DomainError(f"entropy order must exceed -1, got {self.s}")
+        if not (self.s > -1.0 and math.isfinite(self.s)):
+            raise DomainError(f"entropy order must be finite and exceed -1, got {self.s}")
 
     @property
     def near_zero(self) -> bool:
@@ -105,24 +112,20 @@ def tsallis_ratio(u: float, s: float) -> float:
     return -math.expm1(s * math.log(u)) / s
 
 
-def g_kernel(u: float, s: float) -> float:
-    """Quantile-space entropy kernel u(1-u^s)/s; vanishes at both endpoints."""
-    if u <= 0.0 or u >= 1.0:
-        return 0.0
+def _g_uv(u, v, s: float):
+    # g_s(u) with log u taken from v near u = 1
+    logu = np.where(u < 0.5, np.log(u), np.log1p(-v))
     if s == 0.0:
-        return -u * math.log(u)
-    return -u * math.expm1(s * math.log(u)) / s
+        return -u * logu
+    return -u * np.expm1(s * logu) / s
 
 
 def g_kernel_np(u: np.ndarray, s: float) -> np.ndarray:
+    """Quantile-space entropy kernel u(1-u^s)/s; vanishes at both endpoints."""
     u = np.asarray(u, dtype=float)
     inside = (u > 0.0) & (u < 1.0)
     uu = np.where(inside, u, 0.5)
-    if s == 0.0:
-        out = -uu * np.log(uu)
-    else:
-        out = -uu * np.expm1(s * np.log(uu)) / s
-    return np.where(inside, out, 0.0)
+    return np.where(inside, _g_uv(uu, 1.0 - uu, s), 0.0)
 
 
 @lru_cache(maxsize=256)
@@ -144,8 +147,9 @@ def _j_upper(u: np.ndarray, s: float) -> np.ndarray:
 
 
 def _j_lower(u: np.ndarray, s: float) -> np.ndarray:
-    # J(u) = J(1/2) + log(1/(2u)) + sum_{k>=1} ((-s)_k/k!) ((1/2)^k - u^k)/k
-    tot = np.log(0.5 / u)
+    # J(u) = J(1/2) + log(1/(2u)) + sum_{k>=1} ((-s)_k/k!) ((1/2)^k - u^k)/k;
+    # log(1/(2u)) is split so that a subnormal u does not overflow 0.5/u
+    tot = math.log(0.5) - np.log(u)
     a = 1.0
     pk = np.array(u, copy=True)
     half = 0.5
@@ -171,21 +175,48 @@ def dual_tail_integral(u, s: float):
     return out if np.ndim(u) else float(out[0])
 
 
+def _dual_upper(u: np.ndarray, v: np.ndarray, s: float) -> np.ndarray:
+    # G_s(u) = v - u sum_{k>=0} (k+1) v^{k+s+2}/(k+s+2) for v = 1-u <= 1/2:
+    # head + u(s+1)J(u) with the v^{s+1} terms cancelled analytically
+    p = np.power(v, s + 2.0)
+    tot = p / (s + 2.0)
+    for k in range(1, 240):
+        p = p * v
+        term = (k + 1.0) * p / (k + s + 2.0)
+        tot += term
+        if np.all(term <= 1e-17 * tot + 1e-300):
+            break
+    return v - u * tot
+
+
+def _dual_uv(u, v, s: float):
+    # G_s(u) at u in (0,1), v = 1 - u
+    shape = np.shape(u)
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    out = np.empty_like(u)
+    hi = u >= 0.5
+    if hi.any():
+        out[hi] = _dual_upper(u[hi], v[hi], s)
+    lo = ~hi
+    if lo.any():
+        ul, vl = u[lo], v[lo]
+        head = -vl * np.expm1(s * np.log1p(-ul))
+        out[lo] = head + ul * (s + 1.0) * _j_lower(ul, s)
+    return out.reshape(shape)
+
+
 def dual_kernel_np(u: np.ndarray, s: float) -> np.ndarray:
     """G_s(u): quantile-space kernel of the dual entropy; G_0(u) = -u log u."""
     u = np.asarray(u, dtype=float)
     inside = (u > 0.0) & (u < 1.0)
     uu = np.where(inside, u, 0.5)
-    head = -(1.0 - uu) * np.expm1(s * np.log1p(-uu))
-    out = head + uu * (s + 1.0) * dual_tail_integral(uu, s)
-    return np.where(inside, out, 0.0)
+    return np.where(inside, _dual_uv(uu, 1.0 - uu, s), 0.0)
 
 
 def dual_kernel(u: float, s: float) -> float:
-    if u <= 0.0 or u >= 1.0:
-        return 0.0
-    head = -(1.0 - u) * math.expm1(s * math.log1p(-u))
-    return head + u * (s + 1.0) * dual_tail_integral(u, s)
+    """G_s(u) at a single point."""
+    return float(dual_kernel_np(u, s))
 
 
 # ---------------------------------------------------------------------------
@@ -198,19 +229,6 @@ def _quad(f: Callable[[float], float], a: float, b: float,
         warnings.simplefilter("ignore", IntegrationWarning)
         val, err = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit)
     return val, err
-
-
-def _quad_unit_split(f: Callable[[float], float]) -> tuple:
-    # (0,1) integrals of kernel * numeric slope: integrating the halves
-    # separately keeps slope noise at one singular endpoint from poisoning
-    # the extrapolation table at the other
-    tot = 0.0
-    err = 0.0
-    for a, b in ((0.0, 0.5), (0.5, 1.0)):
-        v, e = _quad(f, a, b, epsabs=5e-13, epsrel=5e-12, limit=800)
-        tot += v
-        err += e
-    return tot, err
 
 
 def _clamp_nonnegative(v: float, bound: float) -> float:
@@ -266,28 +284,41 @@ def delta_quadrature(d: DistributionSpec, s) -> EntropyValue:
     return EntropyValue(_clamp_nonnegative(val, bound), bound, "quadrature_x")
 
 
-def _quantile_slope(q: Callable[[float], float], u: float) -> float:
-    # central differences with the step tied to the distance to the nearer
-    # endpoint, plus one Richardson extrapolation (4th order, so a fairly
-    # large relative step keeps rounding noise ~1e-12 of the slope)
-    h = 1e-3 * min(u, 1.0 - u)
-    if h <= 0.0:
-        return 0.0
-    d1 = (float(q(u + h)) - float(q(u - h))) / (2.0 * h)
-    d2 = (float(q(u + 0.5 * h)) - float(q(u - 0.5 * h))) / h
-    return (4.0 * d2 - d1) / 3.0
+def _quantile_integral(d: DistributionSpec, kernel: Callable) -> EntropyValue:
+    """integral_0^1 kernel(u, v) q'(u) du, with v = 1 - u, by tanh-sinh on
+    u in (0, 1/2) and on v in (0, 1/2): integrating the upper half in u would
+    lose every node with 1 - u below ~1e-16, and with it the tail mass."""
+    qd = d.qdensity
+    if qd is None:
+        raise DomainError(f"{d.label()} has no quantile density to integrate against")
+
+    def lower(u):
+        return kernel(u, 1.0 - u) * qd(u, 1.0 - u)
+
+    def upper(v):
+        return kernel(1.0 - v, v) * qd(1.0 - v, v)
+
+    val = err = 0.0
+    for f in (lower, upper):
+        with np.errstate(all="ignore"):
+            r = tanhsinh(f, 0.0, 0.5)
+        if r.status != 0:
+            raise NonIntegrableError(
+                f"quantile-space integral of {d.label()} did not converge "
+                f"(tanh-sinh status {int(r.status)}, {int(r.nfev)} evaluations)")
+        val += float(r.integral)
+        err += float(r.error)
+    bound = err + 1e-10 * max(1.0, abs(val))
+    return EntropyValue(_clamp_nonnegative(val, bound), bound, "quadrature_quantile")
 
 
 def delta_quantile(d: DistributionSpec, s) -> EntropyValue:
     """Cumulative Tsallis entropy integrated in quantile space against the
-    numerically differentiated quantile function."""
+    analytic quantile density."""
     sv = as_order(s).s
     if d.finiteness_threshold is not None and sv <= d.finiteness_threshold:
         return EntropyValue.make_divergent("quadrature_quantile")
-    q = d.quantile
-    val, err = _quad_unit_split(lambda u: g_kernel(u, sv) * _quantile_slope(q, u))
-    bound = err + 3e-8 * max(1.0, abs(val))
-    return EntropyValue(_clamp_nonnegative(val, bound), bound, "quadrature_quantile")
+    return _quantile_integral(d, lambda u, v: _g_uv(u, v, sv))
 
 
 def nabla_quadrature(d: DistributionSpec, s) -> EntropyValue:
@@ -295,10 +326,7 @@ def nabla_quadrature(d: DistributionSpec, s) -> EntropyValue:
     sv = as_order(s).s
     if d.finiteness_threshold is not None and d.finiteness_threshold >= 0.0:
         return EntropyValue.make_divergent("quadrature_quantile")
-    q = d.quantile
-    val, err = _quad_unit_split(lambda u: dual_kernel(u, sv) * _quantile_slope(q, u))
-    bound = err + 3e-8 * max(1.0, abs(val))
-    return EntropyValue(_clamp_nonnegative(val, bound), bound, "quadrature_quantile")
+    return _quantile_integral(d, lambda u, v: _dual_uv(u, v, sv))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ Three regimes are covered:
 The module also evaluates the gamma-function gap
 phi(s) = Gamma(s+2)^2/Gamma(2s+1) - 1 - 2s + s^2 (nonnegative from its
 unique negative root onward, with equality exactly at s = 0 and 1), and
-the cumulative entropy of the standard normal.
+the cumulative entropy of the standard normal (the normal law itself is
+``distributions.normal_spec``).
 """
 
 from __future__ import annotations
@@ -29,12 +30,13 @@ import numpy as np
 from .distributions import (
     DistributionSpec,
     affine,
+    from_quantile,
     make_exponential,
     make_logistic,
     make_negative_lomax,
     make_power_uniform,
     negate,
-    register,
+    normal_spec,
 )
 from .entropy import _quad
 from .errors import DomainError, NotBracketedError
@@ -50,86 +52,6 @@ class RangeBound:
     upper: float
     maximizer: DistributionSpec | None
     attained: bool
-
-
-# ---------------------------------------------------------------------------
-# normal distribution helpers (erfc-based CDF; Acklam rational initial
-# guess for the quantile polished by one Halley step)
-
-_ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02,
-             -2.759285104469687e+02, 1.383577518672690e+02,
-             -3.066479806614716e+01, 2.506628277459239e+00)
-_ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02,
-             -1.556989798598866e+02, 6.680131188771972e+01,
-             -1.328068155288572e+01)
-_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01,
-             -2.400758277161838e+00, -2.549732539343734e+00,
-             4.374664141464968e+00, 2.938163982698783e+00)
-_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01,
-             2.445134137142996e+00, 3.754408661907416e+00)
-
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def _normal_cdf_scalar(x: float) -> float:
-    return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def _normal_quantile_scalar(u: float) -> float:
-    if not 0.0 < u < 1.0:
-        raise DomainError("normal quantile needs u in (0,1)")
-    a, b, c, dd_ = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    p_low = 0.02425
-    if u < p_low:
-        q = math.sqrt(-2.0 * math.log(u))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((dd_[0] * q + dd_[1]) * q + dd_[2]) * q + dd_[3]) * q + 1.0)
-    elif u <= 1.0 - p_low:
-        q = u - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    else:
-        q = math.sqrt(-2.0 * math.log1p(-u))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((dd_[0] * q + dd_[1]) * q + dd_[2]) * q + dd_[3]) * q + 1.0)
-    # one Halley step against the erfc-based CDF
-    e = _normal_cdf_scalar(x) - u
-    pdf = _INV_SQRT_2PI * math.exp(-0.5 * x * x)
-    if pdf > 0.0:
-        x -= e / (pdf + 0.5 * x * e)
-    return x
-
-
-def normal_spec() -> DistributionSpec:
-    """Standard normal as a DistributionSpec (symmetric, unit variance)."""
-
-    def cdf(x):
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim == 0:
-            return np.float64(_normal_cdf_scalar(float(arr)))
-        flat = np.array([_normal_cdf_scalar(v) for v in arr.ravel()])
-        return flat.reshape(arr.shape)
-
-    def sf(x):
-        return cdf(-np.asarray(x, dtype=float))
-
-    def quantile(u):
-        arr = np.asarray(u, dtype=float)
-        if arr.ndim == 0:
-            return np.float64(_normal_quantile_scalar(float(arr)))
-        flat = np.array([_normal_quantile_scalar(v) for v in arr.ravel()])
-        return flat.reshape(arr.shape)
-
-    return DistributionSpec(
-        name="normal", params={},
-        cdf=cdf, sf=sf, quantile=quantile,
-        support=(-math.inf, math.inf), mean=0.0, variance=1.0,
-    )
-
-
-register("normal", normal_spec, ())
 
 
 # ---------------------------------------------------------------------------
@@ -181,75 +103,38 @@ def make_s_logistic(s: float, beta: float) -> DistributionSpec:
     X_1 = (1-U)^s - U^s and an independent sign eps.
 
     Bounded on [-1,1] for s > 0; unbounded with heavy tails for
-    s in (-1/2, 0).  The CDF is the numeric inverse of the quantile
-    (bracketing bisection polished by Newton)."""
+    s in (-1/2, 0).  Built by :func:`from_quantile` with the analytic
+    quantile density; the CDF is its bisection inverse of the quantile."""
     if not ((-0.5 < s < 0.0) or s > 0.0):
         raise DomainError("s must lie in (-1/2, 0) or (0, inf)")
     if not 0.0 < beta <= 1.0:
         raise DomainError("beta must lie in (0, 1]")
     sgn = 1.0 if s > 0.0 else -1.0
 
-    def q_one(u):
-        # quantile of X_1: sgn(s) (u^s - (1-u)^s), odd about 1/2
-        u = np.asarray(u, dtype=float)
+    def q_one(u, v):
+        # quantile of X_1: sgn(s) (u^s - v^s) with v = 1 - u, odd about 1/2
         with np.errstate(divide="ignore", over="ignore"):
-            return sgn * (np.power(u, s) - np.power(1.0 - u, s))
+            return sgn * (np.power(u, s) - np.power(v, s))
 
     def quantile(u):
         u = np.asarray(u, dtype=float)
-        base = q_one(u)
+        base = q_one(u, 1.0 - u)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             out = np.sign(base) * np.power(np.abs(base), 1.0 / beta)
         return np.where(base == 0.0, 0.0, out)
 
+    def qdensity(u, v):
+        # |X_1|^(1/beta - 1)/beta times X_1' = |s| (u^(s-1) + v^(s-1))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            slope = abs(s) * (np.power(u, s - 1.0) + np.power(v, s - 1.0))
+            return slope * np.power(np.abs(q_one(u, v)), 1.0 / beta - 1.0) / beta
+
     hi = 1.0 if s > 0.0 else math.inf
-    support = (-hi, hi)
-
-    def cdf_scalar(x: float) -> float:
-        if x <= support[0]:
-            return 0.0
-        if x >= support[1]:
-            return 1.0
-        a, b = 0.0, 1.0
-        for _ in range(90):
-            m = 0.5 * (a + b)
-            if float(quantile(m)) <= x:
-                a = m
-            else:
-                b = m
-        # Newton polish on q(u) = x using the analytic quantile derivative
-        u = 0.5 * (a + b)
-        for _ in range(4):
-            qu = float(quantile(u))
-            also = float(q_one(u))
-            dq1 = abs(s) * (u ** (s - 1.0) + (1.0 - u) ** (s - 1.0))
-            if also == 0.0:
-                break
-            dq = dq1 * abs(also) ** (1.0 / beta - 1.0) / beta
-            if not math.isfinite(dq) or dq <= 0.0:
-                break
-            step = (qu - x) / dq
-            u_new = u - step
-            if not a <= u_new <= b:
-                break
-            u = u_new
-        return min(max(u, 0.0), 1.0)
-
-    def cdf(x):
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim == 0:
-            return np.float64(cdf_scalar(float(arr)))
-        flat = np.array([cdf_scalar(v) for v in arr.ravel()])
-        return flat.reshape(arr.shape)
-
     # variance in quantile space, where the integrand is polynomial-like
     var, _ = _quad(lambda u: float(quantile(u)) ** 2, 0.0, 1.0,
                    epsabs=1e-12, epsrel=1e-11, limit=400)
-    return DistributionSpec(
-        name="s_logistic", params={"s": float(s), "beta": float(beta)},
-        cdf=cdf, quantile=quantile, support=support,
-        mean=0.0, variance=var,
-    )
+    return from_quantile("s_logistic", quantile, (-hi, hi), mean=0.0, variance=var,
+                         params={"s": float(s), "beta": float(beta)}, qdensity=qdensity)
 
 
 def bound_symmetric(s) -> RangeBound:
@@ -326,9 +211,10 @@ def gamma_gap_root() -> float:
 def gaussian_cumulative_entropy() -> float:
     """Cumulative entropy of the standard normal by x-space quadrature
     (absolute error well below 1e-8); just under pi/(2 sqrt(3))."""
+    cdf = normal_spec().cdf
 
     def integrand(x: float) -> float:
-        F = _normal_cdf_scalar(x)
+        F = float(cdf(x))
         if F <= 0.0 or F >= 1.0:
             return 0.0
         return -F * math.log(F)

@@ -390,6 +390,20 @@ def mrl_representation(d: DistributionSpec, s, which: str = "delta") -> RiskValu
     return RiskValue(total, (sv + 1.0) * err + 1e-7 * max(1.0, abs(total)), which)
 
 
+def _quantile_mixture(d1: DistributionSpec, d2: DistributionSpec,
+                      lam: float) -> DistributionSpec:
+    """The law with quantile lam q1 + (1-lam) q2 (the comonotone mixture)."""
+    q1, q2, p1, p2 = d1.quantile, d2.quantile, d1.qdensity, d2.qdensity
+    lo = lam * d1.support[0] + (1 - lam) * d2.support[0]
+    hi = lam * d1.support[1] + (1 - lam) * d2.support[1]
+    qd = None if p1 is None or p2 is None else (
+        lambda u, v: lam * p1(u, v) + (1 - lam) * p2(u, v))
+    return from_quantile(
+        "quantile_mixture",
+        lambda u: lam * np.asarray(q1(u), dtype=float) + (1 - lam) * np.asarray(q2(u), dtype=float),
+        (lo, hi), qdensity=qd)
+
+
 def risk_axioms_check(d1: DistributionSpec, d2: DistributionSpec, s,
                       a: float, b: float, tol: float = 1e-8) -> dict:
     """Verify the coherence axioms numerically on a pair of distributions.
@@ -438,13 +452,7 @@ def risk_axioms_check(d1: DistributionSpec, d2: DistributionSpec, s,
 
     # convexity along a quantile mixture (comonotone coupling: equality)
     lam = 0.3
-    q1, q2 = d1.quantile, d2.quantile
-    lo = lam * d1.support[0] + (1 - lam) * d2.support[0]
-    hi = lam * d1.support[1] + (1 - lam) * d2.support[1]
-    mix = from_quantile(
-        "quantile_mixture",
-        lambda u: lam * np.asarray(q1(u), dtype=float) + (1 - lam) * np.asarray(q2(u), dtype=float),
-        (lo, hi))
+    mix = _quantile_mixture(d1, d2, lam)
     for fam, fn in (("delta", risk_delta), ("nabla", risk_nabla)):
         vm = fn(mix, sv).value
         vb = lam * fn(d1, sv).value + (1 - lam) * fn(d2, sv).value

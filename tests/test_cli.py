@@ -147,3 +147,16 @@ def test_selftest_quick(capsys):
     lines = [json.loads(line) for line in out.strip().splitlines()]
     assert lines[-1]["all_ok"] is True
     assert all(rec["ok"] for rec in lines[:-1])
+
+
+def test_entropy_infinite_order_exits_domain(capsys):
+    code, out, err = run(capsys, "entropy", "--dist", "exponential", "--s", "inf")
+    assert code == 2
+    assert "nan" not in out.lower()
+    assert "finite" in err
+
+
+def test_entropy_huge_lomax_shape(capsys):
+    code, out, _ = run(capsys, "entropy", "--dist", "lomax", "--param", "beta=1e300")
+    assert code == 0
+    assert "nan" not in out.lower()

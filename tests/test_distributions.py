@@ -22,10 +22,13 @@ from ctent import (
     make_power_uniform,
     make_reflected_power,
     make_reverse_weibull,
+    make_s_logistic,
     negate,
+    normal_spec,
     sample,
 )
 from ctent.distributions import dist_mean, dist_std
+from ctent.risk import _quantile_mixture
 
 PI2_6 = math.pi ** 2 / 6.0
 
@@ -272,3 +275,26 @@ def test_dist_mean_std_fallbacks():
     d = make_power_uniform(2.0)
     assert dist_mean(d) == pytest.approx(2.0 / 3.0)
     assert dist_std(d) == pytest.approx(math.sqrt(d.variance))
+
+
+def _qdensity_laws():
+    return catalog_members() + [
+        affine(make_lomax(3.0), 2.5, -1.0), negate(make_frechet(1.6)),
+        negate(make_power_uniform(0.7)), normal_spec(),
+        make_s_logistic(0.5, 1.0), make_s_logistic(-0.3, 0.8), make_s_logistic(2.0, 0.5),
+        _quantile_mixture(make_power_uniform(1.0), make_exponential(), 0.3),
+    ]
+
+
+@pytest.mark.parametrize("d", _qdensity_laws(), ids=lambda d: d.label())
+def test_qdensity_matches_quantile_slope(d):
+    for u in (0.03, 0.2, 0.45, 0.7, 0.97):
+        h = 1e-5 * min(u, 1.0 - u)
+        slope = (float(d.quantile(u + h)) - float(d.quantile(u - h))) / (2.0 * h)
+        assert float(d.qdensity(u, 1.0 - u)) == pytest.approx(slope, rel=1e-6)
+
+
+def test_lomax_variance_at_huge_shape():
+    assert make_lomax(1e300).variance == 0.0
+    assert make_negative_lomax(1e300).variance == 0.0
+    assert make_lomax(3.0).variance == pytest.approx(0.75, rel=1e-15)

@@ -9,12 +9,15 @@ from ctent import (
     DomainError,
     EmpiricalSample,
     EntropyOrder,
+    NonIntegrableError,
     delta_plugin,
     delta_quadrature,
     delta_quantile,
     delta_value,
     entropy_profile,
+    from_quantile,
     make_exponential,
+    make_frechet,
     make_gumbel,
     make_logistic,
     make_lomax,
@@ -38,6 +41,9 @@ def test_entropy_order_validation():
         EntropyOrder(-1.0)
     assert EntropyOrder(5e-5).near_zero
     assert not EntropyOrder(0.1).near_zero
+    for s in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            EntropyOrder(s)
 
 
 def test_delta_quadrature_examples():
@@ -213,3 +219,30 @@ def test_delta_value_dispatch():
     assert ev_q.method == "quadrature_x"
     assert ev_q.value == pytest.approx(ev.value, abs=1e-8)
     assert nabla_value(d, 1.0).method == "closed_form"
+
+
+@pytest.mark.parametrize("d", [make_lomax(1.5), make_frechet(1.6)], ids=lambda d: d.label())
+def test_quantile_route_heavy_tail_negative_order(d):
+    # the upper half is integrated in v = 1 - u, so no tail mass below
+    # 1 - u ~ 1e-16 is lost, and G_s(1 - v) is summed without cancellation
+    assert nabla_quadrature(d, -0.4).value == pytest.approx(d.closed_nabla(-0.4), rel=1e-10)
+    assert delta_quantile(d, -0.4).value == pytest.approx(d.closed_delta(-0.4), rel=1e-10)
+
+
+def test_quantile_route_reports_non_convergence():
+    # q(u) = 1/(1-u) - 1 has an infinite mean: G_s q' ~ 1/v is not integrable
+    d = from_quantile("pareto", lambda u: 1.0 / (1.0 - np.asarray(u)) - 1.0, (0.0, math.inf),
+                      qdensity=lambda u, v: np.power(v, -2.0))
+    with pytest.raises(NonIntegrableError):
+        nabla_quadrature(d, 0.5)
+    with pytest.raises(DomainError):
+        nabla_quadrature(from_quantile("bare", lambda u: u, (0.0, 1.0)), 0.5)
+
+
+def test_dual_kernel_cancellation_free_near_one():
+    # G_s(1 - v) = v - (1-v) sum_k (k+1) v^{k+s+2}/(k+s+2); at v = 1e-12,
+    # s = -0.4 the first two terms give the value to ~1e-30
+    v, s = 1e-12, -0.4
+    lead = v - (1.0 - v) * (v ** (s + 2.0) / (s + 2.0) + 2.0 * v ** (s + 3.0) / (s + 3.0))
+    assert float(dual_kernel_np(1.0 - v, s)) == pytest.approx(lead, rel=1e-12)
+    assert math.isfinite(dual_kernel(4e-322, 0.5)) and dual_kernel(4e-322, 0.5) > 0.0

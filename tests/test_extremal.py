@@ -215,3 +215,9 @@ def test_normal_quantile_accuracy():
     for u in (1e-12, 1e-4, 0.3, 0.5, 0.9, 1.0 - 1e-10):
         x = float(nd.quantile(u))
         assert float(nd.cdf(x)) == pytest.approx(u, rel=1e-12, abs=1e-300)
+
+
+def test_s_logistic_cdf_near_support_end():
+    assert float(make_s_logistic(0.5, 1.0).cdf(1.0 - 1e-12)) == pytest.approx(1.0, abs=1e-12)
+    d = make_s_logistic(0.125, 0.7)
+    assert delta_value(d, 0.5).value == pytest.approx(delta_quantile(d, 0.5).value, abs=1e-7)

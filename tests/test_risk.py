@@ -28,6 +28,7 @@ from ctent import (
     risk_nabla,
 )
 from ctent.distributions import dist_mean
+from ctent.specfun import EULER_GAMMA, psi
 
 K_HALF_AT_ONE = -0.2803723055467760  # s/(s+1) - psi(s+1) - gamma at s = 1/2
 
@@ -221,3 +222,12 @@ def test_relevation_risk_examples():
         relevation_risk(make_logistic(), 2)
     with pytest.raises(DomainError):
         relevation_risk(ex, 0)
+
+
+@pytest.mark.parametrize("c", [0.65, 0.85, 1.275, 1.725])
+def test_risk_nabla_rescaled_exponential(c):
+    # sf(x) reaches subnormal values inside the distortion integral; the
+    # dual kernel must stay finite there
+    r = risk_nabla(affine(make_exponential(), c, 0.0), 0.5)
+    assert r.value == pytest.approx(c * (1.0 + psi(2.5) + EULER_GAMMA), abs=1e-7)
+    assert math.isfinite(r.abs_error_bound)
