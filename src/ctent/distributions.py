@@ -23,11 +23,14 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import DivergentEntropy, DomainError
+from .errors import DivergentEntropy, DomainError, NonIntegrableError
 from .series import pochhammer_ratio_coeffs, pochhammer_ratio_tail
-from .specfun import EULER_GAMMA, lgamma, psi, psi1, psi2
+from .specfun import EULER_GAMMA, lgamma, psi, psi1, psi2, psi3
 
-_NEAR_ZERO = 1e-4  # |s| below this switches closed forms to their limit branch
+NEAR_ZERO = 1e-4  # |s| below this switches closed forms to their limit branch
+# relative accuracy the closed forms promise: 1e-10 * max(1, |value|)
+CLOSED_BOUND = 1e-10
+_EPS = 2.220446049250313e-16
 
 ClosedForm = Optional[Callable[[float], float]]
 
@@ -108,6 +111,26 @@ def _check_beta(beta: float, low: float) -> float:
     return beta
 
 
+def _psi_step(c: float, s: float) -> float:
+    """(psi(c+s) - psi(c))/s, continued through s = 0 by its Taylor series
+    to second order in s."""
+    if abs(s) < NEAR_ZERO:
+        return psi1(c) + s * (0.5 * psi2(c) + s * psi3(c) / 6.0)
+    return (psi(c + s) - psi(c)) / s
+
+
+def _gamma_step(c: float, s: float) -> float:
+    """expm1(rho)/s with rho = lgamma(c) + lgamma(s+2) - lgamma(c+s),
+    continued through s = 0 by the Taylor series to second order in s."""
+    if abs(s) < NEAR_ZERO:
+        # rho = a1 s + a2 s^2 + a3 s^3 + ..., a_k = (psi^(k-1)(2) - psi^(k-1)(c))/k!
+        a1 = psi(2.0) - psi(c)
+        a2 = (psi1(2.0) - psi1(c)) / 2.0
+        a3 = (psi2(2.0) - psi2(c)) / 6.0
+        return a1 + s * (a2 + 0.5 * a1 * a1 + s * (a3 + a1 * a2 + a1 ** 3 / 6.0))
+    return math.expm1(lgamma(c) + lgamma(s + 2.0) - lgamma(c + s)) / s
+
+
 def _delta_power(beta: float, s: float) -> float:
     return beta / ((beta + 1.0) * (beta * (1.0 + s) + 1.0))
 
@@ -118,13 +141,7 @@ def _nabla_power(beta: float, s: float) -> float:
 
 
 def _delta_reflected(beta: float, s: float) -> float:
-    c = 1.0 / beta + 2.0
-    if abs(s) < _NEAR_ZERO:
-        a = psi(c) - psi(2.0)
-        b = psi1(2.0) - psi1(c)
-        return (beta / (beta + 1.0)) * (a - 0.5 * s * (b + a * a))
-    rho = lgamma(c) + lgamma(s + 2.0) - lgamma(c + s)
-    return -(beta / (s * (beta + 1.0))) * math.expm1(rho)
+    return -(beta / (beta + 1.0)) * _gamma_step(1.0 / beta + 2.0, s)
 
 
 def _nabla_reflected(beta: float, s: float) -> float:
@@ -132,9 +149,7 @@ def _nabla_reflected(beta: float, s: float) -> float:
 
 
 def _delta_exponential(s: float) -> float:
-    if abs(s) < _NEAR_ZERO:
-        return psi1(2.0) + 0.5 * s * psi2(2.0)
-    return (psi(s + 2.0) - psi(2.0)) / s
+    return _psi_step(2.0, s)
 
 
 def _nabla_exponential(s: float) -> float:
@@ -142,13 +157,7 @@ def _nabla_exponential(s: float) -> float:
 
 
 def _delta_lomax(beta: float, s: float) -> float:
-    c = 2.0 - 1.0 / beta
-    if abs(s) < _NEAR_ZERO:
-        a = psi(2.0) - psi(c)
-        b = psi1(2.0) - psi1(c)
-        return (beta / (beta - 1.0)) * (a + 0.5 * s * (b + a * a))
-    rho = lgamma(c) + lgamma(s + 2.0) - lgamma(c + s)
-    return (beta / (s * (beta - 1.0))) * math.expm1(rho)
+    return (beta / (beta - 1.0)) * _gamma_step(2.0 - 1.0 / beta, s)
 
 
 def _nabla_lomax(beta: float, s: float) -> float:
@@ -184,17 +193,28 @@ _SERIES_HEAD = 20000
 
 
 def _dual_series(s: float, g: Callable[[np.ndarray], np.ndarray]) -> float:
-    """sum_{n>=1} (-s)_n/(n+1)! g(n), summed exactly to a large head and
-    completed with a tail integral of the continuous coefficient function."""
+    """1 + sum_{n>=1} (-s)_n/(n+1)! g(n), summed exactly to a large head and
+    completed with a tail integral of the continuous coefficient function.
+
+    For large s the head alternates with terms as large as ~C(s, s/2), each
+    carrying a rounding error of a few eps of its magnitude; when that
+    exceeds the closed-form bound, :class:`NonIntegrableError` is raised
+    before the tail is formed.
+    """
     if s == 0.0:
-        return 0.0
+        return 1.0
     terminating = s > 0.0 and s == math.floor(s)
     n_head = int(s) if terminating else _SERIES_HEAD
-    coeffs = pochhammer_ratio_coeffs(s, n_head)[1:]
-    n = np.arange(1, n_head + 1, dtype=float)
-    head = math.fsum(coeffs * g(n))
-    tail = 0.0 if terminating else pochhammer_ratio_tail(s, n_head, g)
-    return head + tail
+    terms = pochhammer_ratio_coeffs(s, n_head)[1:] * g(np.arange(1, n_head + 1, dtype=float))
+    total = 1.0 + math.fsum(terms)
+    size = 1.0 + float(np.sum(np.abs(terms)))
+    if 8.0 * _EPS * size > CLOSED_BOUND * abs(total):
+        raise NonIntegrableError(
+            f"the duality series at order s={s:g} cancels to {total:.3g} from terms of "
+            f"total size {size:.3g}: its rounding exceeds the closed-form bound")
+    if not terminating:
+        total += pochhammer_ratio_tail(s, n_head, g)
+    return total
 
 
 def _delta_frechet(beta: float, s: float) -> float:
@@ -206,8 +226,8 @@ def _delta_frechet(beta: float, s: float) -> float:
 
 def _nabla_frechet(beta: float, s: float) -> float:
     g = math.exp(lgamma(1.0 - 1.0 / beta))
-    inner = _dual_series(s, lambda n: np.expm1(np.log1p(n) / beta) / n)
-    return (s + 1.0) * g / beta * (1.0 + beta * inner)
+    series = _dual_series(s, lambda n: beta * np.expm1(np.log1p(n) / beta) / n)
+    return (s + 1.0) * g / beta * series
 
 
 def _delta_reverse_weibull(beta: float, s: float) -> float:
@@ -219,8 +239,8 @@ def _delta_reverse_weibull(beta: float, s: float) -> float:
 
 def _nabla_reverse_weibull(beta: float, s: float) -> float:
     g = math.exp(lgamma(1.0 + 1.0 / beta))
-    inner = _dual_series(s, lambda n: -np.expm1(-np.log1p(n) / beta) / n)
-    return (s + 1.0) * g / beta * (1.0 + beta * inner)
+    series = _dual_series(s, lambda n: -beta * np.expm1(-np.log1p(n) / beta) / n)
+    return (s + 1.0) * g / beta * series
 
 
 def _delta_gumbel(s: float) -> float:
@@ -230,14 +250,11 @@ def _delta_gumbel(s: float) -> float:
 
 
 def _nabla_gumbel(s: float) -> float:
-    inner = _dual_series(s, lambda n: np.log1p(n) / n)
-    return (s + 1.0) * (1.0 + inner)
+    return (s + 1.0) * _dual_series(s, lambda n: np.log1p(n) / n)
 
 
 def _delta_logistic(s: float) -> float:
-    if abs(s) < _NEAR_ZERO:
-        return psi1(1.0) + 0.5 * s * psi2(1.0)
-    return (psi(s + 1.0) + EULER_GAMMA) / s
+    return _psi_step(1.0, s)
 
 
 def _nabla_logistic(s: float) -> float:

@@ -38,10 +38,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad, tanhsinh
 
-from .distributions import DistributionSpec, EmpiricalSample
+from .distributions import CLOSED_BOUND, NEAR_ZERO, DistributionSpec, EmpiricalSample
 from .errors import DivergentEntropy, DomainError, NonIntegrableError
-
-NEAR_ZERO = 1e-4
 
 
 @dataclass(frozen=True)
@@ -253,8 +251,11 @@ def _probe_infinite_mean(d: DistributionSpec) -> None:
 
 
 def _lower_tail_divergent(d: DistributionSpec, s: float) -> bool:
-    # Heuristic stand-in for the F^{1+s} criterion when no analytic
-    # finiteness threshold is attached.
+    # The divergence screen of both entropy routes: the analytic finiteness
+    # threshold when one is attached, else a heuristic stand-in for the
+    # F^{1+s} criterion.
+    if d.finiteness_threshold is not None:
+        return s <= d.finiteness_threshold
     if s >= 0.0 or not math.isinf(d.support[0]):
         return False
     t = [abs(x) * float(d.cdf(x)) ** (1.0 + s) for x in (-1e4, -1e6, -1e8, -1e10)]
@@ -264,11 +265,9 @@ def _lower_tail_divergent(d: DistributionSpec, s: float) -> bool:
 def delta_quadrature(d: DistributionSpec, s) -> EntropyValue:
     """Cumulative Tsallis entropy by adaptive x-space quadrature."""
     sv = as_order(s).s
-    if d.finiteness_threshold is not None and sv <= d.finiteness_threshold:
+    if _lower_tail_divergent(d, sv):
         return EntropyValue.make_divergent("quadrature_x")
     _probe_infinite_mean(d)
-    if d.finiteness_threshold is None and _lower_tail_divergent(d, sv):
-        return EntropyValue.make_divergent("quadrature_x")
 
     def integrand(x: float) -> float:
         u = float(d.cdf(x))
@@ -316,7 +315,7 @@ def delta_quantile(d: DistributionSpec, s) -> EntropyValue:
     """Cumulative Tsallis entropy integrated in quantile space against the
     analytic quantile density."""
     sv = as_order(s).s
-    if d.finiteness_threshold is not None and sv <= d.finiteness_threshold:
+    if _lower_tail_divergent(d, sv):
         return EntropyValue.make_divergent("quadrature_quantile")
     return _quantile_integral(d, lambda u, v: _g_uv(u, v, sv))
 
@@ -355,30 +354,38 @@ def nabla_plugin(x: EmpiricalSample, s) -> EntropyValue:
 # ---------------------------------------------------------------------------
 # dispatch and profiles
 
-_CLOSED_BOUND = 1e-10
-
-
 def delta_value(d: DistributionSpec, s, prefer_closed: bool = True) -> EntropyValue:
-    """Best-method entropy: closed form when available, else x-quadrature."""
+    """Best-method entropy: the closed form when the law has one, else the
+    quantile-space integral when it has a quantile density, else x-space
+    quadrature.  ``prefer_closed=False`` always takes the x-space route,
+    the independent oracle."""
     sv = as_order(s).s
     if prefer_closed and d.closed_delta is not None:
         try:
             v = d.closed_delta(sv)
         except DivergentEntropy:
             return EntropyValue.make_divergent("closed_form")
-        return EntropyValue(v, _CLOSED_BOUND * max(1.0, abs(v)), "closed_form")
+        return EntropyValue(v, CLOSED_BOUND * max(1.0, abs(v)), "closed_form")
+    if prefer_closed and d.qdensity is not None:
+        return delta_quantile(d, sv)
     return delta_quadrature(d, sv)
 
 
 def nabla_value(d: DistributionSpec, s, prefer_closed: bool = True) -> EntropyValue:
-    """Best-method dual entropy: closed form when available, else quadrature."""
+    """Best-method dual entropy: the closed form when the law has one, else
+    the quantile-space integral.  A closed form whose alternating series
+    cannot meet its bound at this order raises :class:`NonIntegrableError`,
+    and the integral takes over."""
     sv = as_order(s).s
     if prefer_closed and d.closed_nabla is not None:
         try:
             v = d.closed_nabla(sv)
         except DivergentEntropy:
             return EntropyValue.make_divergent("closed_form")
-        return EntropyValue(v, _CLOSED_BOUND * max(1.0, abs(v)), "closed_form")
+        except NonIntegrableError:
+            pass
+        else:
+            return EntropyValue(v, CLOSED_BOUND * max(1.0, abs(v)), "closed_form")
     return nabla_quadrature(d, sv)
 
 

@@ -23,11 +23,13 @@ the cumulative entropy of the standard normal (the normal law itself is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import brentq, minimize_scalar
 
 from .distributions import (
+    NEAR_ZERO,
     DistributionSpec,
     affine,
     from_quantile,
@@ -38,7 +40,7 @@ from .distributions import (
     negate,
     normal_spec,
 )
-from .entropy import _quad
+from .entropy import _quad, delta_quantile
 from .errors import DomainError, NotBracketedError
 from .specfun import lgamma
 
@@ -88,11 +90,11 @@ def symmetric_upper(s: float) -> float:
     pi/(2 sqrt(3))."""
     if not s > -0.5:
         raise DomainError("the symmetric range needs s > -1/2")
-    if abs(s) < 1e-4:
+    if abs(s) < NEAR_ZERO:
         # (s+1)/sqrt(2s+1) * sqrt((1-e^u)/(2 s^2)) with
-        # u = 2 lgamma(s+1) - lgamma(2s+1) = -pi^2 s^2/6 + 2 zeta(3) s^3 + ...
-        zeta3 = 1.2020569031595943
-        return SYM_BOUND_0 * (1.0 - (6.0 * zeta3 / math.pi ** 2) * s)
+        # u = 2 lgamma(s+1) - lgamma(2s+1) = -pi^2 s^2/6 + 2 zeta(3) s^3 + ...,
+        # to second order in s (coefficients from mpmath's Taylor expansion)
+        return SYM_BOUND_0 * (1.0 - 0.7307629694014385 * s + 0.9732130713574980 * s * s)
     u = 2.0 * lgamma(s + 1.0) - lgamma(2.0 * s + 1.0)
     return (s + 1.0) / math.sqrt(2.0 * s * s * (2.0 * s + 1.0)) * \
         math.sqrt(-math.expm1(u))
@@ -103,8 +105,10 @@ def make_s_logistic(s: float, beta: float) -> DistributionSpec:
     X_1 = (1-U)^s - U^s and an independent sign eps.
 
     Bounded on [-1,1] for s > 0; unbounded with heavy tails for
-    s in (-1/2, 0).  Built by :func:`from_quantile` with the analytic
-    quantile density; the CDF is its bisection inverse of the quantile."""
+    s in (-1/2, 0), where both tails fall like |x|^(-beta/|s|), so that the
+    entropy is finite exactly above the order |s|/beta - 1.  Built by
+    :func:`from_quantile` with the analytic quantile density; the CDF is
+    its bisection inverse of the quantile."""
     if not ((-0.5 < s < 0.0) or s > 0.0):
         raise DomainError("s must lie in (-1/2, 0) or (0, inf)")
     if not 0.0 < beta <= 1.0:
@@ -133,8 +137,10 @@ def make_s_logistic(s: float, beta: float) -> DistributionSpec:
     # variance in quantile space, where the integrand is polynomial-like
     var, _ = _quad(lambda u: float(quantile(u)) ** 2, 0.0, 1.0,
                    epsabs=1e-12, epsrel=1e-11, limit=400)
-    return from_quantile("s_logistic", quantile, (-hi, hi), mean=0.0, variance=var,
-                         params={"s": float(s), "beta": float(beta)}, qdensity=qdensity)
+    d = from_quantile("s_logistic", quantile, (-hi, hi), mean=0.0, variance=var,
+                      params={"s": float(s), "beta": float(beta)}, qdensity=qdensity)
+    threshold = -s / beta - 1.0 if s < 0.0 else None
+    return replace(d, finiteness_threshold=threshold, neg_finiteness_threshold=threshold)
 
 
 def bound_symmetric(s) -> RangeBound:
@@ -170,57 +176,25 @@ def gamma_gap(s: float) -> float:
 
 
 def gamma_gap_argmax(lo: float = 1e-6, hi: float = 1.0 - 1e-6) -> tuple:
-    """(argmax, max) of the gap on (0,1) by golden-section search."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = gamma_gap(c), gamma_gap(d)
-    for _ in range(120):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = gamma_gap(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = gamma_gap(d)
-        if b - a < 1e-12:
-            break
-    x = 0.5 * (a + b)
+    """(argmax, max) of the gap on (0,1) by bounded Brent minimisation."""
+    r = minimize_scalar(lambda s: -gamma_gap(s), bounds=(lo, hi), method="bounded",
+                        options={"xatol": 1e-12})
+    x = float(r.x)
     return x, gamma_gap(x)
 
 
 def gamma_gap_root() -> float:
-    """The unique root of the gap on (-2, -3/2), by bisection."""
+    """The unique root of the gap on (-2, -3/2), by Brent's method."""
     a, b = -2.0 + 1e-9, -1.5
-    fa, fb = gamma_gap(a), gamma_gap(b)
-    if not fa < 0.0 < fb:
+    if not gamma_gap(a) < 0.0 < gamma_gap(b):
         raise NotBracketedError("gamma gap does not change sign on (-2, -3/2)")
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        if gamma_gap(m) < 0.0:
-            a = m
-        else:
-            b = m
-        if b - a < 1e-13:
-            break
-    return 0.5 * (a + b)
+    return brentq(gamma_gap, a, b, xtol=1e-13)
 
 
 def gaussian_cumulative_entropy() -> float:
-    """Cumulative entropy of the standard normal by x-space quadrature
-    (absolute error well below 1e-8); just under pi/(2 sqrt(3))."""
-    cdf = normal_spec().cdf
-
-    def integrand(x: float) -> float:
-        F = float(cdf(x))
-        if F <= 0.0 or F >= 1.0:
-            return 0.0
-        return -F * math.log(F)
-
-    val, _ = _quad(integrand, -40.0, 40.0, epsabs=1e-12, epsrel=1e-12, limit=400)
-    return val
+    """Cumulative entropy of the standard normal, integrated in quantile
+    space (absolute error well below 1e-8); just under pi/(2 sqrt(3))."""
+    return delta_quantile(normal_spec(), 0.0).value
 
 
 def beta_trinomial_bound_check(x: float) -> dict:

@@ -1,14 +1,16 @@
-"""Self-contained special-function kernel.
+"""Special functions with the package's domain checks.
 
-Log-gamma, digamma, trigamma (and the order-2 polygamma needed for limit
-branches), Pochhammer symbols and gamma ratios, all in double precision.
-Arguments below the asymptotic region are shifted up by the recurrences
-and finished with Bernoulli-series expansions through order 14, which is
-accurate to well under 1e-13 for shifted arguments >= 8.
+Log-gamma, digamma and the polygammas of orders 1-3 (the higher ones
+serve the near-zero order branches), Pochhammer symbols and gamma
+ratios, all in double precision.  The values come from ``math.lgamma``
+and from scipy's digamma and Hurwitz zeta, psi^(m)(x) = (-1)^(m+1) m!
+zeta(m+1, x); this module adds the domain checks the rest of the package
+relies on.
 
 Public entry points return a :class:`SpecialValue` carrying a conservative
 absolute error bound.  The bare-float helpers (``lgamma``, ``psi``,
-``psi1``, ``psi2``) are what the rest of the package calls in hot loops.
+``psi1``, ``psi2``, ``psi3``) are what the rest of the package calls in
+hot loops.
 """
 
 from __future__ import annotations
@@ -16,55 +18,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from scipy.special import poch
+from scipy.special import psi as _digamma
+from scipy.special import zeta
+
 from .errors import DomainError
 
 EULER_GAMMA = 0.5772156649015328606
 
-_SHIFT_TO = 8.0
 _EPS = 2.220446049250313e-16
-
-# B_{2k}/(2k(2k-1)) for k = 1..7, Stirling series of log Gamma
-_LGAMMA_COEF = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-)
-# B_{2k}/(2k) for k = 1..7, asymptotic series of psi
-_PSI_COEF = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-)
-# B_{2k} for k = 1..7, asymptotic series of psi'
-_PSI1_COEF = (
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
-    7.0 / 6.0,
-)
-# (2k+1) B_{2k} for k = 1..7, asymptotic series of psi''
-_PSI2_COEF = (
-    1.0 / 2.0,
-    -1.0 / 6.0,
-    1.0 / 6.0,
-    -3.0 / 10.0,
-    5.0 / 6.0,
-    -8983.0 / 2730.0,
-    35.0 / 2.0,
-)
-
-_HALF_LOG_2PI = 0.9189385332046727
 
 
 @dataclass(frozen=True)
@@ -75,72 +37,42 @@ class SpecialValue:
     abs_error_bound: float
 
 
-def _is_nonpositive_integer(x: float) -> bool:
-    return x <= 0.0 and x == math.floor(x)
-
-
 def lgamma(x: float) -> float:
     """log Gamma(x) for x > 0 (bare float)."""
     if x <= 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x}")
-    shift = 0.0
-    while x < _SHIFT_TO:
-        shift -= math.log(x)
-        x += 1.0
-    r = 1.0 / (x * x)
-    acc = _LGAMMA_COEF[6]
-    for c in (_LGAMMA_COEF[5], _LGAMMA_COEF[4], _LGAMMA_COEF[3],
-              _LGAMMA_COEF[2], _LGAMMA_COEF[1], _LGAMMA_COEF[0]):
-        acc = c + acc * r
-    return shift + (x - 0.5) * math.log(x) - x + _HALF_LOG_2PI + acc / x
+    try:
+        return math.lgamma(x)
+    except OverflowError:  # x above ~2.6e305: the value itself exceeds DBL_MAX
+        return math.inf
 
 
 def psi(x: float) -> float:
     """Digamma, defined for every x that is not a nonpositive integer."""
-    if _is_nonpositive_integer(x):
+    if x <= 0.0 and x == math.floor(x):
         raise DomainError(f"digamma has a pole at {x}")
-    acc = 0.0
-    while x < _SHIFT_TO:
-        acc -= 1.0 / x
-        x += 1.0
-    r = 1.0 / (x * x)
-    tail = _PSI_COEF[6]
-    for c in (_PSI_COEF[5], _PSI_COEF[4], _PSI_COEF[3],
-              _PSI_COEF[2], _PSI_COEF[1], _PSI_COEF[0]):
-        tail = c + tail * r
-    return acc + math.log(x) - 0.5 / x - tail * r
+    return float(_digamma(x))
 
 
 def psi1(x: float) -> float:
     """Trigamma for x > 0."""
     if x <= 0.0:
         raise DomainError(f"trigamma requires x > 0, got {x}")
-    acc = 0.0
-    while x < _SHIFT_TO:
-        acc += 1.0 / (x * x)
-        x += 1.0
-    r = 1.0 / (x * x)
-    tail = _PSI1_COEF[6]
-    for c in (_PSI1_COEF[5], _PSI1_COEF[4], _PSI1_COEF[3],
-              _PSI1_COEF[2], _PSI1_COEF[1], _PSI1_COEF[0]):
-        tail = c + tail * r
-    return acc + 1.0 / x + 0.5 * r + tail * r / x
+    return float(zeta(2.0, x))
 
 
 def psi2(x: float) -> float:
     """Second derivative of digamma for x > 0 (limit branches only)."""
     if x <= 0.0:
         raise DomainError(f"polygamma(2) requires x > 0, got {x}")
-    acc = 0.0
-    while x < _SHIFT_TO:
-        acc -= 2.0 / (x * x * x)
-        x += 1.0
-    r = 1.0 / (x * x)
-    tail = _PSI2_COEF[6]
-    for c in (_PSI2_COEF[5], _PSI2_COEF[4], _PSI2_COEF[3],
-              _PSI2_COEF[2], _PSI2_COEF[1], _PSI2_COEF[0]):
-        tail = c + tail * r
-    return acc - r - 1.0 / (x * x * x) - tail * r * r
+    return float(-2.0 * zeta(3.0, x))
+
+
+def psi3(x: float) -> float:
+    """Third derivative of digamma for x > 0 (limit branches only)."""
+    if x <= 0.0:
+        raise DomainError(f"polygamma(3) requires x > 0, got {x}")
+    return float(6.0 * zeta(4.0, x))
 
 
 def gamma_negative(s: float) -> float:
@@ -188,29 +120,8 @@ def gamma_ratio(a: float, b: float) -> SpecialValue:
 def pochhammer(x: float, n: int) -> float:
     """Ascending factorial (x)_n = x (x+1) ... (x+n-1), with (x)_0 = 1.
 
-    Large n is evaluated in log space; the sign is recovered by counting
-    negative factors.  A zero factor gives exactly 0.
+    A zero factor gives exactly 0.
     """
     if n < 0 or n != int(n):
         raise DomainError(f"pochhammer requires a nonnegative integer n, got {n}")
-    n = int(n)
-    if n == 0:
-        return 1.0
-    if n <= 40:
-        out = 1.0
-        for j in range(n):
-            out *= x + j
-        return out
-    # zero factor occurs iff x is a nonpositive integer with -x < n
-    if x <= 0.0 and x == math.floor(x) and -x < n:
-        return 0.0
-    if x > 0.0:
-        return math.exp(lgamma(x + n) - lgamma(x))
-    m = math.ceil(-x)  # factors x, x+1, ..., x+m-1 are negative
-    if m >= n:
-        log_abs = sum(math.log(abs(x + j)) for j in range(n))
-        sign = -1.0 if n % 2 else 1.0
-        return sign * math.exp(log_abs)
-    head = sum(math.log(abs(x + j)) for j in range(m))
-    sign = -1.0 if m % 2 else 1.0
-    return sign * math.exp(head + lgamma(x + n) - lgamma(x + m))
+    return float(poch(x, int(n)))

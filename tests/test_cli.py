@@ -36,6 +36,14 @@ def test_entropy_divergent_exits_domain(capsys):
     assert "diverges" in err
 
 
+@pytest.mark.parametrize("s", ["60.5", "180.5"])
+def test_entropy_cancelled_dual_series_exits_numeric(capsys, s):
+    # the closed dual refuses these orders and tanh-sinh does not converge
+    code, _, err = run(capsys, "entropy", "--dist", "gumbel", "--s", s)
+    assert code == 3
+    assert "Traceback" not in err and "did not converge" in err
+
+
 def test_entropy_input_source_exclusive(capsys, tmp_path):
     f = tmp_path / "x.csv"
     f.write_text("0\n1\n")

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -9,6 +10,7 @@ from ctent import (
     DivergentEntropy,
     DomainError,
     EmpiricalSample,
+    NonIntegrableError,
     affine,
     available_distributions,
     from_name,
@@ -298,3 +300,37 @@ def test_lomax_variance_at_huge_shape():
     assert make_lomax(1e300).variance == 0.0
     assert make_negative_lomax(1e300).variance == 0.0
     assert make_lomax(3.0).variance == pytest.approx(0.75, rel=1e-15)
+
+
+def _mp_psi_step(c, s):
+    return (mp.digamma(c + s) - mp.digamma(c)) / s
+
+
+def _mp_gamma_step(c, s):
+    return mp.expm1(mp.loggamma(c) + mp.loggamma(s + 2) - mp.loggamma(c + s)) / s
+
+
+NEAR_ZERO_CASES = [
+    (make_exponential(), lambda s: _mp_psi_step(2, s)),
+    (make_logistic(), lambda s: _mp_psi_step(1, s)),
+    (make_lomax(1.5), lambda s: 3 * _mp_gamma_step(2 - 1 / mp.mpf(1.5), s)),
+    (make_reflected_power(0.5), lambda s: -_mp_gamma_step(4, s) / 3),
+]
+
+
+@pytest.mark.parametrize("d, oracle", NEAR_ZERO_CASES, ids=[d.label() for d, _ in NEAR_ZERO_CASES])
+def test_closed_delta_near_zero_branch_meets_bound(d, oracle):
+    for s in (9.9e-5, -9.9e-5, 5e-5, -5e-5, 1e-6):
+        with mp.workdps(30):
+            exact = float(oracle(mp.mpf(s)))
+        assert abs(d.closed_delta(s) - exact) <= 1e-10 * max(1.0, abs(exact)), s
+
+
+def test_dual_series_refuses_cancelled_orders():
+    # the Gumbel value is the duality series summed in mpmath
+    assert make_gumbel().closed_nabla(10.5) == pytest.approx(1.9047191070356115, rel=1e-10)
+    for d in (make_gumbel(), make_frechet(1.6), make_reverse_weibull(2.5)):
+        with pytest.raises(NonIntegrableError):
+            d.closed_nabla(30.5)
+        with pytest.raises(NonIntegrableError):
+            d.closed_nabla(180.5)

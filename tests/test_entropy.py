@@ -229,6 +229,14 @@ def test_quantile_route_heavy_tail_negative_order(d):
     assert delta_quantile(d, -0.4).value == pytest.approx(d.closed_delta(-0.4), rel=1e-10)
 
 
+@pytest.mark.parametrize("s, want", [(10.5, 1.9047191070356115), (20.5, 2.0616779509805450),
+                                     (30.5, 2.1469182486041209)])
+def test_gumbel_nabla_at_large_orders(s, want):
+    # the closed form's alternating series loses its digits beyond s ~ 20;
+    # nabla_value then integrates in quantile space
+    assert nabla_value(make_gumbel(), s).value == pytest.approx(want, rel=1e-10)
+
+
 def test_quantile_route_reports_non_convergence():
     # q(u) = 1/(1-u) - 1 has an infinite mean: G_s q' ~ 1/v is not integrable
     d = from_quantile("pareto", lambda u: 1.0 / (1.0 - np.asarray(u)) - 1.0, (0.0, math.inf),

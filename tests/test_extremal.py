@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -220,4 +221,30 @@ def test_normal_quantile_accuracy():
 def test_s_logistic_cdf_near_support_end():
     assert float(make_s_logistic(0.5, 1.0).cdf(1.0 - 1e-12)) == pytest.approx(1.0, abs=1e-12)
     d = make_s_logistic(0.125, 0.7)
-    assert delta_value(d, 0.5).value == pytest.approx(delta_quantile(d, 0.5).value, abs=1e-7)
+    assert delta_quadrature(d, 0.5).value == pytest.approx(delta_quantile(d, 0.5).value, abs=1e-7)
+
+
+def test_s_logistic_goes_to_quantile_space_with_its_threshold():
+    assert delta_value(make_s_logistic(1.25, 0.5), 0.5).method == "quadrature_quantile"
+    assert make_s_logistic(1.25, 0.5).finiteness_threshold is None
+    d = make_s_logistic(-0.3, 1.0)
+    assert d.finiteness_threshold == pytest.approx(-0.7, abs=1e-15)
+    assert d.neg_finiteness_threshold == d.finiteness_threshold
+    q = delta_value(d, -0.6)
+    x = delta_quadrature(d, -0.6)
+    assert not x.divergent
+    assert q.value == pytest.approx(4.648978473, abs=1e-8)
+    assert x.value == pytest.approx(q.value, abs=1e-7)
+    assert delta_value(d, -0.75).divergent
+    assert delta_quadrature(d, -0.75).divergent
+
+
+def test_symmetric_upper_near_zero_against_mpmath():
+    def exact(s):
+        with mp.workdps(30):
+            s = mp.mpf(s)
+            u = 2 * mp.loggamma(s + 1) - mp.loggamma(2 * s + 1)
+            return float((s + 1) / mp.sqrt(2 * s * s * (2 * s + 1)) * mp.sqrt(-mp.expm1(u)))
+
+    for s in (9.9e-5, -9.9e-5, 5e-5, -5e-5, 1e-6):
+        assert symmetric_upper(s) == pytest.approx(exact(s), abs=1e-10)

@@ -12,11 +12,13 @@ from ctent.specfun import (
     digamma,
     gamma_negative,
     gamma_ratio,
+    lgamma,
     log_gamma,
     pochhammer,
     psi,
     psi1,
     psi2,
+    psi3,
     trigamma,
 )
 
@@ -81,6 +83,27 @@ def test_trigamma_examples():
 def test_polygamma_two_against_oracle():
     for x in (0.2, 1.0, 2.0, 9.5, 120.0):
         assert psi2(x) == pytest.approx(float(mp.polygamma(2, x)), abs=1e-12)
+
+
+@pytest.mark.parametrize("f, oracle, rel", [
+    # log Gamma vanishes at 1 and 2, so its error is relative to max(1, |value|)
+    (lgamma, lambda x: mp.loggamma(x), "floor"),
+    (psi, lambda x: mp.digamma(x), "rel"),
+    (psi1, lambda x: mp.polygamma(1, x), "rel"),
+    (psi2, lambda x: mp.polygamma(2, x), "rel"),
+    (psi3, lambda x: mp.polygamma(3, x), "rel"),
+], ids=["lgamma", "psi", "psi1", "psi2", "psi3"])
+def test_backends_against_mpmath_log_grid(f, oracle, rel):
+    for x in np.geomspace(1e-3, 1e6, 200):
+        exact = float(oracle(mp.mpf(float(x))))
+        scale = abs(exact) if rel == "rel" else max(1.0, abs(exact))
+        assert abs(f(float(x)) - exact) <= 1e-13 * scale, x
+
+
+def test_polygamma_domains():
+    for f in (psi1, psi2, psi3):
+        with pytest.raises(DomainError):
+            f(0.0)
 
 
 def test_pochhammer_examples():
