@@ -18,21 +18,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import wraps
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import betaln, gammaln, ndtr, ndtri, zeta
+from scipy.special import psi as digamma
 
 from .errors import DivergentEntropy, DomainError, NonIntegrableError
-from .series import pochhammer_ratio_coeffs, pochhammer_ratio_tail
-from .specfun import EULER_GAMMA, lgamma, psi, psi1, psi2, psi3
+from .series import pochhammer_ratio_tail, sign_fix_index
+from .specfun import EULER_GAMMA, lgamma
 
 NEAR_ZERO = 1e-4  # |s| below this switches closed forms to their limit branch
 # relative accuracy the closed forms promise: 1e-10 * max(1, |value|)
 CLOSED_BOUND = 1e-10
 _EPS = 2.220446049250313e-16
 
-ClosedForm = Optional[Callable[[float], float]]
+# a closed form takes one order (returning a float) or a numpy array of
+# orders (returning an array)
+ClosedForm = Optional[Callable]
 
 
 @dataclass(frozen=True)
@@ -44,9 +48,12 @@ class DistributionSpec:
     as either u or v approaches zero; it accepts arrays.  ``None`` means
     the law has no quantile density and cannot be integrated in quantile
     space.
-    ``closed_delta``/``closed_nabla`` evaluate the entropies in closed form
-    and raise :class:`DivergentEntropy` at orders where the entropy is
-    infinite (at or below ``finiteness_threshold``).  The ``neg_*`` slots
+    ``closed_delta``/``closed_nabla`` evaluate the entropies in closed form,
+    at one order or over a numpy array of orders, and raise
+    :class:`DivergentEntropy` when an order is one where the entropy is
+    infinite (at or below ``finiteness_threshold``).  Over an array, an
+    order the closed form cannot evaluate within its bound is NaN; at a
+    single order it raises :class:`NonIntegrableError`.  The ``neg_*`` slots
     hold the corresponding data for the mirrored variable and are consumed
     by :func:`negate`.
     """
@@ -111,64 +118,105 @@ def _check_beta(beta: float, low: float) -> float:
     return beta
 
 
-def _psi_step(c: float, s: float) -> float:
+def _over_orders(f):
+    """Let a closed form written over a numpy array of orders (its last
+    argument) take a single order too, which returns a Python float."""
+
+    @wraps(f)
+    def closed(*args):
+        s = np.asarray(args[-1], dtype=float)
+        with np.errstate(all="ignore"):
+            out = f(*args[:-1], s)
+        return float(out) if s.ndim == 0 else out
+
+    return closed
+
+
+def _psi_step(c: float, s: np.ndarray) -> np.ndarray:
     """(psi(c+s) - psi(c))/s, continued through s = 0 by its Taylor series
-    to second order in s."""
-    if abs(s) < NEAR_ZERO:
-        return psi1(c) + s * (0.5 * psi2(c) + s * psi3(c) / 6.0)
-    return (psi(c + s) - psi(c)) / s
+    to second order in s (psi^(m)(c) = (-1)^(m+1) m! zeta(m+1, c))."""
+    step = (digamma(c + s) - digamma(c)) / s
+    near = np.abs(s) < NEAR_ZERO
+    if not np.any(near):
+        return step
+    taylor = zeta(2.0, c) + s * (-zeta(3.0, c) + s * zeta(4.0, c))
+    return np.where(near, taylor, step)
 
 
-def _gamma_step(c: float, s: float) -> float:
-    """expm1(rho)/s with rho = lgamma(c) + lgamma(s+2) - lgamma(c+s),
-    continued through s = 0 by the Taylor series to second order in s."""
-    if abs(s) < NEAR_ZERO:
-        # rho = a1 s + a2 s^2 + a3 s^3 + ..., a_k = (psi^(k-1)(2) - psi^(k-1)(c))/k!
-        a1 = psi(2.0) - psi(c)
-        a2 = (psi1(2.0) - psi1(c)) / 2.0
-        a3 = (psi2(2.0) - psi2(c)) / 6.0
-        return a1 + s * (a2 + 0.5 * a1 * a1 + s * (a3 + a1 * a2 + a1 ** 3 / 6.0))
-    return math.expm1(lgamma(c) + lgamma(s + 2.0) - lgamma(c + s)) / s
+def _gamma_step(c: float, s: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """expm1(rho)/s with rho = lgamma(c) + lgamma(s+2) - lgamma(c+s), given
+    by the caller, continued through s = 0 by the Taylor series to second
+    order in s."""
+    step = np.expm1(rho) / s
+    near = np.abs(s) < NEAR_ZERO
+    if not np.any(near):
+        return step
+    # rho = a1 s + a2 s^2 + a3 s^3 + ..., a_k = (psi^(k-1)(2) - psi^(k-1)(c))/k!
+    a1 = digamma(2.0) - digamma(c)
+    a2 = (zeta(2.0, 2.0) - zeta(2.0, c)) / 2.0
+    a3 = (zeta(3.0, c) - zeta(3.0, 2.0)) / 3.0
+    taylor = a1 + s * (a2 + 0.5 * a1 * a1 + s * (a3 + a1 * a2 + a1 ** 3 / 6.0))
+    return np.where(near, taylor, step)
 
 
-def _delta_power(beta: float, s: float) -> float:
+def _power_rho(beta: float, s: np.ndarray) -> np.ndarray:
+    # lgamma(x+1) + lgamma(s+2) - lgamma(x+s+2) with x = 1/beta, as
+    # log(x B(x, s+2)): betaln keeps its digits where the log-gammas of
+    # a huge x would cancel or overflow
+    x = 1.0 / beta
+    return math.log(x) + betaln(x, s + 2.0)
+
+
+@_over_orders
+def _delta_power(beta: float, s):
     return beta / ((beta + 1.0) * (beta * (1.0 + s) + 1.0))
 
 
-def _nabla_power(beta: float, s: float) -> float:
-    rho = lgamma(1.0 / beta + 1.0) + lgamma(s + 2.0) - lgamma(1.0 / beta + s + 2.0)
-    return -(beta / (beta + 1.0)) * math.expm1(rho)
+@_over_orders
+def _nabla_power(beta: float, s):
+    return -(beta / (beta + 1.0)) * np.expm1(_power_rho(beta, s))
 
 
-def _delta_reflected(beta: float, s: float) -> float:
-    return -(beta / (beta + 1.0)) * _gamma_step(1.0 / beta + 2.0, s)
+@_over_orders
+def _delta_reflected(beta: float, s):
+    # rho = lgamma(x+2) + lgamma(s+2) - lgamma(x+s+2), x = 1/beta
+    rho = _power_rho(beta, s) + math.log1p(1.0 / beta)
+    return -(beta / (beta + 1.0)) * _gamma_step(1.0 / beta + 2.0, s, rho)
 
 
-def _nabla_reflected(beta: float, s: float) -> float:
-    return beta * (s + 1.0) * (psi(1.0 / beta + 2.0 + s) - psi(s + 2.0)) / (beta + 1.0)
+@_over_orders
+def _nabla_reflected(beta: float, s):
+    return beta * (s + 1.0) * (digamma(1.0 / beta + 2.0 + s) - digamma(s + 2.0)) / (beta + 1.0)
 
 
-def _delta_exponential(s: float) -> float:
+@_over_orders
+def _delta_exponential(s):
     return _psi_step(2.0, s)
 
 
-def _nabla_exponential(s: float) -> float:
-    return (s + 1.0) * psi1(s + 2.0)
+@_over_orders
+def _nabla_exponential(s):
+    return (s + 1.0) * zeta(2.0, s + 2.0)
 
 
-def _delta_lomax(beta: float, s: float) -> float:
-    return (beta / (beta - 1.0)) * _gamma_step(2.0 - 1.0 / beta, s)
+@_over_orders
+def _delta_lomax(beta: float, s):
+    c = 2.0 - 1.0 / beta
+    rho = gammaln(c) + gammaln(s + 2.0) - gammaln(c + s)
+    return (beta / (beta - 1.0)) * _gamma_step(c, s, rho)
 
 
-def _nabla_lomax(beta: float, s: float) -> float:
-    return beta * (s + 1.0) * (psi(s + 2.0) - psi(s + 2.0 - 1.0 / beta)) / (beta - 1.0)
+@_over_orders
+def _nabla_lomax(beta: float, s):
+    return beta * (s + 1.0) * (digamma(s + 2.0) - digamma(s + 2.0 - 1.0 / beta)) / (beta - 1.0)
 
 
-def _delta_negative_lomax(beta: float, s: float) -> float:
+@_over_orders
+def _delta_negative_lomax(beta: float, s):
     threshold = 1.0 / beta - 1.0
-    if s <= threshold:
+    if np.any(s <= threshold):
         raise DivergentEntropy(
-            f"cumulative Tsallis entropy of order s={s:g} is infinite for "
+            f"cumulative Tsallis entropy of order s={np.min(s):g} is infinite for "
             f"negative_lomax(beta={beta:g}): the lower-tail integral of "
             f"F^(1+s) diverges at or below the finiteness threshold "
             f"{threshold:g}"
@@ -176,91 +224,116 @@ def _delta_negative_lomax(beta: float, s: float) -> float:
     return beta / ((beta - 1.0) * (beta * (1.0 + s) - 1.0))
 
 
-def _nabla_negative_lomax(beta: float, s: float) -> float:
-    rho = lgamma(1.0 - 1.0 / beta) + lgamma(s + 2.0) - lgamma(s + 2.0 - 1.0 / beta)
-    return (beta / (beta - 1.0)) * math.expm1(rho)
+@_over_orders
+def _nabla_negative_lomax(beta: float, s):
+    rho = gammaln(1.0 - 1.0 / beta) + gammaln(s + 2.0) - gammaln(s + 2.0 - 1.0 / beta)
+    return (beta / (beta - 1.0)) * np.expm1(rho)
 
 
-def _delta_negative_exponential(s: float) -> float:
+@_over_orders
+def _delta_negative_exponential(s):
     return 1.0 / (s + 1.0)
 
 
-def _nabla_negative_exponential(s: float) -> float:
-    return psi(s + 2.0) + EULER_GAMMA
+@_over_orders
+def _nabla_negative_exponential(s):
+    return digamma(s + 2.0) + EULER_GAMMA
 
 
 _SERIES_HEAD = 20000
+# orders summed together, so that one (orders x head) temporary is 2 MiB
+_SERIES_ROWS = max(1, (1 << 18) // _SERIES_HEAD)
 
 
-def _dual_series(s: float, g: Callable[[np.ndarray], np.ndarray]) -> float:
-    """1 + sum_{n>=1} (-s)_n/(n+1)! g(n), summed exactly to a large head and
-    completed with a tail integral of the continuous coefficient function.
+def _dual_series(s: np.ndarray, g: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """1 + sum_{n>=1} (-s)_n/(n+1)! g(n) for each order of s, summed exactly
+    to a large head and completed with a tail integral of the continuous
+    coefficient function.
 
-    For large s the head alternates with terms as large as ~C(s, s/2), each
-    carrying a rounding error of a few eps of its magnitude; when that
-    exceeds the closed-form bound, :class:`NonIntegrableError` is raised
-    before the tail is formed.
+    The head is formed in blocks of orders.  Its alternating terms, those
+    below ``sign_fix_index(s)``, are summed by ``math.fsum``; the rest keep
+    one sign.  For large s the head alternates with terms as large as
+    ~C(s, s/2), each carrying a rounding error of a few eps of its
+    magnitude; an order where that exceeds the closed-form bound is
+    refused before its tail is formed: it is NaN in an array, and a single
+    order raises :class:`NonIntegrableError`.
     """
-    if s == 0.0:
-        return 1.0
-    terminating = s > 0.0 and s == math.floor(s)
-    n_head = int(s) if terminating else _SERIES_HEAD
-    terms = pochhammer_ratio_coeffs(s, n_head)[1:] * g(np.arange(1, n_head + 1, dtype=float))
-    total = 1.0 + math.fsum(terms)
-    size = 1.0 + float(np.sum(np.abs(terms)))
-    if 8.0 * _EPS * size > CLOSED_BOUND * abs(total):
+    orders = np.atleast_1d(s)
+    # integer orders s >= 0 terminate: their head is the whole series
+    terminating = (orders >= 0.0) & (orders == np.floor(orders))
+    total = np.empty(orders.shape)
+    size = np.empty(orders.shape)
+    n = np.arange(1, _SERIES_HEAD + 1, dtype=float)
+    gn = g(n)
+    for lo in range(0, orders.size, _SERIES_ROWS):
+        blk = orders[lo:lo + _SERIES_ROWS]
+        width = _SERIES_HEAD
+        if terminating[lo:lo + _SERIES_ROWS].all():
+            width = min(int(blk.max()), _SERIES_HEAD)
+        terms = np.cumprod((n[:width] - 1.0 - blk[:, None]) / (n[:width] + 1.0), axis=1)
+        terms *= gn[:width]
+        size[lo:lo + blk.size] = 1.0 + np.sum(np.abs(terms), axis=1)
+        for i, (row, order) in enumerate(zip(terms, blk.tolist()), start=lo):
+            k = sign_fix_index(order) - 1
+            total[i] = math.fsum([1.0, *row[:k].tolist(), float(np.sum(row[k:]))])
+    refused = ~(8.0 * _EPS * size <= CLOSED_BOUND * np.abs(total))
+    if np.ndim(s) == 0 and refused[0]:
         raise NonIntegrableError(
-            f"the duality series at order s={s:g} cancels to {total:.3g} from terms of "
-            f"total size {size:.3g}: its rounding exceeds the closed-form bound")
-    if not terminating:
-        total += pochhammer_ratio_tail(s, n_head, g)
-    return total
+            f"the duality series at order s={float(s):g} cancels to {total[0]:.3g} from terms "
+            f"of total size {size[0]:.3g}: its rounding exceeds the closed-form bound")
+    tailed = ~refused & ~terminating
+    if tailed.any():
+        total[tailed] += pochhammer_ratio_tail(orders[tailed], _SERIES_HEAD, g)
+    total[refused] = np.nan
+    return total.reshape(np.shape(s))
 
 
-def _delta_frechet(beta: float, s: float) -> float:
+@_over_orders
+def _delta_frechet(beta: float, s):
     g = math.exp(lgamma(1.0 - 1.0 / beta))
-    if s == 0.0:
-        return g / beta
-    return g * math.expm1(math.log1p(s) / beta) / s
+    return np.where(s == 0.0, g / beta, g * np.expm1(np.log1p(s) / beta) / s)
 
 
-def _nabla_frechet(beta: float, s: float) -> float:
+@_over_orders
+def _nabla_frechet(beta: float, s):
     g = math.exp(lgamma(1.0 - 1.0 / beta))
     series = _dual_series(s, lambda n: beta * np.expm1(np.log1p(n) / beta) / n)
     return (s + 1.0) * g / beta * series
 
 
-def _delta_reverse_weibull(beta: float, s: float) -> float:
+@_over_orders
+def _delta_reverse_weibull(beta: float, s):
     g = math.exp(lgamma(1.0 + 1.0 / beta))
-    if s == 0.0:
-        return g / beta
-    return -g * math.expm1(-math.log1p(s) / beta) / s
+    return np.where(s == 0.0, g / beta, -g * np.expm1(-np.log1p(s) / beta) / s)
 
 
-def _nabla_reverse_weibull(beta: float, s: float) -> float:
+@_over_orders
+def _nabla_reverse_weibull(beta: float, s):
     g = math.exp(lgamma(1.0 + 1.0 / beta))
     series = _dual_series(s, lambda n: -beta * np.expm1(-np.log1p(n) / beta) / n)
     return (s + 1.0) * g / beta * series
 
 
-def _delta_gumbel(s: float) -> float:
-    if s == 0.0:
-        return 1.0
-    return math.log1p(s) / s
+@_over_orders
+def _delta_gumbel(s):
+    return np.where(s == 0.0, 1.0, np.log1p(s) / s)
 
 
-def _nabla_gumbel(s: float) -> float:
+@_over_orders
+def _nabla_gumbel(s):
     return (s + 1.0) * _dual_series(s, lambda n: np.log1p(n) / n)
 
 
-def _delta_logistic(s: float) -> float:
+@_over_orders
+def _delta_logistic(s):
     return _psi_step(1.0, s)
 
 
-def _nabla_logistic(s: float) -> float:
+@_over_orders
+def _nabla_logistic(s):
     # gamma + psi(s+1) + (s+1) psi'(s+1), rewritten with both polygammas
     # shifted by one so the 1/(s+1) singularities cancel exactly as s -> -1
-    return EULER_GAMMA + psi(s + 2.0) + (s + 1.0) * psi1(s + 2.0)
+    return EULER_GAMMA + digamma(s + 2.0) + (s + 1.0) * zeta(2.0, s + 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +663,7 @@ def make_uniform(a: float = 0.0, length: float = 1.0) -> DistributionSpec:
 # transformations
 
 def _wrap_closed(f: ClosedForm, scale: float) -> ClosedForm:
+    # scales an order's value and an array of them alike
     if f is None:
         return None
     return lambda s: scale * f(s)
@@ -701,9 +775,13 @@ def dist_mean(d: DistributionSpec) -> float:
 
 
 def dist_std(d: DistributionSpec) -> float:
-    """Standard deviation; quadrature fallback when not stored."""
+    """Standard deviation, inf for an infinite variance; quadrature
+    fallback when not stored."""
     if d.variance is not None:
-        return math.sqrt(float(d.variance))
+        var = float(d.variance)
+        if not var >= 0.0:
+            raise DomainError(f"{d.label()} carries the variance {var}, not a nonnegative one")
+        return math.sqrt(var)
     from scipy.integrate import quad
 
     m = dist_mean(d)

@@ -14,22 +14,39 @@ the entropy sequence.
 For a law bounded below, the dual-to-entropy direction is summed as
 M - sum_n c_n (M - nabla_n) with M = E[X] - min X, which converges orders
 of magnitude faster than the raw series (nabla_n -> M like a power of n).
+
+Both directions are summed in blocks of n: one array call of the law's
+closed form gives the block's delta_n or nabla_n, and the coefficients,
+their running sum and the per-n tail test are array operations in the
+order of a term-by-term loop, so the series stops at the same n.  The
+blocks start short and double.  Where the closed form has no finite value
+(the duality series it rests on cancels), or for a law without one, the
+block takes single values from ``delta_value``/``nabla_value``.  A series
+that does not reach its tolerance within ``_MAX_TERMS`` terms raises
+:class:`TruncationNotConverged`; a closed dual whose vectorised tail
+integral (``series.pochhammer_ratio_tail``) does not converge raises
+:class:`NonIntegrableError` instead of returning a silenced estimate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .distributions import DistributionSpec, dist_mean
-from .entropy import EntropyValue, as_order, delta_value, nabla_value
+from .entropy import EntropyValue, _closed_over_orders, as_order, delta_value, nabla_value
 from .errors import DivergentEntropy, DomainError, TruncationNotConverged
 from .series import pochhammer_ratio_coeffs, sign_fix_index
 from .specfun import gamma_negative, lgamma
 
 _MAX_TERMS = 1_000_000
+# the first block is short, so that a series that stops after a few terms
+# evaluates few closed-form values; blocks then double up to _MAX_BLOCK
+_FIRST_BLOCK = 64
+_MAX_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -64,60 +81,78 @@ def duality_coefficient(s: float, n: int) -> float:
 # ---------------------------------------------------------------------------
 # the two series directions
 
-class _SequenceProvider:
-    """Memoized access to delta_n or nabla_n of a fixed distribution.
+def _sequence(d: DistributionSpec, which: str):
+    """The block source of delta_n or nabla_n: ``block(n0, n1)`` gives the
+    values at n = n0, n0 + 1, ... below n1 from one array call of the
+    closed form, up to the first n where it has no finite value; there, or
+    for a law without a closed form, it gives the one value at n0 from
+    ``delta_value``/``nabla_value``.  The last array of closed values is
+    kept, so a block that stops early costs no second closed call."""
+    closed = d.closed_delta if which == "delta" else d.closed_nabla
+    each = delta_value if which == "delta" else nabla_value
+    kept = [0, np.empty(0)]  # first n and closed values of the last array call
 
-    The cache is a plain dict: concurrent readers plus GIL-atomic single
-    insertions; worst case a value is recomputed, never corrupted.
-    """
+    def block(n0: int, n1: int) -> np.ndarray:
+        if closed is not None:
+            lo, vals = kept
+            if not lo <= n0 < lo + vals.size:
+                lo, vals = n0, _closed_over_orders(closed, np.arange(n0, n1, dtype=float))
+                kept[:] = lo, vals
+            vals = vals[n0 - lo:n1 - lo]
+            bad = np.flatnonzero(np.isnan(vals))
+            if bad.size == 0:
+                return vals
+            if bad[0]:
+                return vals[:bad[0]]
+        ev = each(d, float(n0))
+        if not ev.is_finite:
+            raise DivergentEntropy(f"{which}_{n0} is infinite")
+        return np.array([ev.value])
 
-    def __init__(self, d: DistributionSpec, which: str):
-        self._d = d
-        self._which = which
-        self._cache: dict = {}
-
-    def __call__(self, n: int) -> float:
-        v = self._cache.get(n)
-        if v is None:
-            if self._which == "delta":
-                ev = delta_value(self._d, float(n))
-            else:
-                ev = nabla_value(self._d, float(n))
-            if not ev.is_finite:
-                raise DivergentEntropy(f"{self._which}_{n} is infinite")
-            v = ev.value
-            self._cache[n] = v
-        return v
+    return block
 
 
 def _signed_series(s: float, values, tol: float, monotone_bound: bool):
-    """Sum c_n * values(n) with the pmf-mass tail bound.
+    """Sum c_n * v_n with the pmf-mass tail bound; returns (sum, tail, n)
+    with n the last index summed.
 
-    ``values`` must be nonnegative; when ``monotone_bound`` the sequence is
-    assumed monotone so |tail| <= v_{n+1} * |1 - sum c| applies; otherwise a
+    ``values(n0, n1)`` gives v_n for n = n0, n0 + 1, ... below n1 (at least
+    one value).  The coefficients, their running sum and the per-n tail
+    test are formed block by block, in the same order of operations as a
+    term-by-term loop, so the series stops at the same n.  ``values`` must
+    be nonnegative; when ``monotone_bound`` the sequence is assumed
+    monotone so |tail| <= v_{n+1} * |1 - sum c| applies; otherwise a
     slowly-varying heuristic tail estimate is used.
     """
     fix = sign_fix_index(s)
-    terms = []
+    blocks = []
     c = 1.0 + s  # c_0
     csum = 0.0
-    n = 0
-    last_v = None
-    while n <= _MAX_TERMS:
-        v = values(n)
-        terms.append(c * v)
-        csum += c
-        last_v = v
-        if n >= fix:
-            mass = abs(1.0 - csum)
-            if monotone_bound:
-                tail = mass * abs(v)
-            else:
-                tail = abs(c * v) * (n + 1.0) / (1.0 + s) * 2.0
-            if tail < tol:
-                return math.fsum(terms), tail, n
-        c *= (n - s) / (n + 2.0)
-        n += 1
+    n0 = 0
+    width = _FIRST_BLOCK
+    while n0 <= _MAX_TERMS:
+        v = values(n0, min(n0 + width, _MAX_TERMS + 1))
+        n = np.arange(n0, n0 + v.size, dtype=float)
+        ratio = (n - s) / (n + 2.0)  # c_{n+1} / c_n
+        coef = np.cumprod(np.concatenate(([c], ratio[:-1])))
+        sums = np.cumsum(np.concatenate(([csum], coef)))[1:]
+        mass = np.abs(1.0 - sums)
+        terms = coef * v
+        if monotone_bound:
+            tail = mass * np.abs(v)
+        else:
+            tail = np.abs(terms) * (n + 1.0) / (1.0 + s) * 2.0
+        stop = np.flatnonzero((n >= fix) & (tail < tol))
+        if stop.size:
+            k = int(stop[0])
+            blocks.append(terms[:k + 1])
+            total = math.fsum(chain.from_iterable(b.tolist() for b in blocks))
+            return total, float(tail[k]), n0 + k
+        blocks.append(terms)
+        c = float(coef[-1] * ratio[-1])
+        csum = float(sums[-1])
+        n0 += v.size
+        width = min(2 * width, _MAX_BLOCK)
     raise TruncationNotConverged(
         f"duality series did not reach tol={tol:g} within {_MAX_TERMS} terms")
 
@@ -129,8 +164,7 @@ def nabla_from_delta_series(d: DistributionSpec, s, tol: float = 1e-9) -> Entrop
     d0 = delta_value(d, 0.0)
     if not d0.is_finite:
         return EntropyValue.make_divergent("series")
-    seq = _SequenceProvider(d, "delta")
-    val, tail, _ = _signed_series(sv, seq, tol, monotone_bound=True)
+    val, tail, _ = _signed_series(sv, _sequence(d, "delta"), tol, monotone_bound=True)
     return EntropyValue(max(val, 0.0), tail + 1e-12 * max(1.0, abs(val)), "series")
 
 
@@ -141,10 +175,10 @@ def delta_from_nabla_series(d: DistributionSpec, s, tol: float = 1e-9) -> Entrop
     if d.finiteness_threshold is not None and sv <= d.finiteness_threshold:
         return EntropyValue.make_divergent("series")
     lo = d.support[0]
-    seq = _SequenceProvider(d, "nabla")
+    seq = _sequence(d, "nabla")
     if math.isfinite(lo):
         m = dist_mean(d) - lo
-        val, tail, _ = _signed_series(sv, lambda n: m - seq(n), tol,
+        val, tail, _ = _signed_series(sv, lambda n0, n1: m - seq(n0, n1), tol,
                                       monotone_bound=True)
         out = m - val
     else:

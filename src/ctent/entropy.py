@@ -354,18 +354,27 @@ def nabla_plugin(x: EmpiricalSample, s) -> EntropyValue:
 # ---------------------------------------------------------------------------
 # dispatch and profiles
 
+def _closed_value(d: DistributionSpec, which: str, s: float, v: float) -> EntropyValue:
+    # a closed form that does not flag divergence must give a finite value
+    if not math.isfinite(v):
+        raise NonIntegrableError(
+            f"the closed form of {which} for {d.label()} at s={s:g} gives {v}")
+    return EntropyValue(v, CLOSED_BOUND * max(1.0, abs(v)), "closed_form")
+
+
 def delta_value(d: DistributionSpec, s, prefer_closed: bool = True) -> EntropyValue:
     """Best-method entropy: the closed form when the law has one, else the
     quantile-space integral when it has a quantile density, else x-space
     quadrature.  ``prefer_closed=False`` always takes the x-space route,
-    the independent oracle."""
+    the independent oracle.  A closed form that gives a non-finite value
+    without flagging divergence raises :class:`NonIntegrableError`."""
     sv = as_order(s).s
     if prefer_closed and d.closed_delta is not None:
         try:
             v = d.closed_delta(sv)
         except DivergentEntropy:
             return EntropyValue.make_divergent("closed_form")
-        return EntropyValue(v, CLOSED_BOUND * max(1.0, abs(v)), "closed_form")
+        return _closed_value(d, "delta", sv, v)
     if prefer_closed and d.qdensity is not None:
         return delta_quantile(d, sv)
     return delta_quadrature(d, sv)
@@ -375,7 +384,8 @@ def nabla_value(d: DistributionSpec, s, prefer_closed: bool = True) -> EntropyVa
     """Best-method dual entropy: the closed form when the law has one, else
     the quantile-space integral.  A closed form whose alternating series
     cannot meet its bound at this order raises :class:`NonIntegrableError`,
-    and the integral takes over."""
+    and the integral takes over; one that gives a non-finite value raises
+    :class:`NonIntegrableError` to the caller."""
     sv = as_order(s).s
     if prefer_closed and d.closed_nabla is not None:
         try:
@@ -385,19 +395,55 @@ def nabla_value(d: DistributionSpec, s, prefer_closed: bool = True) -> EntropyVa
         except NonIntegrableError:
             pass
         else:
-            return EntropyValue(v, CLOSED_BOUND * max(1.0, abs(v)), "closed_form")
+            return _closed_value(d, "nabla", sv, v)
     return nabla_quadrature(d, sv)
 
 
+def _closed_over_orders(closed, orders: np.ndarray) -> np.ndarray:
+    """A closed form over an array of orders in one call, NaN wherever it
+    gives no finite value; all NaN when there is no closed form or it
+    flags an order of the array as divergent."""
+    if closed is None or orders.size == 0:
+        return np.full(orders.shape, np.nan)
+    try:
+        out = np.asarray(closed(orders), dtype=float)
+    except DivergentEntropy:
+        return np.full(orders.shape, np.nan)
+    return np.where(np.isfinite(out), out, np.nan)
+
+
+def _profile_column(d: DistributionSpec, which: str, grid: np.ndarray) -> list:
+    # one array call of the closed form over the orders it can take; every
+    # other order (divergent, refused or without a closed form) is
+    # evaluated on its own by delta_value/nabla_value
+    if which == "delta":
+        closed, each, thr = d.closed_delta, delta_value, d.finiteness_threshold
+    else:
+        closed, each, thr = d.closed_nabla, nabla_value, None
+    live = np.ones(grid.shape, dtype=bool) if thr is None else grid > thr
+    vals = np.full(grid.shape, np.nan)
+    vals[live] = _closed_over_orders(closed, grid[live])
+    return [_closed_value(d, which, s, v) if math.isfinite(v) else each(d, s)
+            for s, v in zip(grid.tolist(), vals.tolist())]
+
+
 def entropy_profile(d: DistributionSpec, s_grid: Sequence[float]) -> EntropyProfile:
-    """Per-point best-method evaluation over a strictly increasing grid,
-    with monotonicity flags (delta nonincreasing, nabla nondecreasing)."""
+    """Best-method evaluation over a strictly increasing grid, with
+    monotonicity flags (delta nonincreasing, nabla nondecreasing).
+
+    Each entropy takes one array call of the law's closed form.  Orders at
+    or below the finiteness threshold are marked divergent, and orders the
+    closed form refuses (the duality series where it cancels) or laws
+    without one are evaluated one order at a time, so every point equals
+    ``delta_value``/``nabla_value`` at its order."""
     grid = [float(s) for s in s_grid]
     if any(not a < b for a, b in zip(grid, grid[1:])):
         raise DomainError("s grid must be strictly increasing")
-    if any(s <= -1.0 for s in grid):
-        raise DomainError("s grid entries must exceed -1")
-    rows = tuple(ProfilePoint(s, delta_value(d, s), nabla_value(d, s)) for s in grid)
+    if any(not (s > -1.0 and math.isfinite(s)) for s in grid):
+        raise DomainError("s grid entries must be finite and exceed -1")
+    orders = np.asarray(grid, dtype=float)
+    rows = tuple(ProfilePoint(*point) for point in zip(
+        grid, _profile_column(d, "delta", orders), _profile_column(d, "nabla", orders)))
 
     def _monotone(vals, direction: int) -> bool:
         prev = None

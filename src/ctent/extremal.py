@@ -27,9 +27,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
+from scipy.special import zeta
 
 from .distributions import (
-    NEAR_ZERO,
     DistributionSpec,
     affine,
     from_quantile,
@@ -45,6 +45,13 @@ from .errors import DomainError, NotBracketedError
 from .specfun import lgamma
 
 SYM_BOUND_0 = math.pi / (2.0 * math.sqrt(3.0))
+
+# Below |s| = _SYM_SERIES_EDGE the symmetric bound sums
+# u/s^2 = sum_{k>=2} (-1)^k zeta(k) (2 - 2^k) s^(k-2) / k, the Taylor series
+# of u = 2 lgamma(1+s) - lgamma(1+2s), whose log-gammas cancel there; with
+# |2s| <= 0.2 the first omitted term is below 1e-21.
+_SYM_SERIES_EDGE = 0.1
+_SYM_SERIES = tuple((-1.0) ** k * float(zeta(k)) * (2.0 - 2.0 ** k) / k for k in range(2, 32))
 
 
 @dataclass(frozen=True)
@@ -90,11 +97,14 @@ def symmetric_upper(s: float) -> float:
     pi/(2 sqrt(3))."""
     if not s > -0.5:
         raise DomainError("the symmetric range needs s > -1/2")
-    if abs(s) < NEAR_ZERO:
-        # (s+1)/sqrt(2s+1) * sqrt((1-e^u)/(2 s^2)) with
-        # u = 2 lgamma(s+1) - lgamma(2s+1) = -pi^2 s^2/6 + 2 zeta(3) s^3 + ...,
-        # to second order in s (coefficients from mpmath's Taylor expansion)
-        return SYM_BOUND_0 * (1.0 - 0.7307629694014385 * s + 0.9732130713574980 * s * s)
+    if abs(s) < _SYM_SERIES_EDGE:
+        w = 0.0
+        for a in reversed(_SYM_SERIES):
+            w = w * s + a
+        u = w * s * s
+        # -expm1(u)/s^2 = -w expm1(u)/u, with expm1(u)/u -> 1 as s -> 0
+        shrink = math.expm1(u) / u if u != 0.0 else 1.0
+        return (s + 1.0) / math.sqrt(2.0 * (2.0 * s + 1.0)) * math.sqrt(-w * shrink)
     u = 2.0 * lgamma(s + 1.0) - lgamma(2.0 * s + 1.0)
     return (s + 1.0) / math.sqrt(2.0 * s * s * (2.0 * s + 1.0)) * \
         math.sqrt(-math.expm1(u))
@@ -106,7 +116,8 @@ def make_s_logistic(s: float, beta: float) -> DistributionSpec:
 
     Bounded on [-1,1] for s > 0; unbounded with heavy tails for
     s in (-1/2, 0), where both tails fall like |x|^(-beta/|s|), so that the
-    entropy is finite exactly above the order |s|/beta - 1.  Built by
+    entropy is finite exactly above the order |s|/beta - 1 and the
+    variance is infinite for beta <= 2|s|.  Built by
     :func:`from_quantile` with the analytic quantile density; the CDF is
     its bisection inverse of the quantile."""
     if not ((-0.5 < s < 0.0) or s > 0.0):
@@ -134,9 +145,12 @@ def make_s_logistic(s: float, beta: float) -> DistributionSpec:
             return slope * np.power(np.abs(q_one(u, v)), 1.0 / beta - 1.0) / beta
 
     hi = 1.0 if s > 0.0 else math.inf
-    # variance in quantile space, where the integrand is polynomial-like
-    var, _ = _quad(lambda u: float(quantile(u)) ** 2, 0.0, 1.0,
-                   epsabs=1e-12, epsrel=1e-11, limit=400)
+    if s < 0.0 and beta <= -2.0 * s:
+        var = math.inf  # tails like |x|^(-beta/|s|) leave no second moment
+    else:
+        # variance in quantile space, where the integrand is polynomial-like
+        var, _ = _quad(lambda u: float(quantile(u)) ** 2, 0.0, 1.0,
+                       epsabs=1e-12, epsrel=1e-11, limit=400)
     d = from_quantile("s_logistic", quantile, (-hi, hi), mean=0.0, variance=var,
                       params={"s": float(s), "beta": float(beta)}, qdensity=qdensity)
     threshold = -s / beta - 1.0 if s < 0.0 else None

@@ -4,25 +4,31 @@ The coefficient family is a_n = (-s)_n / (n+1)!, n >= 0, which decays like
 n^{-(2+s)} / Gamma(-s).  Slowly convergent head-sums are completed with a
 midpoint-rule tail integral of the continuous coefficient function
 Gamma(x-s) / (Gamma(-s) Gamma(x+2)); the midpoint correction error is
-O(f'(N)) ~ f(N)/N, far below the tolerances used here.
+O(f'(N)) ~ f(N)/N, far below the tolerances used here.  The tail integral
+is vectorised over orders: one tanh-sinh rule in y = (N + 1/2)/x integrates
+every order of an array at once, and an order whose integral does not
+converge raises :class:`NonIntegrableError`.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import tanhsinh
+from scipy.special import poch, rgamma
 
-from .specfun import gamma_negative, lgamma
+from .errors import NonIntegrableError
 
 __all__ = [
     "pochhammer_ratio_coeffs",
     "pochhammer_ratio_tail",
     "sign_fix_index",
 ]
+
+# smallest y fed to the tail integrand, so that x = (N + 1/2)/y stays finite
+_Y_FLOOR = 1e-300
 
 
 def pochhammer_ratio_coeffs(s: float, n_max: int) -> np.ndarray:
@@ -43,23 +49,32 @@ def sign_fix_index(s: float) -> int:
     return max(1, int(math.ceil(max(s, 0.0))) + 1)
 
 
-def pochhammer_ratio_tail(s: float, n_from: int,
-                          g: Callable[[np.ndarray], np.ndarray] | None = None) -> float:
-    """Approximate sum_{n > n_from} (-s)_n/(n+1)! * g(n) by a tail integral.
+def pochhammer_ratio_tail(s, n_from: int,
+                          g: Callable[[np.ndarray], np.ndarray] | None = None):
+    """Approximate sum_{n > n_from} (-s)_n/(n+1)! * g(n) by a tail integral,
+    for one order or for each order of an array.
 
-    ``g`` must be smooth and slowly varying (defaults to 1).  For integer
-    s >= 0 the series terminates, so the tail is exactly zero.
+    ``g`` must be smooth, slowly varying and elementwise (defaults to 1).
+    For integer s >= 0 the series terminates, and 1/Gamma(-s) makes the
+    tail exactly zero.
     """
-    if s >= 0.0 and s == math.floor(s):
-        return 0.0
-    gneg = gamma_negative(s)
+    orders = np.asarray(s, dtype=float)
+    x0 = n_from + 0.5
 
-    def integrand(x: float) -> float:
-        c = math.exp(lgamma(x - s) - lgamma(x + 2.0)) / gneg
-        return c * (1.0 if g is None else float(g(np.asarray(x))))
+    def integrand(y, s):
+        # integral_{x0}^inf Gamma(x-s)/(Gamma(-s) Gamma(x+2)) g(x) dx with
+        # x = x0/y, dx = x^2/x0 dy; the factors are applied in an order that
+        # does not overflow as y -> 0
+        x = x0 / np.maximum(y, _Y_FLOOR)
+        f = poch(x + 2.0, -s - 2.0) * x * (x / x0) * rgamma(-s)
+        return f if g is None else f * g(x)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(integrand, n_from + 0.5, np.inf, limit=200,
-                      epsabs=1e-15, epsrel=1e-12)
-    return val
+    with np.errstate(all="ignore"):
+        r = tanhsinh(integrand, 0.0, 1.0, args=(orders,), atol=1e-15, rtol=1e-12)
+    status = np.atleast_1d(r.status)
+    if np.any(status != 0):
+        i = int(np.flatnonzero(status)[0])
+        raise NonIntegrableError(
+            f"the Pochhammer-ratio tail integral at order s={np.atleast_1d(orders)[i]:g} "
+            f"did not converge (tanh-sinh status {int(status[i])})")
+    return float(r.integral) if orders.ndim == 0 else r.integral

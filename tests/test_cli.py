@@ -44,6 +44,17 @@ def test_entropy_cancelled_dual_series_exits_numeric(capsys, s):
     assert "Traceback" not in err and "did not converge" in err
 
 
+def test_entropy_power_uniform_tiny_shape_is_finite(capsys):
+    # nabla of U^(1/beta) tends to beta/(beta+1) as beta -> 0; the log-gamma
+    # ratio of x = 1/beta = 1e307 once gave inf - inf and printed "nan"
+    code, out, _ = run(capsys, "entropy", "--dist", "power_uniform",
+                       "--param", "beta=1e-307", "--s", "0.5")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["nabla"] == pytest.approx(1e-307, rel=1e-10)
+    assert payload["delta"] == pytest.approx(1e-307, rel=1e-10)
+
+
 def test_entropy_input_source_exclusive(capsys, tmp_path):
     f = tmp_path / "x.csv"
     f.write_text("0\n1\n")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -334,3 +335,58 @@ def test_dual_series_refuses_cancelled_orders():
             d.closed_nabla(30.5)
         with pytest.raises(NonIntegrableError):
             d.closed_nabla(180.5)
+
+
+# near-zero orders (|s| < 1e-4), integer orders and a spread of others
+ARRAY_ORDERS = np.array([-0.3, -5e-5, 0.0, 3e-5, 9.9e-5, 0.5, 1.0, 2.0, 2.5, 3.0, 7.25])
+
+
+def _closed_members():
+    members = []
+    for d in catalog_members():
+        members += [d, affine(d, 1.7, -0.4), negate(d), affine(negate(d), 0.6, 1.1)]
+    return [m for m in members if m.closed_delta is not None or m.closed_nabla is not None]
+
+
+@pytest.mark.parametrize("d", _closed_members(), ids=lambda d: d.label())
+def test_closed_forms_over_arrays_match_scalar_calls(d):
+    for f in (d.closed_delta, d.closed_nabla):
+        if f is None:
+            continue
+        thr = d.finiteness_threshold if f is d.closed_delta else None
+        grid = ARRAY_ORDERS if thr is None else ARRAY_ORDERS[ARRAY_ORDERS > thr]
+        got = f(grid)
+        assert isinstance(got, np.ndarray) and got.shape == grid.shape
+        for s, v in zip(grid, got):
+            one = f(float(s))
+            assert type(one) is float
+            assert v == pytest.approx(one, rel=1e-15, abs=0.0), s
+
+
+def test_closed_forms_over_arrays_flag_divergence_and_refusal():
+    with pytest.raises(DivergentEntropy):
+        make_negative_lomax(2.0).closed_delta(np.array([-0.7, 0.5]))
+    # the duality series refuses 30.5 on its own and leaves NaN in an array
+    got = make_gumbel().closed_nabla(np.array([0.5, 30.5, 2.0]))
+    assert math.isnan(got[1])
+    assert got[0] == make_gumbel().closed_nabla(0.5)
+    assert got[2] == make_gumbel().closed_nabla(2.0)
+
+
+def test_power_closed_forms_at_tiny_shape():
+    # x = 1/beta = 1e307: the log-gamma ratio is taken through betaln, where
+    # lgamma(x) - lgamma(x + s + 1) was inf - inf
+    b = 1e-307
+    assert make_power_uniform(b).closed_nabla(0.5) == pytest.approx(b, rel=1e-12)
+    assert make_reflected_power(b).closed_delta(0.5) == pytest.approx(b / 0.5, rel=1e-12)
+    with mp.workdps(40):
+        x, s = mp.mpf(1000), mp.mpf(0.5)
+        exact = -mp.expm1(mp.loggamma(x + 1) + mp.loggamma(s + 2) - mp.loggamma(x + s + 2)) / (x + 1)
+    assert make_power_uniform(1e-3).closed_nabla(0.5) == pytest.approx(float(exact), rel=1e-12)
+
+
+def test_dist_std_of_infinite_and_negative_variances():
+    d = make_s_logistic(-0.3, 0.5)
+    assert dist_std(d) == math.inf
+    with pytest.raises(DomainError):
+        dist_std(replace(make_exponential(), variance=-1.0))

@@ -1,8 +1,12 @@
+from dataclasses import replace
+
+import mpmath as mp
 import numpy as np
 import pytest
 
 from ctent import (
     DomainError,
+    NonIntegrableError,
     SeriesTransform,
     TruncationNotConverged,
     binomial_involution,
@@ -21,6 +25,7 @@ from ctent import (
     nabla_value,
 )
 from ctent import duality
+from ctent.series import pochhammer_ratio_tail
 from ctent.specfun import EULER_GAMMA, psi, psi1
 
 
@@ -140,3 +145,57 @@ def test_truncation_cap_raises(monkeypatch):
     monkeypatch.setattr(duality, "_MAX_TERMS", 50)
     with pytest.raises(TruncationNotConverged):
         nabla_from_delta_series(make_exponential(), -0.3, tol=1e-12)
+
+
+def test_series_truncation_index_pinned():
+    # the block summation keeps the term-by-term tail test, so the series
+    # stops at the same n as a loop over single terms
+    seen = []
+    inner = duality._signed_series
+
+    def spy(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        seen.append(out[2])
+        return out
+
+    duality._signed_series = spy
+    try:
+        got = nabla_from_delta_series(make_lomax(3.0), -0.3, tol=1e-8)
+    finally:
+        duality._signed_series = inner
+    assert seen == [395313]
+    assert got.value == pytest.approx(nabla_value(make_lomax(3.0), -0.3).value, abs=1e-7)
+
+
+def test_series_term_by_term_for_laws_without_closed_forms():
+    # a law without closed forms is evaluated one n at a time, and only as
+    # far as the series goes
+    d = replace(make_exponential(), closed_delta=None, closed_nabla=None)
+    calls = []
+
+    def values(n0, n1):
+        calls.append((n0, n1))
+        return duality._sequence(d, "delta")(n0, n1)
+
+    val, _, last = duality._signed_series(1.5, values, 1e-4, monotone_bound=True)
+    assert [n0 for n0, _ in calls] == list(range(last + 1))
+    ref, _, ref_last = duality._signed_series(1.5, duality._sequence(make_exponential(), "delta"),
+                                              1e-4, monotone_bound=True)
+    assert last == ref_last
+    assert val == pytest.approx(ref, rel=1e-12)
+
+
+def test_pochhammer_ratio_tail_over_orders():
+    orders = np.array([-0.5, -0.05, 0.5, 2.0, 3.3])
+    got = pochhammer_ratio_tail(orders, 100)
+    for s, v in zip(orders, got):
+        with mp.workdps(30):
+            sm = mp.mpf(float(s))
+            exact = 0.0 if s == 2.0 else float(mp.quad(
+                lambda x: mp.exp(mp.loggamma(x - sm) - mp.loggamma(x + 2)) / mp.gamma(-sm),
+                [100.5, 1e4, mp.inf]))
+        assert v == pytest.approx(exact, rel=1e-11, abs=1e-300), s
+        assert pochhammer_ratio_tail(float(s), 100) == v
+    # an integrand that grows like x^(1/2) has no tail: reported, not silenced
+    with pytest.raises(NonIntegrableError):
+        pochhammer_ratio_tail(orders, 100, lambda x: x * x)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -254,3 +255,36 @@ def test_dual_kernel_cancellation_free_near_one():
     lead = v - (1.0 - v) * (v ** (s + 2.0) / (s + 2.0) + 2.0 * v ** (s + 3.0) / (s + 3.0))
     assert float(dual_kernel_np(1.0 - v, s)) == pytest.approx(lead, rel=1e-12)
     assert math.isfinite(dual_kernel(4e-322, 0.5)) and dual_kernel(4e-322, 0.5) > 0.0
+
+
+@pytest.mark.parametrize("d, grid", [
+    # the dual series refuses 20.5 and 30.5, which nabla_value integrates
+    (make_gumbel(), [0.5, 20.5, 30.5]),
+    # -0.7 is at or below the finiteness threshold -0.5
+    (make_negative_lomax(2.0), [-0.7, -0.2, 0.0, 1.0]),
+], ids=["gumbel", "negative_lomax"])
+def test_entropy_profile_equals_per_point_values(d, grid):
+    prof = entropy_profile(d, grid)
+    for pt, s in zip(prof.grid, grid):
+        assert pt.s == s
+        assert pt.delta == delta_value(d, s)
+        assert pt.nabla == nabla_value(d, s)
+    methods = [pt.nabla.method for pt in prof.grid]
+    if d.name == "gumbel":
+        assert methods == ["closed_form", "quadrature_quantile", "quadrature_quantile"]
+    else:
+        assert prof.grid[0].delta.divergent
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_closed_form_raises(bad):
+    # a closed form that gives a non-finite value without flagging
+    # divergence is refused, never returned with a finite bound
+    d = replace(make_exponential(), closed_delta=lambda s: s * 0.0 + bad,
+                closed_nabla=lambda s: s * 0.0 + bad)
+    with pytest.raises(NonIntegrableError):
+        delta_value(d, 0.5)
+    with pytest.raises(NonIntegrableError):
+        nabla_value(d, 0.5)
+    with pytest.raises(NonIntegrableError):
+        entropy_profile(d, [0.0, 0.5])

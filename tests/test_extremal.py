@@ -248,3 +248,37 @@ def test_symmetric_upper_near_zero_against_mpmath():
 
     for s in (9.9e-5, -9.9e-5, 5e-5, -5e-5, 1e-6):
         assert symmetric_upper(s) == pytest.approx(exact(s), abs=1e-10)
+
+
+def test_symmetric_upper_against_mpmath_off_zero():
+    # the log-gammas of the general formula cancel from |s| ~ 1e-2 down to
+    # the near-zero branch; the Taylor series of u keeps the digits
+    def exact(s):
+        with mp.workdps(40):
+            s = mp.mpf(s)
+            u = 2 * mp.loggamma(s + 1) - mp.loggamma(2 * s + 1)
+            return float((s + 1) / mp.sqrt(2 * s * s * (2 * s + 1)) * mp.sqrt(-mp.expm1(u)))
+
+    for m in np.logspace(-4, -2, 25):
+        for s in (float(m), -float(m), -1.01e-4, 3e-4):
+            assert symmetric_upper(s) == pytest.approx(exact(s), abs=1e-10), s
+    for s in (0.0999, 0.1, 0.1001, -0.1, 0.3, -0.45):
+        assert symmetric_upper(s) == pytest.approx(exact(s), rel=1e-13), s
+
+
+@pytest.mark.parametrize("s, beta", [(-0.3, 0.5), (-0.45, 0.5), (-0.25, 0.5)])
+def test_s_logistic_infinite_variance(s, beta):
+    # tails like |x|^(-beta/|s|) with beta/|s| <= 2 leave no second moment
+    d = make_s_logistic(s, beta)
+    assert d.variance == math.inf
+    assert dist_std(d) == math.inf
+
+
+def test_s_logistic_finite_variance_against_quantile_integral():
+    s, beta = -0.2, 0.8  # tails like |x|^-4
+    d = make_s_logistic(s, beta)
+    with mp.workdps(30):
+        q2 = lambda u: abs(u ** s - (1 - u) ** s) ** (2 / mp.mpf(beta))  # noqa: E731
+        exact = 2 * mp.quad(q2, [0, mp.mpf(1) / 1000, mp.mpf(1) / 2])
+    assert d.variance == pytest.approx(float(exact), rel=1e-8)
+    assert dist_std(d) == pytest.approx(math.sqrt(float(exact)), rel=1e-8)
