@@ -99,6 +99,8 @@ class EntropyProfile:
 # ---------------------------------------------------------------------------
 # kernels
 
+_LOG_MAX = math.log(np.finfo(float).max)  # expm1 overflows above this
+
 def tsallis_ratio(u: float, s: float) -> float:
     """(1 - u^s)/s for u in (0,1), equal to -log u at s = 0."""
     if u >= 1.0:
@@ -115,7 +117,14 @@ def _g_uv(u, v, s: float):
     logu = np.where(u < 0.5, np.log(u), np.log1p(-v))
     if s == 0.0:
         return -u * logu
-    return -u * np.expm1(s * logu) / s
+    e = s * logu
+    with np.errstate(over="ignore"):
+        g = -u * np.expm1(e) / s
+    big = e > _LOG_MAX
+    if np.any(big):
+        # u^s overflows (s < 0, u tiny): g = (u - u^(1+s))/s, formed directly
+        g = np.where(big, (u - np.exp((1.0 + s) * logu)) / s, g)
+    return g
 
 
 def g_kernel_np(u: np.ndarray, s: float) -> np.ndarray:

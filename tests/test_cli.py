@@ -179,3 +179,20 @@ def test_entropy_huge_lomax_shape(capsys):
     code, out, _ = run(capsys, "entropy", "--dist", "lomax", "--param", "beta=1e300")
     assert code == 0
     assert "nan" not in out.lower()
+
+
+@pytest.mark.parametrize("dist", ["exponential", "gumbel", "normal", "logistic"])
+def test_risk_near_minus_one_never_prints_inf(capsys, dist):
+    # the entropy-family integrand once overflowed here into a traceback
+    code, out, err = run(capsys, "risk", "--dist", dist, "--s", "-0.999999")
+    assert code in (0, 3)
+    assert "Traceback" not in err
+    if code == 0:
+        payload = json.loads(out)
+        assert math.isfinite(payload["risk_delta"]) and math.isfinite(payload["risk_nabla"])
+
+
+def test_risk_non_finite_integral_exits_numeric(capsys):
+    code, out, err = run(capsys, "risk", "--dist", "exponential", "--s", "1e6")
+    assert code == 3
+    assert "nan" not in out.lower() and "distortion integral" in err

@@ -390,3 +390,19 @@ def test_dist_std_of_infinite_and_negative_variances():
     assert dist_std(d) == math.inf
     with pytest.raises(DomainError):
         dist_std(replace(make_exponential(), variance=-1.0))
+
+
+@pytest.mark.parametrize("d", [
+    make_s_logistic(0.5, 1.0), make_s_logistic(-0.3, 0.8),
+    _quantile_mixture(make_power_uniform(1.0), affine(make_exponential(), 1.5, 0.0), 0.3),
+], ids=lambda d: d.label())
+def test_bisection_cdf_over_arrays_equals_scalar_calls(d):
+    # an array is bisected at once, midpoint for midpoint, so every point
+    # carries the bits of its own scalar call, outside the support too
+    lo, hi = d.support
+    xs = np.concatenate([np.linspace(-3.0, 3.0, 401),
+                         [-math.inf, math.inf, lo, hi, -1e300, 1e300, math.nan]])
+    each = np.array([float(d.cdf(x)) for x in xs])
+    assert np.array_equal(np.asarray(d.cdf(xs)), each, equal_nan=True)
+    assert np.array_equal(np.asarray(d.cdf(xs[:400].reshape(20, 20))),
+                          each[:400].reshape(20, 20))

@@ -31,7 +31,7 @@ from ctent import (
     negate,
     sample,
 )
-from ctent.entropy import dual_kernel, dual_kernel_np, dual_tail_integral
+from ctent.entropy import _g_uv, dual_kernel, dual_kernel_np, dual_tail_integral
 
 PI2_6 = math.pi ** 2 / 6.0
 LN2_MINUS_QUARTER = 0.4431471805599453  # u(2 log(1/u) - (1-u)) at u = 1/2
@@ -288,3 +288,19 @@ def test_non_finite_closed_form_raises(bad):
         nabla_value(d, 0.5)
     with pytest.raises(NonIntegrableError):
         entropy_profile(d, [0.0, 0.5])
+
+
+def test_entropy_kernel_past_expm1_range():
+    # s log u leaves expm1's range for s near -1 and u subnormal; the kernel
+    # is then (u - u^(1+s))/s, and unchanged wherever expm1 is in range
+    s = -0.999999
+    u = np.array([5e-324, 1e-310, 1e-300, 1e-200, 0.3, 0.7])
+    with np.errstate(divide="ignore"):  # log1p(-v) at v = 1, in the unused branch
+        g = _g_uv(u, 1.0 - u, s)
+    assert np.all(np.isfinite(g))
+    assert g[0] == pytest.approx((5e-324 - math.exp((1.0 + s) * math.log(5e-324))) / s,
+                                 rel=1e-15)
+    w = u[2:]
+    with np.errstate(divide="ignore"):
+        logw = np.where(w < 0.5, np.log(w), np.log1p(-(1.0 - w)))
+    assert np.array_equal(g[2:], -w * np.expm1(s * logw) / s)

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from ctent import entropy as entropy_module
+from ctent import risk as risk_module
 from ctent import (
     DivergentEntropy,
     DomainError,
     K_series,
+    NonIntegrableError,
     PreconditionNotMet,
     affine,
     coherence_diagnostics,
@@ -28,6 +31,7 @@ from ctent import (
     risk_nabla,
 )
 from ctent.distributions import dist_mean
+from ctent.entropy import _quad
 from ctent.specfun import EULER_GAMMA, psi
 
 K_HALF_AT_ONE = -0.2803723055467760  # s/(s+1) - psi(s+1) - gamma at s = 1/2
@@ -231,3 +235,52 @@ def test_risk_nabla_rescaled_exponential(c):
     r = risk_nabla(affine(make_exponential(), c, 0.0), 0.5)
     assert r.value == pytest.approx(c * (1.0 + psi(2.5) + EULER_GAMMA), abs=1e-7)
     assert math.isfinite(r.abs_error_bound)
+
+
+@pytest.mark.parametrize("c", [1e-6, 1e6])
+@pytest.mark.parametrize("base", [make_exponential, make_logistic, lambda: make_lomax(3.0)],
+                         ids=["exponential", "logistic", "lomax(3)"])
+def test_risk_of_extreme_scales_matches_mean_plus_mirror(base, c):
+    # QUADPACK once returned 0.0 at c = 1e-6 and -0.99999 at c = 1e6 here
+    d = affine(base(), c, 0.0)
+    rd = risk_delta(d, 0.5)
+    assert rd.value == pytest.approx(dist_mean(d) + delta_value(negate(d), 0.5).value,
+                                     abs=rd.abs_error_bound)
+    rn = risk_nabla(d, 0.5)
+    assert rn.value == pytest.approx(dist_mean(d) + nabla_value(negate(d), 0.5).value,
+                                     abs=rn.abs_error_bound)
+
+
+@pytest.mark.parametrize("s", [-0.3, 0.5, 2.0])
+def test_risk_nabla_heavy_tail_falls_back_to_quadpack(monkeypatch, s):
+    # tanh-sinh refuses the k_s integral of lomax(1.05); QUADPACK answers it
+    calls = []
+
+    def counting_quad(*args, **kwargs):
+        calls.append(args[1:3])
+        return _quad(*args, **kwargs)
+
+    monkeypatch.setattr(risk_module, "_quad", counting_quad)
+    d = make_lomax(1.05)
+    rn = risk_nabla(d, s)
+    assert calls
+    assert rn.value == pytest.approx(dist_mean(d) + nabla_value(negate(d), s).value,
+                                     abs=rn.abs_error_bound)
+
+
+def test_risk_nabla_makes_no_scalar_kernel_calls(monkeypatch):
+    def refuse(u, s):
+        raise AssertionError("scalar dual_kernel called")
+
+    monkeypatch.setattr(entropy_module, "dual_kernel", refuse)
+    monkeypatch.setattr(risk_module, "dual_kernel", refuse)
+    assert risk_nabla(make_exponential(), 0.5).value == pytest.approx(
+        1.0 + psi(2.5) + EULER_GAMMA, abs=1e-9)
+    assert risk_nabla(make_uniform(2.0, 3.0), 1.0).value == pytest.approx(4.5, abs=1e-9)
+    assert math.isfinite(risk_nabla(make_logistic(), -0.3).value)
+
+
+def test_risk_non_finite_integral_raises():
+    # the dual kernel's series overflows at this order, so the integrand is NaN
+    with pytest.raises(NonIntegrableError):
+        risk_nabla(make_exponential(), 1e6)
