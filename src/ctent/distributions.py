@@ -22,7 +22,7 @@ from functools import wraps
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import betaln, gammaln, ndtr, ndtri, zeta
+from scipy.special import betaln, gammaln, ndtr, ndtri, poch, zeta
 from scipy.special import psi as digamma
 
 from .errors import DivergentEntropy, DomainError, NonIntegrableError
@@ -179,8 +179,12 @@ def _nabla_power(beta: float, s):
 
 @_over_orders
 def _delta_reflected(beta: float, s):
-    # rho = lgamma(x+2) + lgamma(s+2) - lgamma(x+s+2), x = 1/beta
-    rho = _power_rho(beta, s) + math.log1p(1.0 / beta)
+    # rho = lgamma(x+2) + lgamma(s+2) - lgamma(x+s+2), x = 1/beta: betaln
+    # is off by 7e-9 at x = 1e6, log poch(x+2, s) by 5e-11 at x ~ 3e3
+    if beta > 1e-4:
+        rho = _power_rho(beta, s) + math.log1p(1.0 / beta)
+    else:
+        rho = gammaln(s + 2.0) - np.log(poch(1.0 / beta + 2.0, s))
     return -(beta / (beta + 1.0)) * _gamma_step(1.0 / beta + 2.0, s, rho)
 
 
@@ -254,9 +258,9 @@ def _dual_series(s: np.ndarray, g: Callable[[np.ndarray], np.ndarray]) -> np.nda
     below ``sign_fix_index(s)``, are summed by ``math.fsum``; the rest keep
     one sign.  For large s the head alternates with terms as large as
     ~C(s, s/2), each carrying a rounding error of a few eps of its
-    magnitude; an order where that exceeds the closed-form bound is
-    refused before its tail is formed: it is NaN in an array, and a single
-    order raises :class:`NonIntegrableError`.
+    magnitude; an order where that exceeds the closed-form bound, or whose
+    head overflows, is refused before its tail is formed: it is NaN in an
+    array, and a single order raises :class:`NonIntegrableError`.
     """
     orders = np.atleast_1d(s)
     # integer orders s >= 0 terminate: their head is the whole series
@@ -274,12 +278,13 @@ def _dual_series(s: np.ndarray, g: Callable[[np.ndarray], np.ndarray]) -> np.nda
         terms *= gn[:width]
         size[lo:lo + blk.size] = 1.0 + np.sum(np.abs(terms), axis=1)
         for i, (row, order) in enumerate(zip(terms, blk.tolist()), start=lo):
-            k = sign_fix_index(order) - 1
-            total[i] = math.fsum([1.0, *row[:k].tolist(), float(np.sum(row[k:]))])
+            k = sign_fix_index(order) - 1  # an overflowing head is refused below
+            total[i] = (math.fsum([1.0, *row[:k].tolist(), float(np.sum(row[k:]))])
+                        if math.isfinite(size[i]) else math.nan)
     refused = ~(8.0 * _EPS * size <= CLOSED_BOUND * np.abs(total))
     if np.ndim(s) == 0 and refused[0]:
         raise NonIntegrableError(
-            f"the duality series at order s={float(s):g} cancels to {total[0]:.3g} from terms "
+            f"the duality series at order s={float(s):g} sums to {total[0]:.3g} from terms "
             f"of total size {size[0]:.3g}: its rounding exceeds the closed-form bound")
     tailed = ~refused & ~terminating
     if tailed.any():

@@ -15,14 +15,13 @@ For a law bounded below, the dual-to-entropy direction is summed as
 M - sum_n c_n (M - nabla_n) with M = E[X] - min X, which converges orders
 of magnitude faster than the raw series (nabla_n -> M like a power of n).
 
-Both directions are summed in blocks of n: one array call of the law's
-closed form gives the block's delta_n or nabla_n, and the coefficients,
-their running sum and the per-n tail test are array operations in the
-order of a term-by-term loop, so the series stops at the same n.  The
-blocks start short and double.  Where the closed form has no finite value
-(the duality series it rests on cancels), or for a law without one, the
-block takes single values from ``delta_value``/``nabla_value``.  A series
-that does not reach its tolerance within ``_MAX_TERMS`` terms raises
+Both directions are summed in blocks of n: one call of the entropy
+evaluator gives a block's delta_n or nabla_n (its closed form, or one
+vectorised quantile-space integral), and the coefficients, their running
+sum and the per-n tail test are array operations in the order of a
+term-by-term loop, so the series stops at the same n.  The blocks start
+short, double, and end before a value that is not finite.  A series that
+does not reach its tolerance within ``_MAX_TERMS`` terms raises
 :class:`TruncationNotConverged`; a closed dual whose vectorised tail
 integral (``series.pochhammer_ratio_tail``) does not converge raises
 :class:`NonIntegrableError` instead of returning a silenced estimate.
@@ -37,7 +36,7 @@ from itertools import chain
 import numpy as np
 
 from .distributions import DistributionSpec, dist_mean
-from .entropy import EntropyValue, _closed_over_orders, as_order, delta_value, nabla_value
+from .entropy import EntropyValue, _entropy_values, _evaluate, as_order, delta_value
 from .errors import DivergentEntropy, DomainError, TruncationNotConverged
 from .series import pochhammer_ratio_coeffs, sign_fix_index
 from .specfun import gamma_negative, lgamma
@@ -82,32 +81,19 @@ def duality_coefficient(s: float, n: int) -> float:
 # the two series directions
 
 def _sequence(d: DistributionSpec, which: str):
-    """The block source of delta_n or nabla_n: ``block(n0, n1)`` gives the
-    values at n = n0, n0 + 1, ... below n1 from one array call of the
-    closed form, up to the first n where it has no finite value; there, or
-    for a law without a closed form, it gives the one value at n0 from
-    ``delta_value``/``nabla_value``.  The last array of closed values is
-    kept, so a block that stops early costs no second closed call."""
-    closed = d.closed_delta if which == "delta" else d.closed_nabla
-    each = delta_value if which == "delta" else nabla_value
-    kept = [0, np.empty(0)]  # first n and closed values of the last array call
+    """The block source of delta_n or nabla_n: ``block(n0, n1)`` evaluates
+    n0 <= n < n1 at once, up to the first non-finite value (raising at n0)."""
 
     def block(n0: int, n1: int) -> np.ndarray:
-        if closed is not None:
-            lo, vals = kept
-            if not lo <= n0 < lo + vals.size:
-                lo, vals = n0, _closed_over_orders(closed, np.arange(n0, n1, dtype=float))
-                kept[:] = lo, vals
-            vals = vals[n0 - lo:n1 - lo]
-            bad = np.flatnonzero(np.isnan(vals))
-            if bad.size == 0:
-                return vals
-            if bad[0]:
-                return vals[:bad[0]]
-        ev = each(d, float(n0))
-        if not ev.is_finite:
+        col = _evaluate(d, which, np.arange(n0, n1, dtype=float))
+        bad = np.flatnonzero(~np.isfinite(col.value))
+        if bad.size == 0:
+            return col.value
+        if bad[0]:
+            return col.value[:bad[0]]
+        if col.value[0] == math.inf:
             raise DivergentEntropy(f"{which}_{n0} is infinite")
-        return np.array([ev.value])
+        _entropy_values(d, col)  # raises: the integral at n0 did not converge
 
     return block
 

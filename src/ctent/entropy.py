@@ -1,30 +1,27 @@
 """Evaluators for the cumulative Tsallis entropy and its dual.
 
-Two independent quadrature routes are provided for the entropy delta(s):
+The entropy delta(s) has two independent quadrature routes: x-space
+(``delta_quadrature``, F(x)(1-F(x)^s)/s over the support) and quantile
+space (``delta_quantile``, g_s(u) = u(1-u^s)/s against the analytic quantile
+density q'(u)).  The dual nabla(s) integrates the quantile-space kernel
+G_s(u) = u * integral_u^1 (1 - (1-t)^{s+1}) t^{-2} dt, reduced by parts to
+J(u) = integral_u^1 (1-t)^s/t dt.  For u < 1/2, J is summed about u = 1/2,
+an alternating series with coefficients like C(s, k): an order where its
+rounding could exceed 1e-10 of G_s (s above ~32.6) has a NaN kernel.  For
+u >= 1/2, G_s = v - u sum_k (k+1) v^{k+s+2}/(k+s+2) in v = 1 - u has no
+cancellation.  Both series' coefficients are formed once per order.
 
-* ``delta_quadrature`` integrates F(x)(1-F(x)^s)/s over the support in
-  x-space (improper intervals handled by the adaptive routine directly);
-* ``delta_quantile`` integrates the quantile-space kernel
-  g_s(u) = u(1-u^s)/s against the law's analytic quantile density q'(u).
-
-The dual nabla(s) uses the quantile-space kernel
-
-    G_s(u) = u * integral_u^1 (1 - (1-t)^{s+1}) t^{-2} dt,
-
-whose inner integral is reduced by parts to J(u) = integral_u^1 (1-t)^s/t dt
-and evaluated by two rapidly convergent series (accurate to ~1e-15; a
-nested adaptive rule degrades near the (1-t)^s endpoint for s < 0).  For
-u >= 1/2 the kernel is summed as G_s = v - u sum_k (k+1) v^{k+s+2}/(k+s+2)
-in v = 1 - u, which has no cancellation as v -> 0.
-
-Both quantile-space integrals, of g_s q' and of G_s q', run through one
-vectorised tanh-sinh rule (Takahasi & Mori 1974): over u on (0, 1/2) and
-over v = 1 - u on (0, 1/2), so that each endpoint singularity sits at an
-exact zero of its own variable.  Plug-in estimators apply the same kernels
-to order-statistic spacings.
-
-The near-zero order branch uses expm1/log1p forms throughout, realising
-the convention (1-x^0)/0 = -log x continuously.
+Every evaluator calls one private evaluator over an array of orders: orders
+at or below the finiteness threshold are divergent, the rest take one array
+call of the closed form, and the orders left (no closed form, or a dual
+whose duality series refuses them) take one vectorised tanh-sinh integral
+(Takahasi & Mori 1974) over u and over v = 1 - u on (0, 1/2), so that each
+endpoint singularity sits at an exact zero of its own variable.  A law
+without a quantile density is integrated in x-space, one order at a time.
+An order whose integral does not converge is NaN in the array; a single
+order and a profile raise :class:`NonIntegrableError`.  Plug-in estimators
+apply the kernels to order-statistic spacings; near-zero orders use
+expm1/log1p forms, (1-x^0)/0 = -log x.
 """
 
 from __future__ import annotations
@@ -32,8 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad, tanhsinh
@@ -100,74 +96,77 @@ class EntropyProfile:
 # kernels
 
 _LOG_MAX = math.log(np.finfo(float).max)  # expm1 overflows above this
-
-def tsallis_ratio(u: float, s: float) -> float:
-    """(1 - u^s)/s for u in (0,1), equal to -log u at s = 0."""
-    if u >= 1.0:
-        return 0.0
-    if u <= 0.0:
-        return 1.0 / s if s > 0.0 else math.inf
-    if s == 0.0:
-        return -math.log(u)
-    return -math.expm1(s * math.log(u)) / s
+_EPS = np.finfo(float).eps
+_TERMS = 240  # cap on the terms of the dual kernel's series
 
 
-def _g_uv(u, v, s: float):
-    # g_s(u) with log u taken from v near u = 1
+def _g_uv(u, v, s):
+    # g_s(u) with log u taken from v near u = 1; s may be a column of orders
     logu = np.where(u < 0.5, np.log(u), np.log1p(-v))
-    if s == 0.0:
-        return -u * logu
     e = s * logu
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         g = -u * np.expm1(e) / s
-    big = e > _LOG_MAX
-    if np.any(big):
-        # u^s overflows (s < 0, u tiny): g = (u - u^(1+s))/s, formed directly
-        g = np.where(big, (u - np.exp((1.0 + s) * logu)) / s, g)
-    return g
+        big = e > _LOG_MAX
+        if np.any(big):
+            # u^s overflows (s < 0, u tiny): g = (u - u^(1+s))/s, formed directly
+            g = np.where(big, (u - np.exp((1.0 + s) * logu)) / s, g)
+    return np.where(s == 0.0, -u * logu, g) if np.any(s == 0.0) else g
+
+
+def _inside(kernel: Callable, u, s: float) -> np.ndarray:
+    u = np.asarray(u, dtype=float)
+    inside = (u > 0.0) & (u < 1.0)
+    uu = np.where(inside, u, 0.5)
+    return np.where(inside, kernel(uu, 1.0 - uu, s), 0.0)
 
 
 def g_kernel_np(u: np.ndarray, s: float) -> np.ndarray:
     """Quantile-space entropy kernel u(1-u^s)/s; vanishes at both endpoints."""
-    u = np.asarray(u, dtype=float)
-    inside = (u > 0.0) & (u < 1.0)
-    uu = np.where(inside, u, 0.5)
-    return np.where(inside, _g_uv(uu, 1.0 - uu, s), 0.0)
+    return _inside(_g_uv, u, s)
 
 
-@lru_cache(maxsize=256)
-def _j_at_half(s: float) -> float:
-    return float(_j_upper(np.asarray([0.5]), s)[0])
+def _through_first(small: np.ndarray) -> np.ndarray:
+    # per column, True up to and including the first True of small
+    return np.cumsum(small, axis=0) - small == 0
 
 
-def _j_upper(u: np.ndarray, s: float) -> np.ndarray:
-    # J(u) = sum_{k>=0} (1-u)^{s+1+k}/(s+1+k), geometric for 1-u <= 1/2
-    w = 1.0 - u
-    term = np.power(w, s + 1.0) / (s + 1.0)
-    tot = term.copy()
-    for k in range(1, 240):
-        term = term * w * (s + k) / (s + 1.0 + k)
-        tot += term
-        if np.all(np.abs(term) <= 1e-17 * np.abs(tot) + 1e-300):
-            break
-    return tot
+def _dual_coefficients(s: np.ndarray) -> tuple:
+    """Per order of the 1-d array s, one column each: a[k-1] = (-s)_k/k! of
+    J about 1/2, zero past the first term below 1e-19 on (0, 1/2]; J(1/2);
+    den[k] = k + s + 2 of the series in v, infinite past the first term
+    below 1e-17 of the sum at v = 1/2.  J's terms, of total size S, round
+    by a few eps S (G_s was within 6.5 eps S of mpmath's over u in (0, 1/2)
+    for s up to 60), so J(1/2) and the kernel are NaN where 8 eps S > 1e-10."""
+    k = np.arange(1.0, _TERMS)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.cumprod((k - 1.0 - s) / k, axis=0)
+        size = np.abs(a) * np.exp2(-k) / k
+    keep = _through_first(size < 1e-19)
+    total = np.sum(np.where(keep, size, 0.0), axis=0)
+    j_half = np.where(8.0 * _EPS * total <= CLOSED_BOUND, _j_upper(0.5, s), np.nan)
+    den = np.arange(float(_TERMS))[:, None] + s + 2.0
+    tail = _through_first((k + 1.0) * np.exp2(-k) * den[:1] / den[1:] < 1e-17)
+    den[1:][~tail] = np.inf
+    return (np.where(keep, a, 0.0)[:keep.sum(axis=0).max()], j_half,
+            den[:tail.sum(axis=0).max() + 1])
 
 
-def _j_lower(u: np.ndarray, s: float) -> np.ndarray:
-    # J(u) = J(1/2) + log(1/(2u)) + sum_{k>=1} ((-s)_k/k!) ((1/2)^k - u^k)/k;
+def _j_upper(u, s):
+    # J(u) = sum_{m>=0} (1-u)^{s+1+m}/(s+1+m), 64 terms for 1-u <= 1/2, summed
+    # along the last axis so that no order's or node's sum depends on others
+    m = np.asarray(s, dtype=float)[..., None] + 1.0 + np.arange(64.0)
+    return np.sum(np.power(1.0 - np.asarray(u, dtype=float)[..., None], m) / m, axis=-1)
+
+
+def _j_lower(u: np.ndarray, a: np.ndarray, j_half) -> np.ndarray:
+    # J(u) = J(1/2) + log(1/(2u)) + sum_{k>=1} a_k ((1/2)^k - u^k)/k;
     # log(1/(2u)) is split so that a subnormal u does not overflow 0.5/u
     tot = math.log(0.5) - np.log(u)
-    a = 1.0
     pk = np.array(u, copy=True)
-    half = 0.5
-    for k in range(1, 240):
-        a *= (k - 1.0 - s) / k
-        tot += a * (half - pk) / k
-        if abs(a) * half / k < 1e-19:
-            break
-        half *= 0.5
+    for k, ak in enumerate(a, start=1):
+        tot += ak * (0.5 ** k - pk) / k
         pk *= u
-    return tot + _j_at_half(s)
+    return tot + j_half
 
 
 def dual_tail_integral(u, s: float):
@@ -175,50 +174,48 @@ def dual_tail_integral(u, s: float):
     arr = np.atleast_1d(np.asarray(u, dtype=float))
     out = np.empty_like(arr)
     hi = arr >= 0.5
-    if hi.any():
-        out[hi] = _j_upper(arr[hi], s)
+    out[hi] = _j_upper(arr[hi], s)
     if (~hi).any():
-        out[~hi] = _j_lower(arr[~hi], s)
+        a, j_half, _ = _dual_coefficients(np.array([float(s)]))
+        out[~hi] = _j_lower(arr[~hi], a, j_half)
     return out if np.ndim(u) else float(out[0])
 
 
-def _dual_upper(u: np.ndarray, v: np.ndarray, s: float) -> np.ndarray:
-    # G_s(u) = v - u sum_{k>=0} (k+1) v^{k+s+2}/(k+s+2) for v = 1-u <= 1/2:
+def _dual_lower(u, v, s, a, j_half):
+    # G_s(u) = v (1 - v^s) + u (s+1) J(u) for u < 1/2
+    head = -v * np.expm1(s * np.log1p(-u))
+    return head + u * (s + 1.0) * _j_lower(u, a, j_half)
+
+
+def _dual_upper(u: np.ndarray, v: np.ndarray, den: np.ndarray) -> np.ndarray:
+    # G_s(u) = v - u sum_{k>=0} (k+1) v^{k+s+2}/den[k] for v = 1-u <= 1/2:
     # head + u(s+1)J(u) with the v^{s+1} terms cancelled analytically
-    p = np.power(v, s + 2.0)
-    tot = p / (s + 2.0)
-    for k in range(1, 240):
+    p = np.power(v, den[0])
+    tot = p / den[0]
+    for k in range(1, den.shape[0]):
         p = p * v
-        term = (k + 1.0) * p / (k + s + 2.0)
-        tot += term
-        if np.all(term <= 1e-17 * tot + 1e-300):
-            break
+        tot += (k + 1.0) * p / den[k]
     return v - u * tot
 
 
 def _dual_uv(u, v, s: float):
-    # G_s(u) at u in (0,1), v = 1 - u
+    # G_s(u) at u in (0,1), v = 1 - u, for one order
     shape = np.shape(u)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
+    u, v = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (u, v))
+    a, j_half, den = _dual_coefficients(np.array([float(s)]))
     out = np.empty_like(u)
     hi = u >= 0.5
     if hi.any():
-        out[hi] = _dual_upper(u[hi], v[hi], s)
+        out[hi] = _dual_upper(u[hi], v[hi], den)
     lo = ~hi
     if lo.any():
-        ul, vl = u[lo], v[lo]
-        head = -vl * np.expm1(s * np.log1p(-ul))
-        out[lo] = head + ul * (s + 1.0) * _j_lower(ul, s)
+        out[lo] = _dual_lower(u[lo], v[lo], s, a, j_half)
     return out.reshape(shape)
 
 
 def dual_kernel_np(u: np.ndarray, s: float) -> np.ndarray:
     """G_s(u): quantile-space kernel of the dual entropy; G_0(u) = -u log u."""
-    u = np.asarray(u, dtype=float)
-    inside = (u > 0.0) & (u < 1.0)
-    uu = np.where(inside, u, 0.5)
-    return np.where(inside, _dual_uv(uu, 1.0 - uu, s), 0.0)
+    return _inside(_dual_uv, u, s)
 
 
 def dual_kernel(u: float, s: float) -> float:
@@ -229,6 +226,9 @@ def dual_kernel(u: float, s: float) -> float:
 # ---------------------------------------------------------------------------
 # quadrature plumbing
 
+_ORDER_BLOCK = 512  # orders integrated together: temporaries of a few MiB
+
+
 def _quad(f: Callable[[float], float], a: float, b: float,
           epsabs: float = 1e-12, epsrel: float = 1e-11,
           limit: int = 500) -> tuple:
@@ -238,103 +238,160 @@ def _quad(f: Callable[[float], float], a: float, b: float,
     return val, err
 
 
-def _clamp_nonnegative(v: float, bound: float) -> float:
-    if v < 0.0 and -v <= bound:
-        return 0.0
-    return v
+def _grows(t: list) -> bool:
+    # a tail probe at x = 1e4, 1e6, 1e8, 1e10 that does not vanish
+    return (t[-1] > 1.05 * t[0]) & (t[-1] > 0.5)
 
 
 def _probe_infinite_mean(d: DistributionSpec) -> None:
     lo, hi = d.support
     probes = (1e4, 1e6, 1e8, 1e10)
-    if math.isinf(hi):
-        t = [x * float(d.sf(x)) for x in probes]
-        if t[-1] > 1.05 * t[0] and t[-1] > 0.5:
-            raise NonIntegrableError(
-                "upper-tail probe x*(1-F(x)) does not vanish: mean appears infinite")
-    if math.isinf(lo):
-        t = [x * float(d.cdf(-x)) for x in probes]
-        if t[-1] > 1.05 * t[0] and t[-1] > 0.5:
-            raise NonIntegrableError(
-                "lower-tail probe |x|*F(x) does not vanish: mean appears infinite")
+    if math.isinf(hi) and _grows([x * float(d.sf(x)) for x in probes]):
+        raise NonIntegrableError(
+            "upper-tail probe x*(1-F(x)) does not vanish: mean appears infinite")
+    if math.isinf(lo) and _grows([x * float(d.cdf(-x)) for x in probes]):
+        raise NonIntegrableError(
+            "lower-tail probe |x|*F(x) does not vanish: mean appears infinite")
 
 
-def _lower_tail_divergent(d: DistributionSpec, s: float) -> bool:
-    # The divergence screen of both entropy routes: the analytic finiteness
-    # threshold when one is attached, else a heuristic stand-in for the
-    # F^{1+s} criterion.
-    if d.finiteness_threshold is not None:
-        return s <= d.finiteness_threshold
-    if s >= 0.0 or not math.isinf(d.support[0]):
-        return False
-    t = [abs(x) * float(d.cdf(x)) ** (1.0 + s) for x in (-1e4, -1e6, -1e8, -1e10)]
-    return t[-1] > 1.05 * t[0] and t[-1] > 0.5
+def _divergent(d: DistributionSpec, which: str, s: np.ndarray, probe: bool) -> np.ndarray:
+    # delta: the finiteness threshold when attached, else (with ``probe``) a
+    # heuristic stand-in for the F^{1+s} criterion; nabla: a threshold >= 0
+    thr = d.finiteness_threshold
+    if which == "nabla":
+        return np.full(s.shape, thr is not None and thr >= 0.0)
+    if thr is not None:
+        return s <= thr
+    if not (probe and math.isinf(d.support[0]) and np.any(s < 0.0)):
+        return np.zeros(s.shape, dtype=bool)
+    x = np.array([-1e4, -1e6, -1e8, -1e10])
+    t = np.abs(x)[:, None] * np.asarray(d.cdf(x), dtype=float)[:, None] ** (1.0 + s)
+    return (s < 0.0) & _grows(t)
 
 
-def delta_quadrature(d: DistributionSpec, s) -> EntropyValue:
-    """Cumulative Tsallis entropy by adaptive x-space quadrature."""
-    sv = as_order(s).s
-    if _lower_tail_divergent(d, sv):
-        return EntropyValue.make_divergent("quadrature_x")
-    _probe_infinite_mean(d)
+def _x_space(d: DistributionSpec, s: float) -> tuple:
+    """delta(s) by adaptive x-space quadrature: (value, bound)."""
 
     def integrand(x: float) -> float:
         u = float(d.cdf(x))
         if u <= 0.0 or u >= 1.0:
             return 0.0
-        return u * tsallis_ratio(u, sv)
+        return u * (-math.log(u) if s == 0.0 else -math.expm1(s * math.log(u)) / s)
 
-    lo, hi = d.support
-    val, err = _quad(integrand, lo, hi)
+    val, err = _quad(integrand, *d.support)
     # QUADPACK's estimate can run slightly optimistic on doubly-improper
     # extrapolation; keep the documented 1e-9 * max(1, value) floor
     bound = max(err, 1e-9 * max(1.0, abs(val)))
-    return EntropyValue(_clamp_nonnegative(val, bound), bound, "quadrature_x")
+    return 0.0 if -bound <= val < 0.0 else val, bound
 
 
-def _quantile_integral(d: DistributionSpec, kernel: Callable) -> EntropyValue:
-    """integral_0^1 kernel(u, v) q'(u) du, with v = 1 - u, by tanh-sinh on
-    u in (0, 1/2) and on v in (0, 1/2): integrating the upper half in u would
-    lose every node with 1 - u below ~1e-16, and with it the tail mass."""
-    qd = d.qdensity
-    if qd is None:
-        raise DomainError(f"{d.label()} has no quantile density to integrate against")
+def _quantile_integral(qd: Callable, which: str, s: np.ndarray) -> np.ndarray:
+    """integral_0^1 kernel(u, v) q'(u) du, v = 1 - u, at every order of s, by
+    tanh-sinh on u and on v in (0, 1/2) (in u alone the nodes with 1 - u below
+    ~1e-16, and the tail mass, are lost).  Rows: value, bound, status, nfev."""
+    if which == "delta":
+        lower = upper = (lambda u, v, i: _g_uv(u, v, s[i]))
+    else:
+        a, j_half, den = _dual_coefficients(s)
+        lower, upper = (lambda u, v, i: _dual_lower(u, v, s[i], a[:, i], j_half[i]),
+                        lambda u, v, i: _dual_upper(u, v, den[:, i]))
+    # orders go by index through tanh-sinh's args, a cost one order skips
+    halves = (lambda u, i=0: lower(u, 1.0 - u, i) * qd(u, 1.0 - u),
+              lambda v, i=0: upper(1.0 - v, v, i) * qd(1.0 - v, v))
+    args = (np.arange(s.size),) if s.size > 1 else ()
+    with np.errstate(all="ignore"):
+        r = [tanhsinh(f, 0.0, 0.5, args=args) for f in halves]
+    val = r[0].integral + r[1].integral
+    bound = r[0].error + r[1].error + 1e-10 * np.maximum(1.0, np.abs(val))
+    first = r[0].status != 0
+    status = np.where(first, r[0].status, r[1].status)
+    val = np.where((val < 0.0) & (-val <= bound), 0.0, val)
+    val[status != 0] = np.nan
+    return np.array([val, bound, status, np.where(first, r[0].nfev, r[1].nfev)])
 
-    def lower(u):
-        return kernel(u, 1.0 - u) * qd(u, 1.0 - u)
 
-    def upper(v):
-        return kernel(1.0 - v, v) * qd(1.0 - v, v)
+class _Column(NamedTuple):
+    """``value`` is inf where divergent, NaN where the integral failed."""
 
-    val = err = 0.0
-    for f in (lower, upper):
-        with np.errstate(all="ignore"):
-            r = tanhsinh(f, 0.0, 0.5)
-        if r.status != 0:
+    value: np.ndarray
+    integrated: np.ndarray  # the orders the closed form did not answer
+    closed: bool
+    space: str
+    bound: np.ndarray
+    status: np.ndarray
+    nfev: np.ndarray
+
+
+def _evaluate(d: DistributionSpec, which: str, s: np.ndarray, route: str = "best") -> _Column:
+    """delta or nabla (``which``) of ``d`` over the 1-d array of orders s.
+    Route "best" takes the closed form, else the quantile-space integral, else
+    x-space (delta without qdensity); "quantile" and "x" force that route."""
+    closed, space = None, route
+    if route == "best":
+        closed = d.closed_delta if which == "delta" else d.closed_nabla
+        space = "x" if which == "delta" and d.qdensity is None else "quantile"
+    divergent = _divergent(d, which, s, probe=closed is None)
+    value = np.where(divergent, np.inf, np.nan)
+    todo = ~divergent
+    if closed is not None and todo.any():
+        # one call above the threshold; a dual refuses an order with NaN
+        v = value[todo] = np.asarray(closed(s if todo.all() else s[todo]), dtype=float)
+        if not np.isfinite(v).all():
+            bad = np.flatnonzero(np.isinf(v) | (np.isnan(v) & (which == "delta")))
+            if bad.size:
+                raise NonIntegrableError(f"the closed form of {which} for {d.label()} "
+                                         f"at s={s[todo][bad[0]]:g} gives {v[bad[0]]}")
+        todo &= np.isnan(value)
+    live = np.flatnonzero(todo)
+    bound, status, nfev = np.full((3,) + s.shape, np.nan) if live.size else (None,) * 3
+    if live.size and space == "x":
+        _probe_infinite_mean(d)
+        for i in live.tolist():
+            value[i], bound[i] = _x_space(d, float(s[i]))
+    elif live.size:
+        if d.qdensity is None:
+            raise DomainError(f"{d.label()} has no quantile density to integrate against")
+        for lo in range(0, live.size, _ORDER_BLOCK):
+            at = live[lo:lo + _ORDER_BLOCK]
+            value[at], bound[at], status[at], nfev[at] = _quantile_integral(
+                d.qdensity, which, s[at])
+    return _Column(value, todo, closed is not None, space, bound, status, nfev)
+
+
+def _entropy_values(d: DistributionSpec, col: _Column) -> list:
+    """The column's EntropyValues, raising at the first failed integral."""
+    out = []
+    for i, (v, q) in enumerate(zip(col.value.tolist(), col.integrated.tolist())):
+        method = "quadrature_" + col.space if q or not col.closed else "closed_form"
+        if v == math.inf:
+            out.append(EntropyValue.make_divergent(method))
+        elif v == v:
+            b = float(col.bound[i]) if q else CLOSED_BOUND * max(1.0, abs(v))
+            out.append(EntropyValue(v, b, method))
+        else:
             raise NonIntegrableError(
                 f"quantile-space integral of {d.label()} did not converge "
-                f"(tanh-sinh status {int(r.status)}, {int(r.nfev)} evaluations)")
-        val += float(r.integral)
-        err += float(r.error)
-    bound = err + 1e-10 * max(1.0, abs(val))
-    return EntropyValue(_clamp_nonnegative(val, bound), bound, "quadrature_quantile")
+                f"(tanh-sinh status {int(col.status[i])}, {int(col.nfev[i])} evaluations)")
+    return out
+
+
+def _one(d: DistributionSpec, which: str, s, route: str) -> EntropyValue:
+    return _entropy_values(d, _evaluate(d, which, np.array([as_order(s).s]), route))[0]
+
+
+def delta_quadrature(d: DistributionSpec, s) -> EntropyValue:
+    """Cumulative Tsallis entropy by adaptive x-space quadrature."""
+    return _one(d, "delta", s, "x")
 
 
 def delta_quantile(d: DistributionSpec, s) -> EntropyValue:
-    """Cumulative Tsallis entropy integrated in quantile space against the
-    analytic quantile density."""
-    sv = as_order(s).s
-    if _lower_tail_divergent(d, sv):
-        return EntropyValue.make_divergent("quadrature_quantile")
-    return _quantile_integral(d, lambda u, v: _g_uv(u, v, sv))
+    """Cumulative Tsallis entropy in quantile space, against q'(u)."""
+    return _one(d, "delta", s, "quantile")
 
 
 def nabla_quadrature(d: DistributionSpec, s) -> EntropyValue:
     """Dual cumulative Tsallis entropy via the quantile-space kernel G_s."""
-    sv = as_order(s).s
-    if d.finiteness_threshold is not None and d.finiteness_threshold >= 0.0:
-        return EntropyValue.make_divergent("quadrature_quantile")
-    return _quantile_integral(d, lambda u, v: _dual_uv(u, v, sv))
+    return _one(d, "nabla", s, "quantile")
 
 
 # ---------------------------------------------------------------------------
@@ -342,33 +399,47 @@ def nabla_quadrature(d: DistributionSpec, s) -> EntropyValue:
 # the order-statistic weights sit at i/n so the s=1 case reproduces the
 # exact step integral of F(1-F))
 
+def _plugin(x: EmpiricalSample, s, kernel: Callable) -> EntropyValue:
+    val = float(kernel(np.arange(1, x.n) / x.n, as_order(s).s) @ np.diff(x.values))
+    if not math.isfinite(val):  # the dual kernel refuses the order
+        raise NonIntegrableError(f"the plug-in estimate at s={as_order(s).s:g} gives {val}")
+    return EntropyValue(max(val, 0.0), 1e-13 * math.sqrt(x.n) * max(1.0, abs(val)), "plugin")
+
+
 def delta_plugin(x: EmpiricalSample, s) -> EntropyValue:
-    sv = as_order(s).s
-    v = x.values
-    w = g_kernel_np(np.arange(1, x.n) / x.n, sv)
-    val = float(w @ np.diff(v))
-    bound = 1e-13 * math.sqrt(x.n) * max(1.0, abs(val))
-    return EntropyValue(max(val, 0.0), bound, "plugin")
+    return _plugin(x, s, g_kernel_np)
 
 
 def nabla_plugin(x: EmpiricalSample, s) -> EntropyValue:
-    sv = as_order(s).s
-    v = x.values
-    w = dual_kernel_np(np.arange(1, x.n) / x.n, sv)
-    val = float(w @ np.diff(v))
-    bound = 1e-13 * math.sqrt(x.n) * max(1.0, abs(val))
-    return EntropyValue(max(val, 0.0), bound, "plugin")
+    return _plugin(x, s, dual_kernel_np)
 
 
 # ---------------------------------------------------------------------------
 # dispatch and profiles
 
-def _closed_value(d: DistributionSpec, which: str, s: float, v: float) -> EntropyValue:
-    # a closed form that does not flag divergence must give a finite value
-    if not math.isfinite(v):
-        raise NonIntegrableError(
-            f"the closed form of {which} for {d.label()} at s={s:g} gives {v}")
-    return EntropyValue(v, CLOSED_BOUND * max(1.0, abs(v)), "closed_form")
+def _best(d: DistributionSpec, which: str, s) -> EntropyValue:
+    # the closed form at one float order (where a dual refuses by raising)
+    sv = as_order(s).s
+    closed = d.closed_delta if which == "delta" else d.closed_nabla
+    thr = d.finiteness_threshold
+    if closed is not None:
+        if thr is not None and (sv <= thr if which == "delta" else thr >= 0.0):
+            return EntropyValue.make_divergent("closed_form")
+        try:
+            v = float(closed(sv))
+        except DivergentEntropy:
+            return EntropyValue.make_divergent("closed_form")
+        except NonIntegrableError:
+            if which == "delta":
+                raise
+            return nabla_quadrature(d, sv)
+        if not math.isfinite(v):
+            raise NonIntegrableError(
+                f"the closed form of {which} for {d.label()} at s={sv:g} gives {v}")
+        return EntropyValue(v, CLOSED_BOUND * max(1.0, abs(v)), "closed_form")
+    if which == "nabla":
+        return nabla_quadrature(d, sv)
+    return delta_quadrature(d, sv) if d.qdensity is None else delta_quantile(d, sv)
 
 
 def delta_value(d: DistributionSpec, s, prefer_closed: bool = True) -> EntropyValue:
@@ -377,16 +448,7 @@ def delta_value(d: DistributionSpec, s, prefer_closed: bool = True) -> EntropyVa
     quadrature.  ``prefer_closed=False`` always takes the x-space route,
     the independent oracle.  A closed form that gives a non-finite value
     without flagging divergence raises :class:`NonIntegrableError`."""
-    sv = as_order(s).s
-    if prefer_closed and d.closed_delta is not None:
-        try:
-            v = d.closed_delta(sv)
-        except DivergentEntropy:
-            return EntropyValue.make_divergent("closed_form")
-        return _closed_value(d, "delta", sv, v)
-    if prefer_closed and d.qdensity is not None:
-        return delta_quantile(d, sv)
-    return delta_quadrature(d, sv)
+    return _best(d, "delta", s) if prefer_closed else delta_quadrature(d, s)
 
 
 def nabla_value(d: DistributionSpec, s, prefer_closed: bool = True) -> EntropyValue:
@@ -395,55 +457,13 @@ def nabla_value(d: DistributionSpec, s, prefer_closed: bool = True) -> EntropyVa
     cannot meet its bound at this order raises :class:`NonIntegrableError`,
     and the integral takes over; one that gives a non-finite value raises
     :class:`NonIntegrableError` to the caller."""
-    sv = as_order(s).s
-    if prefer_closed and d.closed_nabla is not None:
-        try:
-            v = d.closed_nabla(sv)
-        except DivergentEntropy:
-            return EntropyValue.make_divergent("closed_form")
-        except NonIntegrableError:
-            pass
-        else:
-            return _closed_value(d, "nabla", sv, v)
-    return nabla_quadrature(d, sv)
-
-
-def _closed_over_orders(closed, orders: np.ndarray) -> np.ndarray:
-    """A closed form over an array of orders in one call, NaN wherever it
-    gives no finite value; all NaN when there is no closed form or it
-    flags an order of the array as divergent."""
-    if closed is None or orders.size == 0:
-        return np.full(orders.shape, np.nan)
-    try:
-        out = np.asarray(closed(orders), dtype=float)
-    except DivergentEntropy:
-        return np.full(orders.shape, np.nan)
-    return np.where(np.isfinite(out), out, np.nan)
-
-
-def _profile_column(d: DistributionSpec, which: str, grid: np.ndarray) -> list:
-    # one array call of the closed form over the orders it can take; every
-    # other order (divergent, refused or without a closed form) is
-    # evaluated on its own by delta_value/nabla_value
-    if which == "delta":
-        closed, each, thr = d.closed_delta, delta_value, d.finiteness_threshold
-    else:
-        closed, each, thr = d.closed_nabla, nabla_value, None
-    live = np.ones(grid.shape, dtype=bool) if thr is None else grid > thr
-    vals = np.full(grid.shape, np.nan)
-    vals[live] = _closed_over_orders(closed, grid[live])
-    return [_closed_value(d, which, s, v) if math.isfinite(v) else each(d, s)
-            for s, v in zip(grid.tolist(), vals.tolist())]
+    return _best(d, "nabla", s) if prefer_closed else nabla_quadrature(d, s)
 
 
 def entropy_profile(d: DistributionSpec, s_grid: Sequence[float]) -> EntropyProfile:
     """Best-method evaluation over a strictly increasing grid, with
-    monotonicity flags (delta nonincreasing, nabla nondecreasing).
-
-    Each entropy takes one array call of the law's closed form.  Orders at
-    or below the finiteness threshold are marked divergent, and orders the
-    closed form refuses (the duality series where it cancels) or laws
-    without one are evaluated one order at a time, so every point equals
+    monotonicity flags (delta nonincreasing, nabla nondecreasing).  Each
+    entropy is one evaluation over the whole grid, and every point equals
     ``delta_value``/``nabla_value`` at its order."""
     grid = [float(s) for s in s_grid]
     if any(not a < b for a, b in zip(grid, grid[1:])):
@@ -452,19 +472,14 @@ def entropy_profile(d: DistributionSpec, s_grid: Sequence[float]) -> EntropyProf
         raise DomainError("s grid entries must be finite and exceed -1")
     orders = np.asarray(grid, dtype=float)
     rows = tuple(ProfilePoint(*point) for point in zip(
-        grid, _profile_column(d, "delta", orders), _profile_column(d, "nabla", orders)))
+        grid, _entropy_values(d, _evaluate(d, "delta", orders)),
+        _entropy_values(d, _evaluate(d, "nabla", orders))))
 
     def _monotone(vals, direction: int) -> bool:
-        prev = None
-        for ev in vals:
-            if not ev.is_finite:
-                continue
-            if prev is not None:
-                slack = prev.abs_error_bound + ev.abs_error_bound + 1e-12
-                if direction * (ev.value - prev.value) > slack:
-                    return False
-            prev = ev
-        return True
+        # consecutive finite values, within their bounds
+        fin = [ev for ev in vals if ev.is_finite]
+        return all(direction * (b.value - a.value) <= a.abs_error_bound + b.abs_error_bound + 1e-12
+                   for a, b in zip(fin, fin[1:]))
 
     return EntropyProfile(
         grid=rows,

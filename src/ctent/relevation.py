@@ -24,9 +24,9 @@ import numpy as np
 
 from .distributions import DistributionSpec, negate
 from .duality import bnb_pmf
-from .entropy import delta_value, tsallis_ratio
+from .entropy import delta_value
 from .errors import DomainError
-from .risk import relevation_risk
+from .risk import make_distortion, relevation_risk
 
 _CHUNK = 1 << 17
 _U_CLIP = 2.0 ** -53
@@ -120,7 +120,7 @@ def simulate_Ys(d: DistributionSpec, s: float, n: int, seed: int) -> SimulationR
 def simulate_total_lifetime_survival(d: DistributionSpec, s: float,
                                      t_grid, n: int, seed: int) -> dict:
     """Empirical survival of X + Y_s on a grid against the analytic curve
-    Fbar(t)(1 + (1-Fbar(t)^s)/s), with binomial standard errors."""
+    h_s(Fbar(t)) = Fbar(t)(1 + (1-Fbar(t)^s)/s), with binomial errors."""
     if not s > 0.0:
         raise DomainError("the prior-failure model needs s > 0")
     _check_nonneg_support(d)
@@ -135,9 +135,7 @@ def simulate_total_lifetime_survival(d: DistributionSpec, s: float,
     counts = sum(_run_chunks(one, seed, n))
     emp = counts / n
     fbar = np.asarray(d.sf(t), dtype=float)
-    analytic = np.array([fb * (1.0 + tsallis_ratio(fb, s)) if 0.0 < fb < 1.0
-                         else (1.0 if fb >= 1.0 else 0.0) for fb in fbar])
-    analytic = np.minimum(analytic, 1.0)
+    analytic = np.minimum(make_distortion("h_s", s).eval(fbar), 1.0)
     se = np.sqrt(np.maximum(analytic * (1.0 - analytic), 1e-300) / n)
     return {
         "t": t.tolist(),

@@ -311,6 +311,22 @@ def _distortion_integral(d: DistributionSpec, s: float, kernel: Callable,
     return val, err
 
 
+def _checked_risk(d: DistributionSpec, sv: float, kernel: Callable, label: str,
+                  mirrored: Callable, name: str, family: str) -> RiskValue:
+    # the distortion integral, checked against mean + the mirrored entropy
+    val, err = _distortion_integral(d, sv, kernel, label)
+    ref = mirrored(negate(d), sv)
+    if not ref.is_finite:
+        raise DivergentEntropy(f"mirrored {name} is infinite at this order")
+    ref_total = dist_mean(d) + ref.value
+    bound = err + ref.abs_error_bound + 1e-9 * max(1.0, abs(val))
+    if abs(val - ref_total) > bound + 1e-7 * max(1.0, abs(val)):
+        raise OracleMismatch(
+            f"distortion integral {val!r} and mean + {name} {ref_total!r} "
+            f"disagree beyond {bound:g}")
+    return RiskValue(val, bound, family)
+
+
 def risk_delta(d: DistributionSpec, s) -> RiskValue:
     """The entropy-family risk measure: distortion integral of h_s over the
     survival function, cross-checked against mean + delta of the mirror."""
@@ -319,33 +335,12 @@ def risk_delta(d: DistributionSpec, s) -> RiskValue:
         raise DivergentEntropy(
             f"risk measure diverges: order s={sv:g} at or below the mirrored "
             f"finiteness threshold {d.neg_finiteness_threshold:g}")
-    val, err = _distortion_integral(d, sv, _g_uv, "h_s")
-    ref = delta_value(negate(d), sv)
-    if not ref.is_finite:
-        raise DivergentEntropy("mirrored entropy is infinite at this order")
-    ref_total = dist_mean(d) + ref.value
-    bound = err + ref.abs_error_bound + 1e-9 * max(1.0, abs(val))
-    if abs(val - ref_total) > bound + 1e-7 * max(1.0, abs(val)):
-        raise OracleMismatch(
-            f"distortion integral {val!r} and mean+entropy {ref_total!r} "
-            f"disagree beyond {bound:g}")
-    return RiskValue(val, bound, "delta")
+    return _checked_risk(d, sv, _g_uv, "h_s", delta_value, "entropy", "delta")
 
 
 def risk_nabla(d: DistributionSpec, s) -> RiskValue:
     """The dual-family risk measure via the k_s distortion."""
-    sv = as_order(s).s
-    val, err = _distortion_integral(d, sv, _dual_uv, "k_s")
-    ref = nabla_value(negate(d), sv)
-    if not ref.is_finite:
-        raise DivergentEntropy("mirrored dual entropy is infinite at this order")
-    ref_total = dist_mean(d) + ref.value
-    bound = err + ref.abs_error_bound + 1e-9 * max(1.0, abs(val))
-    if abs(val - ref_total) > bound + 1e-7 * max(1.0, abs(val)):
-        raise OracleMismatch(
-            f"distortion integral {val!r} and mean+dual-entropy {ref_total!r} "
-            f"disagree beyond {bound:g}")
-    return RiskValue(val, bound, "nabla")
+    return _checked_risk(d, as_order(s).s, _dual_uv, "k_s", nabla_value, "dual entropy", "nabla")
 
 
 def mrl_representation(d: DistributionSpec, s, which: str = "delta") -> RiskValue:

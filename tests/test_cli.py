@@ -44,6 +44,31 @@ def test_entropy_cancelled_dual_series_exits_numeric(capsys, s):
     assert "Traceback" not in err and "did not converge" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--dist", "gumbel", "--s", "1000"),
+    ("--dist", "gumbel", "--s", "1e4"),
+    ("--dist", "frechet", "--param", "beta=2", "--s", "1e6"),
+    ("--dist", "reverse_weibull", "--param", "beta=2", "--s", "1e4"),
+    ("--dist", "reverse_weibull", "--param", "beta=2", "--s", "1e6"),
+], ids=["gumbel-1000", "gumbel-1e4", "frechet-1e6", "reverse_weibull-1e4", "reverse_weibull-1e6"])
+def test_entropy_at_huge_orders_exits_numeric(capsys, argv):
+    # the duality series overflows or cancels and the dual kernel refuses
+    # the order: reported, never printed as a number or a traceback
+    code, out, err = run(capsys, "entropy", *argv)
+    assert code == 3
+    assert out == ""
+    assert "Traceback" not in err and "did not converge" in err
+
+
+def test_entropy_file_at_refused_order_exits_numeric(capsys, tmp_path):
+    # the dual kernel refuses s = 40, so the plug-in has no value there
+    f = tmp_path / "x.csv"
+    f.write_text("0.3\n1.1\n2.0\n5.0\n")
+    code, out, err = run(capsys, "entropy", "--file", str(f), "--s", "40")
+    assert code == 3
+    assert out == "" and "Traceback" not in err
+
+
 def test_entropy_power_uniform_tiny_shape_is_finite(capsys):
     # nabla of U^(1/beta) tends to beta/(beta+1) as beta -> 0; the log-gamma
     # ratio of x = 1/beta = 1e307 once gave inf - inf and printed "nan"

@@ -373,6 +373,33 @@ def test_closed_forms_over_arrays_flag_divergence_and_refusal():
     assert got[2] == make_gumbel().closed_nabla(2.0)
 
 
+def test_dual_series_refuses_overflowing_heads():
+    # at huge orders the head of the duality series overflows: refused, as
+    # NaN in an array and NonIntegrableError at one order, never summed
+    got = make_gumbel().closed_nabla(np.array([0.5, 1e4, 1e6]))
+    assert math.isfinite(got[0]) and np.isnan(got[1:]).all()
+    for d in (make_gumbel(), make_frechet(2.0), make_reverse_weibull(2.0)):
+        for s in (1e4, 1e6):
+            with pytest.raises(NonIntegrableError):
+                d.closed_nabla(s)
+
+
+@pytest.mark.parametrize("beta", [1e-6, 1e-5, 1e-3, 0.5, 2.0, 3.5])
+def test_reflected_power_delta_against_mpmath(beta):
+    # delta = -(beta/(beta+1)) expm1(rho)/s, rho = lgamma(x+2) + lgamma(s+2)
+    # - lgamma(x+s+2), x = 1/beta; at small shapes betaln lost digits
+    grid = np.linspace(-0.49, 5.0, 150)
+    got = make_reflected_power(beta).closed_delta(grid)
+    with mp.workdps(30):
+        b = mp.mpf(beta)
+        x = 1 / b
+        for s, v in zip(grid.tolist(), got):
+            sm = mp.mpf(s)
+            rho = mp.loggamma(x + 2) + mp.loggamma(sm + 2) - mp.loggamma(x + sm + 2)
+            exact = float(-(b / (b + 1)) * mp.expm1(rho) / sm)
+            assert v == pytest.approx(exact, rel=1e-10, abs=0.0), s
+
+
 def test_power_closed_forms_at_tiny_shape():
     # x = 1/beta = 1e307: the log-gamma ratio is taken through betaln, where
     # lgamma(x) - lgamma(x + s + 1) was inf - inf

@@ -23,6 +23,7 @@ from ctent import (
     make_reflected_power,
     nabla_from_delta_series,
     nabla_value,
+    normal_spec,
 )
 from ctent import duality
 from ctent.series import pochhammer_ratio_tail
@@ -167,9 +168,10 @@ def test_series_truncation_index_pinned():
     assert got.value == pytest.approx(nabla_value(make_lomax(3.0), -0.3).value, abs=1e-7)
 
 
-def test_series_term_by_term_for_laws_without_closed_forms():
-    # a law without closed forms is evaluated one n at a time, and only as
-    # far as the series goes
+def test_series_in_blocks_for_laws_without_closed_forms():
+    # a law without closed forms is evaluated a block of n at a time, by one
+    # vectorised quantile-space integral, and stops where the law with
+    # closed forms stops
     d = replace(make_exponential(), closed_delta=None, closed_nabla=None)
     calls = []
 
@@ -178,11 +180,32 @@ def test_series_term_by_term_for_laws_without_closed_forms():
         return duality._sequence(d, "delta")(n0, n1)
 
     val, _, last = duality._signed_series(1.5, values, 1e-4, monotone_bound=True)
-    assert [n0 for n0, _ in calls] == list(range(last + 1))
+    assert calls == [(0, 64)]
     ref, _, ref_last = duality._signed_series(1.5, duality._sequence(make_exponential(), "delta"),
                                               1e-4, monotone_bound=True)
     assert last == ref_last
     assert val == pytest.approx(ref, rel=1e-12)
+
+
+def test_normal_series_stops_where_single_values_stopped():
+    # the normal law has no closed forms: its delta_n come a block at a
+    # time from one vectorised quantile integral, and the series stops at the
+    # n and the value it reached with one integral per n
+    seen = []
+    inner = duality._signed_series
+
+    def spy(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        seen.append(out[2])
+        return out
+
+    duality._signed_series = spy
+    try:
+        got = nabla_from_delta_series(normal_spec(), -0.3, tol=1e-6)
+    finally:
+        duality._signed_series = inner
+    assert seen == [3776]
+    assert got.value == pytest.approx(0.7385159635560782, rel=1e-12)
 
 
 def test_pochhammer_ratio_tail_over_orders():

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -25,13 +26,18 @@ from ctent import (
     make_negative_exponential,
     make_negative_lomax,
     make_power_uniform,
+    make_s_logistic,
+    make_uniform,
     nabla_plugin,
     nabla_quadrature,
     nabla_value,
     negate,
+    normal_spec,
     sample,
 )
+from ctent import entropy
 from ctent.entropy import _g_uv, dual_kernel, dual_kernel_np, dual_tail_integral
+from ctent.risk import _quantile_mixture
 
 PI2_6 = math.pi ** 2 / 6.0
 LN2_MINUS_QUARTER = 0.4431471805599453  # u(2 log(1/u) - (1-u)) at u = 1/2
@@ -304,3 +310,70 @@ def test_entropy_kernel_past_expm1_range():
     with np.errstate(divide="ignore"):
         logw = np.where(w < 0.5, np.log(w), np.log1p(-(1.0 - w)))
     assert np.array_equal(g[2:], -w * np.expm1(s * logw) / s)
+
+
+# the order grid of the benchmark's profiles
+BENCH_GRID = np.linspace(-0.49, 5.0, 150)
+
+
+def _same_values(got, want):
+    assert got.method == want.method and got.divergent == want.divergent
+    if not got.divergent:
+        assert got.value == pytest.approx(want.value, rel=1e-15, abs=0.0)
+        assert got.abs_error_bound == pytest.approx(want.abs_error_bound, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("d, low", [
+    (normal_spec(), ()),
+    (make_s_logistic(1.25, 0.5), ()),
+    # its finiteness threshold is -0.7
+    (make_s_logistic(-0.3, 1.0), (-0.9, -0.8, -0.7)),
+    (_quantile_mixture(make_uniform(0.0, 1.0), make_exponential(), 0.4), ()),
+    (replace(make_gumbel(), closed_nabla=None), ()),
+], ids=["normal", "s_logistic", "s_logistic_threshold", "mixture", "gumbel_no_closed_nabla"])
+def test_evaluator_equals_per_order_values(d, low):
+    # one evaluation over all the orders, one vectorised integral per half,
+    # gives what each order gives on its own
+    orders = np.concatenate([low, BENCH_GRID])
+    for which, one in (("delta", delta_value), ("nabla", nabla_value)):
+        got = entropy._entropy_values(d, entropy._evaluate(d, which, orders))
+        for s, ev in zip(orders.tolist(), got):
+            _same_values(ev, one(d, s))
+        divergent = [ev.divergent for ev in got[:len(low)]]
+        assert divergent == [which == "delta"] * len(low)
+
+
+def test_evaluator_x_space_for_laws_without_quantile_density():
+    # QUADPACK one order at a time; every tenth order of the grid, for time
+    d = from_quantile("exp_q", lambda u: -np.log1p(-np.asarray(u, dtype=float)), (0.0, math.inf))
+    orders = BENCH_GRID[::10]
+    got = entropy._entropy_values(d, entropy._evaluate(d, "delta", orders))
+    for s, ev in zip(orders.tolist(), got):
+        assert ev.method == "quadrature_x"
+        _same_values(ev, delta_value(d, s))
+
+
+def _exact_dual_kernel(u: float, s: float) -> float:
+    # G_s(u) = v - v^(s+1) + u (s+1) J(u), J(u) = integral_u^1 (1-t)^s/t dt
+    with mp.workdps(30):
+        u, s = mp.mpf(u), mp.mpf(s)
+        j = mp.quad(lambda t: (1 - t) ** s / t, [u, (u + 1) / 2, 1])
+        return float(1 - u - (1 - u) ** (s + 1) + u * (s + 1) * j)
+
+
+def test_dual_kernel_refuses_cancelling_orders():
+    # J's series about u = 1/2 alternates with coefficients growing like
+    # C(s, k); where its rounding could pass 1e-10 of G_s the kernel is NaN,
+    # and the integral reports the order
+    _, j_half, _ = entropy._dual_coefficients(np.array([0.5, 30.5, 32.5, 33.0, 40.0, 1e3, 1e6]))
+    assert np.isfinite(j_half[:3]).all() and np.isnan(j_half[3:]).all()
+    u = np.linspace(0.05, 0.49, 9)
+    for s in (20.5, 30.5, 32.5):
+        for x, g in zip(u, dual_kernel_np(u, s)):
+            assert g == pytest.approx(_exact_dual_kernel(x, s), rel=1e-10, abs=0.0)
+    assert math.isnan(dual_kernel(0.3, 40.0))
+    with pytest.raises(NonIntegrableError, match="did not converge"):
+        nabla_quadrature(make_exponential(), 40.0)
+    with pytest.raises(NonIntegrableError):
+        nabla_plugin(EmpiricalSample(np.array([0.3, 1.1, 2.0, 5.0])), 40.0)
+    assert nabla_value(make_exponential(), 40.0).method == "closed_form"
