@@ -11,12 +11,17 @@ rounding could exceed 1e-10 of G_s (s above ~32.6) has a NaN kernel.  For
 u >= 1/2, G_s = v - u sum_k (k+1) v^{k+s+2}/(k+s+2) in v = 1 - u has no
 cancellation.  Both series' coefficients are formed once per order.
 
-Every evaluator calls one private evaluator over an array of orders: orders
-at or below the finiteness threshold are divergent, the rest take one array
-call of the closed form, and the orders left (no closed form, or a dual
-whose duality series refuses them) take one vectorised tanh-sinh integral
-(Takahasi & Mori 1974) over u and over v = 1 - u on (0, 1/2), so that each
-endpoint singularity sits at an exact zero of its own variable.  A law
+Every evaluator, single order or profile, calls one private evaluator over
+an array of orders: orders at or below the finiteness threshold are
+divergent, the rest take one call of the closed form, and the orders left
+(no closed form, or a dual whose duality series refuses them) take one
+vectorised tanh-sinh integral (Takahasi & Mori 1974) over u and over
+v = 1 - u on (0, 1/2), so that each endpoint singularity sits at an exact
+zero of its own variable.  A single order reaches the closed form as a
+float, under the single-order contract of :class:`DistributionSpec`: a dual
+that refuses the order raises :class:`NonIntegrableError` and is then
+integrated, while a returned NaN or inf raises.  Over an array a refused
+order is NaN, and a non-finite delta or an infinite dual raises.  A law
 without a quantile density is integrated in x-space, one order at a time.
 An order whose integral does not converge is NaN in the array; a single
 order and a profile raise :class:`NonIntegrableError`.  Plug-in estimators
@@ -35,7 +40,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad, tanhsinh
 
 from .distributions import CLOSED_BOUND, NEAR_ZERO, DistributionSpec, EmpiricalSample
-from .errors import DivergentEntropy, DomainError, NonIntegrableError
+from .errors import DomainError, NonIntegrableError
 
 
 @dataclass(frozen=True)
@@ -334,13 +339,21 @@ def _evaluate(d: DistributionSpec, which: str, s: np.ndarray, route: str = "best
     value = np.where(divergent, np.inf, np.nan)
     todo = ~divergent
     if closed is not None and todo.any():
-        # one call above the threshold; a dual refuses an order with NaN
-        v = value[todo] = np.asarray(closed(s if todo.all() else s[todo]), dtype=float)
-        if not np.isfinite(v).all():
-            bad = np.flatnonzero(np.isinf(v) | (np.isnan(v) & (which == "delta")))
-            if bad.size:
-                raise NonIntegrableError(f"the closed form of {which} for {d.label()} "
-                                         f"at s={s[todo][bad[0]]:g} gives {v[bad[0]]}")
+        # one call above the threshold.  Over an array a dual refuses an order
+        # with NaN; a single order goes in as a float, and there it raises
+        single = s.size == 1
+        try:
+            v = np.atleast_1d(np.asarray(closed(float(s[0]) if single else s[todo]), dtype=float))
+            strict = single or which == "delta"
+        except NonIntegrableError:
+            if which == "delta" or not single:
+                raise
+            v, strict = np.array([np.nan]), False
+        value[todo] = v
+        bad = np.flatnonzero(np.isinf(v) | (np.isnan(v) & strict))
+        if bad.size:
+            raise NonIntegrableError(f"the closed form of {which} for {d.label()} "
+                                     f"at s={s[todo][bad[0]]:g} gives {v[bad[0]]}")
         todo &= np.isnan(value)
     live = np.flatnonzero(todo)
     bound, status, nfev = np.full((3,) + s.shape, np.nan) if live.size else (None,) * 3
@@ -417,38 +430,13 @@ def nabla_plugin(x: EmpiricalSample, s) -> EntropyValue:
 # ---------------------------------------------------------------------------
 # dispatch and profiles
 
-def _best(d: DistributionSpec, which: str, s) -> EntropyValue:
-    # the closed form at one float order (where a dual refuses by raising)
-    sv = as_order(s).s
-    closed = d.closed_delta if which == "delta" else d.closed_nabla
-    thr = d.finiteness_threshold
-    if closed is not None:
-        if thr is not None and (sv <= thr if which == "delta" else thr >= 0.0):
-            return EntropyValue.make_divergent("closed_form")
-        try:
-            v = float(closed(sv))
-        except DivergentEntropy:
-            return EntropyValue.make_divergent("closed_form")
-        except NonIntegrableError:
-            if which == "delta":
-                raise
-            return nabla_quadrature(d, sv)
-        if not math.isfinite(v):
-            raise NonIntegrableError(
-                f"the closed form of {which} for {d.label()} at s={sv:g} gives {v}")
-        return EntropyValue(v, CLOSED_BOUND * max(1.0, abs(v)), "closed_form")
-    if which == "nabla":
-        return nabla_quadrature(d, sv)
-    return delta_quadrature(d, sv) if d.qdensity is None else delta_quantile(d, sv)
-
-
 def delta_value(d: DistributionSpec, s, prefer_closed: bool = True) -> EntropyValue:
     """Best-method entropy: the closed form when the law has one, else the
     quantile-space integral when it has a quantile density, else x-space
     quadrature.  ``prefer_closed=False`` always takes the x-space route,
     the independent oracle.  A closed form that gives a non-finite value
     without flagging divergence raises :class:`NonIntegrableError`."""
-    return _best(d, "delta", s) if prefer_closed else delta_quadrature(d, s)
+    return _one(d, "delta", s, "best" if prefer_closed else "x")
 
 
 def nabla_value(d: DistributionSpec, s, prefer_closed: bool = True) -> EntropyValue:
@@ -457,7 +445,7 @@ def nabla_value(d: DistributionSpec, s, prefer_closed: bool = True) -> EntropyVa
     cannot meet its bound at this order raises :class:`NonIntegrableError`,
     and the integral takes over; one that gives a non-finite value raises
     :class:`NonIntegrableError` to the caller."""
-    return _best(d, "nabla", s) if prefer_closed else nabla_quadrature(d, s)
+    return _one(d, "nabla", s, "best" if prefer_closed else "quantile")
 
 
 def entropy_profile(d: DistributionSpec, s_grid: Sequence[float]) -> EntropyProfile:

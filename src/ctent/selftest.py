@@ -353,16 +353,17 @@ def run_selftest(level: str = "quick", out_dir: str | None = None) -> tuple:
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
     checks = _quick_checks() if level == "quick" else _full_checks()
     reports = []
+    curves: dict = {}  # the skewness check's curves, reused by the figure tables
     for fn in checks:
         try:
-            reports.append(fn())
+            reports.append(fn(curves) if fn is check_skewness_constants else fn())
         except CtentError as exc:
             reports.append({"name": fn.__name__, "ok": False, "runtime_s": 0.0,
                             "detail": f"{type(exc).__name__}: {exc}"})
     if level == "full":
         target = out_dir or "ctent_selftest_out"
         try:
-            files = write_figure_tables(target)
+            files = write_figure_tables(target, curves or None)
             reports.append({"name": "figure_tables", "ok": True, "runtime_s": 0.0,
                             "detail": f"wrote {len(files)} files to {target}"})
         except OSError as exc:

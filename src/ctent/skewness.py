@@ -14,6 +14,11 @@ delta_0(-X) (e.g. for laws symmetric about the mean), and rho_bar(X)
 coincides with rho(-X).  Where a ratio's denominator is infinite the map
 takes the value 0 (the monotone extension used for the infimum), which
 produces the possible single jump on (-1, 0].
+
+``rho`` brackets the crossing by quadrupling s from 1 and then finds it by
+Brent's method (``scipy.optimize.brentq``) on min(ratio, 2) - 1, whose
+clamp keeps an infinite ratio out of the interpolation; the result is
+within ``tol`` of the crossing.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+from scipy.optimize import brentq
 
 from .distributions import (
     DistributionSpec,
@@ -32,7 +39,6 @@ from .entropy import as_order, delta_value, nabla_value
 from .errors import DomainError, NotBracketedError
 
 _S_HI_CAP = 1e4
-_BISECT_MAX = 200
 
 
 @dataclass(frozen=True)
@@ -66,7 +72,7 @@ def diamond(d: DistributionSpec, s, kind: str = "diamond",
 
 
 def rho(d: DistributionSpec, kind: str = "rho", tol: float = 1e-8) -> float:
-    """inf{s > -1 : ratio(s) > 1} by bracketing bisection.
+    """inf{s > -1 : ratio(s) > 1}, by Brent's method to within ``tol``.
 
     Returns 0 exactly when delta_0(X) and delta_0(-X) agree within their
     combined error bounds (the symmetric shortcut).  Raises
@@ -82,28 +88,21 @@ def rho(d: DistributionSpec, kind: str = "rho", tol: float = 1e-8) -> float:
         if abs(d0.value - d0m.value) <= slack:
             return 0.0
 
-    def above(s: float) -> bool:
-        return diamond(d, s, ratio_kind) > 1.0
+    def excess(s: float) -> float:
+        # clamped, so that an infinite ratio stays out of the interpolation
+        return min(diamond(d, s, ratio_kind), 2.0) - 1.0
 
     lo = -1.0 + 1e-9
-    if above(lo):
+    if excess(lo) > 0.0:
         # the crossing sits against the left endpoint
         return lo
     hi = 1.0
-    while not above(hi):
+    while not excess(hi) > 0.0:
         hi *= 4.0
         if hi > _S_HI_CAP:
             raise NotBracketedError(
                 f"skewness ratio stayed at or below 1 up to s = {_S_HI_CAP:g}")
-    for _ in range(_BISECT_MAX):
-        mid = 0.5 * (lo + hi)
-        if above(mid):
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < tol:
-            break
-    return hi  # the infimum edge of the bracket
+    return brentq(excess, lo, hi, xtol=tol)
 
 
 def diamond_curve(d: DistributionSpec, s_grid: Sequence[float],

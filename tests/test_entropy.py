@@ -12,11 +12,13 @@ from ctent import (
     EmpiricalSample,
     EntropyOrder,
     NonIntegrableError,
+    available_distributions,
     delta_plugin,
     delta_quadrature,
     delta_quantile,
     delta_value,
     entropy_profile,
+    from_name,
     from_quantile,
     make_exponential,
     make_frechet,
@@ -351,6 +353,32 @@ def test_evaluator_x_space_for_laws_without_quantile_density():
     for s, ev in zip(orders.tolist(), got):
         assert ev.method == "quadrature_x"
         _same_values(ev, delta_value(d, s))
+
+
+# a parameter for each registered law that needs one
+_CATALOG_PARAMS = {"power_uniform": {"beta": 1.7}, "reflected_power": {"beta": 2.0},
+                   "lomax": {"beta": 1.5}, "negative_lomax": {"beta": 2.5},
+                   "frechet": {"beta": 1.6}, "reverse_weibull": {"beta": 0.8}}
+
+
+@pytest.mark.parametrize("name", available_distributions())
+def test_entropy_profile_equals_per_point_values_over_catalog(name):
+    # a profile and a single order go through the one evaluator, so every
+    # point of the bench grid is the single-order value, on the law and its
+    # mirror; an order whose integral fails raises alone and in a profile
+    law = from_name(name, _CATALOG_PARAMS.get(name))
+    for d in (law, negate(law)):
+        values, refused = {}, []
+        for s in BENCH_GRID.tolist():
+            try:
+                values[s] = (delta_value(d, s), nabla_value(d, s))
+            except NonIntegrableError:
+                refused.append(s)
+        for pt in entropy_profile(d, list(values)).grid:
+            assert (pt.delta, pt.nabla) == values[pt.s]
+        if refused:
+            with pytest.raises(NonIntegrableError):
+                entropy_profile(d, refused)
 
 
 def _exact_dual_kernel(u: float, s: float) -> float:

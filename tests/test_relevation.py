@@ -9,6 +9,7 @@ from ctent import (
     bnb_pmf,
     delta_value,
     make_exponential,
+    make_frechet,
     make_logistic,
     make_lomax,
     make_power_uniform,
@@ -80,6 +81,8 @@ def test_failure_time_examples():
     r1 = simulate_Tn(make_power_uniform(1.0), 1, N_UNIT, 52)
     assert r1.target == pytest.approx(0.5, abs=1e-9)
     assert abs(r1.z_score) < 4.0
+    r2 = simulate_Tn(make_frechet(3.0), 2, N_UNIT, 53)
+    assert abs(r2.z_score) < 4.0
 
 
 def test_second_failure_survival_formula():

@@ -226,6 +226,14 @@ def test_relevation_risk_examples():
         relevation_risk(make_logistic(), 2)
     with pytest.raises(DomainError):
         relevation_risk(ex, 0)
+    # E[T_1] is the mean: Gamma(1 - 1/b) for Frechet(b)
+    for b in (1.6, 3.0):
+        assert relevation_risk(make_frechet(b), 1).value == pytest.approx(
+            math.gamma(1.0 - 1.0 / b), abs=1e-9)
+    # a support starting at 2 adds 2 to every failure time
+    shifted = affine(ex, 1.0, 2.0)
+    assert relevation_risk(shifted, 1).value == pytest.approx(3.0, abs=1e-9)
+    assert relevation_risk(shifted, 2).value == pytest.approx(4.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("c", [0.65, 0.85, 1.275, 1.725])

@@ -7,6 +7,7 @@ from ctent import (
     affine,
     diamond,
     diamond_curve,
+    make_frechet,
     make_exponential,
     make_logistic,
     make_lomax,
@@ -14,6 +15,7 @@ from ctent import (
     make_negative_lomax,
     make_power_uniform,
     make_reflected_power,
+    negate,
     rho,
     rho_curve_negative_lomax,
     rho_curve_power_uniform,
@@ -61,6 +63,22 @@ def test_rho_defining_equations():
     lhs = m * (psi(m + 2.0) + 0.5772156649015329)
     rhs = psi(m + 2.0) - psi(2.0)
     assert lhs == pytest.approx(rhs, abs=1e-8)
+
+
+@pytest.mark.parametrize("d", [make_exponential(), make_power_uniform(0.3),
+                               make_reflected_power(2.0), make_lomax(3.0),
+                               make_negative_lomax(2.5), make_frechet(3.0)],
+                         ids=lambda d: d.label())
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+def test_rho_within_tol_of_the_unit_crossing(d, tol):
+    # the ratio is increasing, so a result within tol of its unit crossing
+    # has the crossing between r - tol and r + tol
+    step = tol * (1.0 + 1e-6)  # Brent's relative term, a few eps of |r|
+    for kind, ratio in (("rho", "diamond"), ("rho_bar", "diamond_bar")):
+        r = rho(d, kind, tol=tol)
+        assert diamond(d, r - step, ratio) <= 1.0 < diamond(d, r + step, ratio)
+    # the bar parameter of X is the plain parameter of -X, bit for bit
+    assert rho(d, "rho_bar", tol=tol) == rho(negate(d), tol=tol)
 
 
 @pytest.mark.parametrize("d", [make_power_uniform(0.5), make_power_uniform(3.0),
