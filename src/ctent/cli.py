@@ -140,10 +140,11 @@ def _cmd_entropy(args) -> int:
         payload.update(_entropy_pair(nv, "nabla"))
         if dv.divergent or nv.divergent:
             _emit(payload, args.format, args.out)
-            thr = d.finiteness_threshold
+            thr = d.finiteness_threshold  # None where the tail probe decided
+            below = "" if thr is None else f" for s <= {thr:g}"
             sys.stderr.write(
                 "error: the entropy is infinite at this order (the lower-tail "
-                f"integral of F^(1+s) diverges for s <= {thr:g})\n")
+                f"integral of F^(1+s) diverges{below})\n")
             return _EXIT_DOMAIN
     _emit(payload, args.format, args.out)
     return 0

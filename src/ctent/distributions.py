@@ -622,7 +622,7 @@ def make_logistic() -> DistributionSpec:
         with np.errstate(over="ignore"):
             e = np.exp(-np.abs(x))
             pos = 1.0 / (1.0 + e)
-            return np.where(x >= 0.0, pos, 1.0 - pos)
+            return np.where(x >= 0.0, pos, e * pos)
 
     def sf(x):
         return cdf(-np.asarray(x, dtype=float))

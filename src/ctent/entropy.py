@@ -5,11 +5,12 @@ The entropy delta(s) has two independent quadrature routes: x-space
 space (``delta_quantile``, g_s(u) = u(1-u^s)/s against the analytic quantile
 density q'(u)).  The dual nabla(s) integrates the quantile-space kernel
 G_s(u) = u * integral_u^1 (1 - (1-t)^{s+1}) t^{-2} dt, reduced by parts to
-J(u) = integral_u^1 (1-t)^s/t dt.  For u < 1/2, J is summed about u = 1/2,
-an alternating series with coefficients like C(s, k): an order where its
-rounding could exceed 1e-10 of G_s (s above ~32.6) has a NaN kernel.  For
-u >= 1/2, G_s = v - u sum_k (k+1) v^{k+s+2}/(k+s+2) in v = 1 - u has no
-cancellation.  Both series' coefficients are formed once per order.
+J(u) = integral_u^1 (1-t)^s/t dt.  For u < 1/2, J(u) = -(psi(s+1) + gamma) -
+log u - sum_k (-s)_k u^k/(k k!), a series alternating with coefficients like
+C(s, k): an order where its rounding could exceed 1e-10 of G_s (s above
+~32.6) has a NaN kernel.  For u >= 1/2, G_s = v - u v^{s+2} sum_k (k+1)
+v^k/(k+s+2) in v = 1 - u has no cancellation.  Both series' coefficients are
+tabulated once per order and summed by Horner's rule.
 
 Every evaluator, single order or profile, calls one private evaluator over
 an array of orders: orders at or below the finiteness threshold are
@@ -38,6 +39,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad, tanhsinh
+from scipy.special import psi
 
 from .distributions import CLOSED_BOUND, NEAR_ZERO, DistributionSpec, EmpiricalSample
 from .errors import DomainError, NonIntegrableError
@@ -106,8 +108,11 @@ _TERMS = 240  # cap on the terms of the dual kernel's series
 
 
 def _g_uv(u, v, s):
-    # g_s(u) with log u taken from v near u = 1; s may be a column of orders
-    logu = np.where(u < 0.5, np.log(u), np.log1p(-v))
+    # g_s(u), log u from v near u = 1 (the slower log1p there only); s may be
+    # a column of orders.  ``out`` keeps a 0-d u an array for the assignment
+    logu = np.log(u, out=np.empty_like(u))
+    hi = u >= 0.5
+    logu[hi] = np.log1p(-v[hi])
     e = s * logu
     with np.errstate(over="ignore", invalid="ignore"):
         g = -u * np.expm1(e) / s
@@ -135,25 +140,31 @@ def _through_first(small: np.ndarray) -> np.ndarray:
     return np.cumsum(small, axis=0) - small == 0
 
 
+def _horner(coeffs, x):
+    # sum_k coeffs[k] x^k, one product and one sum in place per row of coeffs
+    p = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(coeffs[0])))
+    for c in coeffs[::-1]:
+        p *= x
+        p += c
+    return p
+
+
 def _dual_coefficients(s: np.ndarray) -> tuple:
-    """Per order of the 1-d array s, one column each: a[k-1] = (-s)_k/k! of
-    J about 1/2, zero past the first term below 1e-19 on (0, 1/2]; J(1/2);
-    den[k] = k + s + 2 of the series in v, infinite past the first term
-    below 1e-17 of the sum at v = 1/2.  J's terms, of total size S, round
-    by a few eps S (G_s was within 6.5 eps S of mpmath's over u in (0, 1/2)
-    for s up to 60), so J(1/2) and the kernel are NaN where 8 eps S > 1e-10."""
+    """Per order of the 1-d array s, one column each: c[k-1] = (-s)_k/(k k!)
+    of J(u) = j0 - log u - u sum c[k-1] u^(k-1), zero past the first term below
+    1e-19 on (0, 1/2]; j0 = -(psi(s+1) + gamma); w[k] = (k+1)/(k+s+2) of G_s =
+    v - u v^(s+2) sum w[k] v^k, 64 terms for v <= 1/2 (past 63 they are below
+    1e-17 of the sum).  J's terms, of total size S, round by a few eps S (G_s was
+    within 6.5 eps S of mpmath's over u in (0, 1/2) for s up to 60), so j0 and
+    the kernel are NaN where 8 eps S > 1e-10."""
     k = np.arange(1.0, _TERMS)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        a = np.cumprod((k - 1.0 - s) / k, axis=0)
-        size = np.abs(a) * np.exp2(-k) / k
+        c = np.cumprod((k - 1.0 - s) / k, axis=0) / k
+        size = np.abs(c) * np.exp2(-k)
     keep = _through_first(size < 1e-19)
     total = np.sum(np.where(keep, size, 0.0), axis=0)
-    j_half = np.where(8.0 * _EPS * total <= CLOSED_BOUND, _j_upper(0.5, s), np.nan)
-    den = np.arange(float(_TERMS))[:, None] + s + 2.0
-    tail = _through_first((k + 1.0) * np.exp2(-k) * den[:1] / den[1:] < 1e-17)
-    den[1:][~tail] = np.inf
-    return (np.where(keep, a, 0.0)[:keep.sum(axis=0).max()], j_half,
-            den[:tail.sum(axis=0).max() + 1])
+    j0 = np.where(8.0 * _EPS * total <= CLOSED_BOUND, -psi(s + 1.0) - np.euler_gamma, np.nan)
+    return np.where(keep, c, 0.0)[:keep.sum(axis=0).max()], j0, k[:64] / (k[:64] + s + 1.0)
 
 
 def _j_upper(u, s):
@@ -163,15 +174,9 @@ def _j_upper(u, s):
     return np.sum(np.power(1.0 - np.asarray(u, dtype=float)[..., None], m) / m, axis=-1)
 
 
-def _j_lower(u: np.ndarray, a: np.ndarray, j_half) -> np.ndarray:
-    # J(u) = J(1/2) + log(1/(2u)) + sum_{k>=1} a_k ((1/2)^k - u^k)/k;
-    # log(1/(2u)) is split so that a subnormal u does not overflow 0.5/u
-    tot = math.log(0.5) - np.log(u)
-    pk = np.array(u, copy=True)
-    for k, ak in enumerate(a, start=1):
-        tot += ak * (0.5 ** k - pk) / k
-        pk *= u
-    return tot + j_half
+def _j_lower(u: np.ndarray, c: np.ndarray, j0) -> np.ndarray:
+    # J(u) about u = 0: log u is taken alone, so a subnormal u does not overflow
+    return j0 - np.log(u) - u * _horner(c, u)
 
 
 def dual_tail_integral(u, s: float):
@@ -181,40 +186,33 @@ def dual_tail_integral(u, s: float):
     hi = arr >= 0.5
     out[hi] = _j_upper(arr[hi], s)
     if (~hi).any():
-        a, j_half, _ = _dual_coefficients(np.array([float(s)]))
-        out[~hi] = _j_lower(arr[~hi], a, j_half)
+        c, j0, _ = _dual_coefficients(np.array([float(s)]))
+        out[~hi] = _j_lower(arr[~hi], c[:, 0], j0[0])
     return out if np.ndim(u) else float(out[0])
 
 
-def _dual_lower(u, v, s, a, j_half):
+def _dual_lower(u, v, s, c, j0):
     # G_s(u) = v (1 - v^s) + u (s+1) J(u) for u < 1/2
     head = -v * np.expm1(s * np.log1p(-u))
-    return head + u * (s + 1.0) * _j_lower(u, a, j_half)
+    return head + u * (s + 1.0) * _j_lower(u, c, j0)
 
 
-def _dual_upper(u: np.ndarray, v: np.ndarray, den: np.ndarray) -> np.ndarray:
-    # G_s(u) = v - u sum_{k>=0} (k+1) v^{k+s+2}/den[k] for v = 1-u <= 1/2:
-    # head + u(s+1)J(u) with the v^{s+1} terms cancelled analytically
-    p = np.power(v, den[0])
-    tot = p / den[0]
-    for k in range(1, den.shape[0]):
-        p = p * v
-        tot += (k + 1.0) * p / den[k]
-    return v - u * tot
+def _dual_upper(u, v, s, w):
+    # G_s(u) for v = 1-u <= 1/2: head + u(s+1)J(u), the v^(s+1) terms cancelled
+    return v - u * np.power(v, s + 2.0) * _horner(w, v)
 
 
 def _dual_uv(u, v, s: float):
     # G_s(u) at u in (0,1), v = 1 - u, for one order
     shape = np.shape(u)
     u, v = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (u, v))
-    a, j_half, den = _dual_coefficients(np.array([float(s)]))
+    c, j0, w = _dual_coefficients(np.array([float(s)]))
     out = np.empty_like(u)
     hi = u >= 0.5
     if hi.any():
-        out[hi] = _dual_upper(u[hi], v[hi], den)
-    lo = ~hi
-    if lo.any():
-        out[lo] = _dual_lower(u[lo], v[lo], s, a, j_half)
+        out[hi] = _dual_upper(u[hi], v[hi], s, w[:, 0])
+    if (~hi).any():
+        out[~hi] = _dual_lower(u[~hi], v[~hi], s, c[:, 0], j0[0])
     return out.reshape(shape)
 
 
@@ -237,10 +235,11 @@ _ORDER_BLOCK = 512  # orders integrated together: temporaries of a few MiB
 def _quad(f: Callable[[float], float], a: float, b: float,
           epsabs: float = 1e-12, epsrel: float = 1e-11,
           limit: int = 500) -> tuple:
+    """QUADPACK's value, error estimate, and whether it reported success."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit)
-    return val, err
+        r = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit, full_output=1)
+    return r[0], r[1], len(r) == 3  # a fourth item is the failure message
 
 
 def _grows(t: list) -> bool:
@@ -283,10 +282,11 @@ def _x_space(d: DistributionSpec, s: float) -> tuple:
             return 0.0
         return u * (-math.log(u) if s == 0.0 else -math.expm1(s * math.log(u)) / s)
 
-    val, err = _quad(integrand, *d.support)
-    # QUADPACK's estimate can run slightly optimistic on doubly-improper
-    # extrapolation; keep the documented 1e-9 * max(1, value) floor
-    bound = max(err, 1e-9 * max(1.0, abs(val)))
+    val, err, ok = _quad(integrand, *d.support)
+    # QUADPACK's estimate can run optimistic: a floor of 1e-9 * max(1, value),
+    # 1e-7 where it reports failure (the catalog's such integrals were off by
+    # up to 1.8e-8, on heavy tails)
+    bound = max(err, (1e-9 if ok else 1e-7) * max(1.0, abs(val)))
     return 0.0 if -bound <= val < 0.0 else val, bound
 
 
@@ -297,9 +297,9 @@ def _quantile_integral(qd: Callable, which: str, s: np.ndarray) -> np.ndarray:
     if which == "delta":
         lower = upper = (lambda u, v, i: _g_uv(u, v, s[i]))
     else:
-        a, j_half, den = _dual_coefficients(s)
-        lower, upper = (lambda u, v, i: _dual_lower(u, v, s[i], a[:, i], j_half[i]),
-                        lambda u, v, i: _dual_upper(u, v, den[:, i]))
+        c, j0, w = _dual_coefficients(s)
+        lower, upper = (lambda u, v, i: _dual_lower(u, v, s[i], c[:, i], j0[i]),
+                        lambda u, v, i: _dual_upper(u, v, s[i], w[:, i]))
     # orders go by index through tanh-sinh's args, a cost one order skips
     halves = (lambda u, i=0: lower(u, 1.0 - u, i) * qd(u, 1.0 - u),
               lambda v, i=0: upper(1.0 - v, v, i) * qd(1.0 - v, v))

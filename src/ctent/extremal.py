@@ -149,8 +149,8 @@ def make_s_logistic(s: float, beta: float) -> DistributionSpec:
         var = math.inf  # tails like |x|^(-beta/|s|) leave no second moment
     else:
         # variance in quantile space, where the integrand is polynomial-like
-        var, _ = _quad(lambda u: float(quantile(u)) ** 2, 0.0, 1.0,
-                       epsabs=1e-12, epsrel=1e-11, limit=400)
+        var, _, _ = _quad(lambda u: float(quantile(u)) ** 2, 0.0, 1.0,
+                          epsabs=1e-12, epsrel=1e-11, limit=400)
     d = from_quantile("s_logistic", quantile, (-hi, hi), mean=0.0, variance=var,
                       params={"s": float(s), "beta": float(beta)}, qdensity=qdensity)
     threshold = -s / beta - 1.0 if s < 0.0 else None

@@ -288,7 +288,7 @@ def _integrate(f: Callable, a: float, b: float, what: str) -> tuple:
         if r.status == 0:
             val, err = float(r.integral), float(r.error)
         else:
-            val, err = _quad(lambda x: float(f(x)), a, b)
+            val, err, _ = _quad(lambda x: float(f(x)), a, b)
     if not (math.isfinite(val) and math.isfinite(err)):
         raise NonIntegrableError(
             f"the {what} distortion integral over ({a:g}, {b:g}) gives {val} "
@@ -355,8 +355,8 @@ def mrl_representation(d: DistributionSpec, s, which: str = "delta") -> RiskValu
     q = d.quantile
 
     def partial_mean(u: float) -> float:
-        v, _ = _quad(lambda t: float(q(t)), u, 1.0, epsabs=1e-11, epsrel=1e-10,
-                     limit=200)
+        v, _, _ = _quad(lambda t: float(q(t)), u, 1.0, epsabs=1e-11, epsrel=1e-10,
+                        limit=200)
         return v
 
     if which == "delta":
@@ -366,7 +366,7 @@ def mrl_representation(d: DistributionSpec, s, which: str = "delta") -> RiskValu
         def integrand(u: float) -> float:
             return math.exp(sv * math.log(u) - math.log1p(-u)) * partial_mean(u)
 
-    val, err = _quad(integrand, 0.0, 1.0, epsabs=1e-10, epsrel=1e-9, limit=300)
+    val, err, _ = _quad(integrand, 0.0, 1.0, epsabs=1e-10, epsrel=1e-9, limit=300)
     total = (sv + 1.0) * val
     return RiskValue(total, (sv + 1.0) * err + 1e-7 * max(1.0, abs(total)), which)
 

@@ -1,8 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from ctent import distributions as dist
 from ctent.cli import main
 
 
@@ -34,6 +36,20 @@ def test_entropy_divergent_exits_domain(capsys):
     assert code == 2
     assert json.loads(out)["delta"] == "divergent"
     assert "diverges" in err
+
+
+def test_entropy_divergent_without_threshold_exits_domain(capsys, monkeypatch):
+    # q(u) = -2/sqrt(u): F(x) = 4/x^2 below -2 and no finiteness threshold;
+    # the tail probe flags delta at s = -0.6, while nabla stays finite
+    def heavy_left():
+        return dist.from_quantile("heavy_left", lambda u: -2.0 / np.sqrt(u),
+                                  (-math.inf, -2.0), qdensity=lambda u, v: u ** -1.5)
+
+    monkeypatch.setitem(dist._REGISTRY, "heavy_left", (heavy_left, ()))
+    code, out, err = run(capsys, "entropy", "--dist", "heavy_left", "--s", "-0.6")
+    assert code == 2
+    assert json.loads(out)["delta"] == "divergent"
+    assert "diverges" in err and "Traceback" not in err and "None" not in err
 
 
 @pytest.mark.parametrize("s", ["60.5", "180.5"])

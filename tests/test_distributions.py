@@ -14,6 +14,7 @@ from ctent import (
     NonIntegrableError,
     affine,
     available_distributions,
+    delta_quadrature,
     from_name,
     make_exponential,
     make_frechet,
@@ -148,6 +149,13 @@ def test_logistic_examples():
     assert d.closed_delta(0.0) == pytest.approx(PI2_6, abs=1e-12)
     assert d.closed_delta(1.0) == pytest.approx(1.0, abs=1e-13)
     assert d.variance == pytest.approx(math.pi ** 2 / 3.0)
+    # the lower tail keeps its relative accuracy, and so does x-space delta
+    # near s = -1, which sums F^(1+s) out to x ~ -700
+    for x in (-5.0, -40.0, -700.0):
+        assert d.cdf(x) == pytest.approx(math.exp(x) / (1.0 + math.exp(x)), rel=1e-15)
+        assert d.sf(-x) == d.cdf(x)
+    ev = delta_quadrature(d, -0.9)
+    assert abs(ev.value - d.closed_delta(-0.9)) <= ev.abs_error_bound
 
 
 @pytest.mark.parametrize("d", catalog_members(), ids=lambda d: d.label())

@@ -110,6 +110,15 @@ def test_oracle_agreement(d):
         assert abs(n.value - closed_n) <= n.abs_error_bound + 1e-9 * max(1.0, closed_n)
 
 
+@pytest.mark.parametrize("s", [-0.3, 0.0, 0.5, 2.0, 10.0])
+def test_x_space_bound_holds_where_quadpack_reports_failure(s):
+    # QUADPACK reports roundoff on lomax(1.1) at these orders, and the value
+    # is off by ~1.3e-9 relative, past the 1e-9 floor of a converged integral
+    d = make_lomax(1.1)
+    ev = delta_quadrature(d, s)
+    assert abs(ev.value - d.closed_delta(s)) <= ev.abs_error_bound
+
+
 @pytest.mark.parametrize("d", [make_exponential(), make_power_uniform(2.5),
                                make_lomax(3.0)], ids=lambda d: d.label())
 def test_order_one_identities(d):
@@ -163,6 +172,19 @@ def test_plugin_examples():
     s = EmpiricalSample(np.array([0.3, 1.1, 2.0, 5.0]))
     assert nabla_plugin(s, 0.0).value == pytest.approx(delta_plugin(s, 0.0).value,
                                                        abs=1e-13)
+
+
+def test_plugin_values_pinned():
+    # pinned sums on a seeded sample; nabla at s = 20.5 is the sum over
+    # mpmath's G_s at 40 digits, which the float kernel meets to 5e-16
+    x = EmpiricalSample(np.random.default_rng(16).standard_exponential(2 ** 16))
+    pins = {-0.3: (0.7173017169281164, 0.5573365099928655),
+            0.5: (0.5626673090779739, 0.7387730413984464),
+            2.0: (0.41763536615904784, 0.8557554712018247),
+            20.5: (0.13049040365432854, 0.98273272336120741)}
+    for s, (d, n) in pins.items():
+        assert delta_plugin(x, s).value == pytest.approx(d, rel=1e-14, abs=0.0)
+        assert nabla_plugin(x, s).value == pytest.approx(n, rel=1e-14, abs=0.0)
 
 
 def test_plugin_consistency_experiment():
@@ -382,11 +404,21 @@ def test_entropy_profile_equals_per_point_values_over_catalog(name):
 
 
 def _exact_dual_kernel(u: float, s: float) -> float:
-    # G_s(u) = v - v^(s+1) + u (s+1) J(u), J(u) = integral_u^1 (1-t)^s/t dt
+    # G_s(u) = v - v^(s+1) + u (s+1) J(u), J(u) = integral_0^v y^s/(1-y) dy
+    # in y = 1 - t: in t, the nodes next to t = 1 round onto it for s < 0
     with mp.workdps(30):
         u, s = mp.mpf(u), mp.mpf(s)
-        j = mp.quad(lambda t: (1 - t) ** s / t, [u, (u + 1) / 2, 1])
-        return float(1 - u - (1 - u) ** (s + 1) + u * (s + 1) * j)
+        v = 1 - u
+        j = mp.quad(lambda y: y ** s / (1 - y), [0, v / 2, v])
+        return float(v - v ** (s + 1) + u * (s + 1) * j)
+
+
+@pytest.mark.parametrize("s", [-0.49, -0.3, 0.5, 2.0, 10.0])
+def test_dual_kernel_matches_mpmath_on_both_halves(s):
+    u = np.concatenate([np.geomspace(1e-12, 0.45, 12), np.linspace(0.47, 0.53, 4),
+                        1.0 - np.geomspace(0.45, 1e-6, 12)])
+    for x, g in zip(u, dual_kernel_np(u, s)):
+        assert g == pytest.approx(_exact_dual_kernel(x, s), rel=1e-13, abs=0.0)
 
 
 def test_dual_kernel_refuses_cancelling_orders():
