@@ -10,8 +10,13 @@ logistic, plus the standard normal (no closed forms).  ``affine`` and
 ``negate`` produce derived specs; ``negate`` carries closed forms across
 whenever the mirrored law is itself (a translate of) a catalog member.
 
-All CDF/survival/quantile callables accept scalars or numpy arrays and are
-written in overflow-safe form (expm1/log1p, branch masks under errstate).
+A catalog law states one log-probability t(x), its log-cdf or log-survival,
+and :func:`_cdf_sf` forms exp(t) on that side and -expm1(t) on the other, so
+that each keeps its digits where it is small; the logistic and the normal
+(``ndtr``) keep their own pair.  The negative Lomax and negative exponential
+are ``negate`` of their partners, renamed, with their own quantile
+(``negate``'s -q(1-u) loses u below ~1e-16).  All CDF/survival/quantile
+callables accept scalars or numpy arrays and are overflow-safe.
 """
 
 from __future__ import annotations
@@ -113,8 +118,8 @@ class EmpiricalSample:
 
 def _check_beta(beta: float, low: float) -> float:
     beta = float(beta)
-    if not beta > low:
-        raise DomainError(f"beta must exceed {low}, got {beta}")
+    if not (beta > low and math.isfinite(beta)):
+        raise DomainError(f"beta must be finite and exceed {low}, got {beta}")
     return beta
 
 
@@ -344,6 +349,32 @@ def _nabla_logistic(s):
 # ---------------------------------------------------------------------------
 # catalog constructors
 
+def _cdf_sf(support: tuple, log_cdf: Callable = None, log_sf: Callable = None) -> tuple:
+    """(cdf, sf) of a law from one log-probability t(x), its log-cdf or its
+    log-survival: that side is exp(t), the other -expm1(t), each exactly 0 or
+    1 at and beyond a finite end of the support and NaN at NaN.  t runs at
+    every point, so it clamps its argument or silences its own overflow."""
+    t = log_sf if log_cdf is None else log_cdf
+    lo, hi = support
+    low, high = lo > -math.inf, hi < math.inf
+    # bound once: a scalar x-space integral calls these ~10^4 times
+    asarray, where, exp, expm1 = np.asarray, np.where, np.exp, np.expm1
+
+    def side(exp_form: bool, below: float, above: float) -> Callable:
+        def f(x):
+            x = asarray(x, dtype=float)
+            p = exp(t(x)) if exp_form else -expm1(t(x))
+            if low:
+                p = where(x <= lo, below, p)
+            if high:
+                p = where(x >= hi, above, p)
+            return p
+
+        return f
+
+    return side(log_cdf is not None, 0.0, 1.0), side(log_cdf is None, 1.0, 0.0)
+
+
 def _neg_log(u, v):
     # -log u, taken as -log1p(-v) where u is near 1 so that it keeps v's digits
     u = np.asarray(u, dtype=float)
@@ -356,26 +387,16 @@ def _lomax_variance(b: float) -> float | None:
     return b / (b - 1.0) / (b - 1.0) / (b - 2.0) if b > 2.0 else None
 
 
+_BELOW_ONE = 1.0 - 2.0 ** -53  # the largest float below 1: log1p(-x) stays finite
+
+
 def make_power_uniform(beta: float) -> DistributionSpec:
     """Law of U^(1/beta) on (0,1): cdf x^beta."""
     b = _check_beta(beta, 0.0)
-
-    def cdf(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x <= 0.0, 0.0, np.where(x >= 1.0, 1.0,
-                        np.exp(b * np.log(np.clip(x, 1e-300, 1.0)))))
-
-    def sf(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x <= 0.0, 1.0, np.where(x >= 1.0, 0.0,
-                        -np.expm1(b * np.log(np.clip(x, 1e-300, 1.0)))))
-
-    def quantile(u):
-        return np.exp(np.log(u) / b)
-
+    cdf, sf = _cdf_sf((0.0, 1.0), log_cdf=lambda x: b * np.log(np.clip(x, 1e-300, 1.0)))
     return DistributionSpec(
         name="power_uniform", params={"beta": b},
-        cdf=cdf, sf=sf, quantile=quantile, support=(0.0, 1.0),
+        cdf=cdf, sf=sf, quantile=lambda u: np.exp(np.log(u) / b), support=(0.0, 1.0),
         qdensity=lambda u, v: np.power(u, 1.0 / b - 1.0) / b,
         mean=b / (b + 1.0), variance=b / ((b + 2.0) * (b + 1.0) ** 2),
         closed_delta=lambda s: _delta_power(b, s),
@@ -388,23 +409,10 @@ def make_power_uniform(beta: float) -> DistributionSpec:
 def make_reflected_power(beta: float) -> DistributionSpec:
     """Law of 1 - U^(1/beta) on (0,1): cdf 1-(1-x)^beta."""
     b = _check_beta(beta, 0.0)
-
-    def cdf(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x <= 0.0, 0.0, np.where(x >= 1.0, 1.0,
-                        -np.expm1(b * np.log1p(-np.clip(x, 0.0, 1.0 - 1e-300)))))
-
-    def sf(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x <= 0.0, 1.0, np.where(x >= 1.0, 0.0,
-                        np.exp(b * np.log1p(-np.clip(x, 0.0, 1.0 - 1e-300)))))
-
-    def quantile(u):
-        return -np.expm1(np.log1p(-u) / b)
-
+    cdf, sf = _cdf_sf((0.0, 1.0), log_sf=lambda x: b * np.log1p(-np.clip(x, 0.0, _BELOW_ONE)))
     return DistributionSpec(
         name="reflected_power", params={"beta": b},
-        cdf=cdf, sf=sf, quantile=quantile, support=(0.0, 1.0),
+        cdf=cdf, sf=sf, quantile=lambda u: -np.expm1(np.log1p(-u) / b), support=(0.0, 1.0),
         qdensity=lambda u, v: np.power(v, 1.0 / b - 1.0) / b,
         mean=1.0 / (b + 1.0), variance=b / ((b + 2.0) * (b + 1.0) ** 2),
         closed_delta=lambda s: _delta_reflected(b, s),
@@ -416,21 +424,10 @@ def make_reflected_power(beta: float) -> DistributionSpec:
 
 def make_exponential() -> DistributionSpec:
     """Unit-rate exponential; rescale through affine()."""
-
-    def cdf(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x <= 0.0, 0.0, -np.expm1(-np.maximum(x, 0.0)))
-
-    def sf(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x <= 0.0, 1.0, np.exp(-np.maximum(x, 0.0)))
-
-    def quantile(u):
-        return -np.log1p(-u)
-
+    cdf, sf = _cdf_sf((0.0, math.inf), log_sf=lambda x: -np.maximum(x, 0.0))
     return DistributionSpec(
         name="exponential", params={},
-        cdf=cdf, sf=sf, quantile=quantile, support=(0.0, math.inf),
+        cdf=cdf, sf=sf, quantile=lambda u: -np.log1p(-u), support=(0.0, math.inf),
         qdensity=lambda u, v: np.power(v, -1.0),
         mean=1.0, variance=1.0,
         closed_delta=_delta_exponential,
@@ -443,21 +440,10 @@ def make_exponential() -> DistributionSpec:
 def make_lomax(beta: float) -> DistributionSpec:
     """Lomax (Pareto II) on (0, inf): cdf 1-(1+x)^(-beta), beta > 1."""
     b = _check_beta(beta, 1.0)
-
-    def cdf(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x <= 0.0, 0.0, -np.expm1(-b * np.log1p(np.maximum(x, 0.0))))
-
-    def sf(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x <= 0.0, 1.0, np.exp(-b * np.log1p(np.maximum(x, 0.0))))
-
-    def quantile(u):
-        return np.expm1(-np.log1p(-u) / b)
-
+    cdf, sf = _cdf_sf((0.0, math.inf), log_sf=lambda x: -b * np.log1p(np.maximum(x, 0.0)))
     return DistributionSpec(
         name="lomax", params={"beta": b},
-        cdf=cdf, sf=sf, quantile=quantile, support=(0.0, math.inf),
+        cdf=cdf, sf=sf, quantile=lambda u: np.expm1(-np.log1p(-u) / b), support=(0.0, math.inf),
         qdensity=lambda u, v: np.power(v, -1.0 / b - 1.0) / b,
         mean=1.0 / (b - 1.0), variance=_lomax_variance(b),
         closed_delta=lambda s: _delta_lomax(b, s),
@@ -474,81 +460,32 @@ def make_negative_lomax(beta: float) -> DistributionSpec:
     The entropy delta(s) is infinite at or below s = 1/beta - 1.
     """
     b = _check_beta(beta, 1.0)
-
-    def cdf(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x >= 0.0, 1.0, np.exp(-b * np.log1p(-np.minimum(x, 0.0))))
-
-    def sf(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x >= 0.0, 0.0, -np.expm1(-b * np.log1p(-np.minimum(x, 0.0))))
-
-    def quantile(u):
-        return -np.expm1(-np.log(u) / b)
-
-    return DistributionSpec(
-        name="negative_lomax", params={"beta": b},
-        cdf=cdf, sf=sf, quantile=quantile, support=(-math.inf, 0.0),
-        qdensity=lambda u, v: np.power(u, -1.0 / b - 1.0) / b,
-        mean=-1.0 / (b - 1.0), variance=_lomax_variance(b),
-        closed_delta=lambda s: _delta_negative_lomax(b, s),
-        closed_nabla=lambda s: _nabla_negative_lomax(b, s),
-        finiteness_threshold=1.0 / b - 1.0,
-        neg_closed_delta=lambda s: _delta_lomax(b, s),
-        neg_closed_nabla=lambda s: _nabla_lomax(b, s),
-    )
+    # negate's support would end at -0.0
+    return replace(negate(make_lomax(b)), name="negative_lomax", support=(-math.inf, 0.0),
+                   quantile=lambda u: -np.expm1(-np.log(u) / b))
 
 
 def make_negative_exponential() -> DistributionSpec:
     """Mirrored unit exponential on (-inf, 0): cdf e^x."""
-
-    def cdf(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x >= 0.0, 1.0, np.exp(np.minimum(x, 0.0)))
-
-    def sf(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x >= 0.0, 0.0, -np.expm1(np.minimum(x, 0.0)))
-
-    def quantile(u):
-        return np.log(u)
-
-    return DistributionSpec(
-        name="negative_exponential", params={},
-        cdf=cdf, sf=sf, quantile=quantile, support=(-math.inf, 0.0),
-        qdensity=lambda u, v: np.power(u, -1.0),
-        mean=-1.0, variance=1.0,
-        closed_delta=_delta_negative_exponential,
-        closed_nabla=_nabla_negative_exponential,
-        neg_closed_delta=_delta_exponential,
-        neg_closed_nabla=_nabla_exponential,
-    )
+    return replace(negate(make_exponential()), name="negative_exponential",
+                   support=(-math.inf, 0.0), quantile=np.log)
 
 
 def make_frechet(beta: float) -> DistributionSpec:
     """Frechet on (0, inf): cdf exp(-x^(-beta)), beta > 1 for a finite mean."""
     b = _check_beta(beta, 1.0)
 
-    def cdf(x):
-        x = np.asarray(x, dtype=float)
+    def log_cdf(x):
         with np.errstate(over="ignore", divide="ignore"):
-            t = np.power(np.where(x > 0.0, x, 1.0), -b)
-            return np.where(x > 0.0, np.exp(-t), 0.0)
+            return -np.power(np.maximum(x, 0.0), -b)
 
-    def sf(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore", divide="ignore"):
-            t = np.power(np.where(x > 0.0, x, 1.0), -b)
-            return np.where(x > 0.0, -np.expm1(-t), 1.0)
-
-    def quantile(u):
-        return np.exp(-np.log(-np.log(u)) / b)
-
+    cdf, sf = _cdf_sf((0.0, math.inf), log_cdf=log_cdf)
     mean = math.exp(lgamma(1.0 - 1.0 / b))
     var = math.exp(lgamma(1.0 - 2.0 / b)) - mean ** 2 if b > 2.0 else None
     return DistributionSpec(
         name="frechet", params={"beta": b},
-        cdf=cdf, sf=sf, quantile=quantile, support=(0.0, math.inf),
+        cdf=cdf, sf=sf, quantile=lambda u: np.exp(-np.log(-np.log(u)) / b),
+        support=(0.0, math.inf),
         qdensity=lambda u, v: np.power(_neg_log(u, v), -1.0 / b - 1.0) / (b * u),
         mean=mean, variance=var,
         closed_delta=lambda s: _delta_frechet(b, s),
@@ -561,26 +498,17 @@ def make_reverse_weibull(beta: float) -> DistributionSpec:
     """Reverse Weibull on (-inf, 0): cdf exp(-(-x)^beta), beta > 0."""
     b = _check_beta(beta, 0.0)
 
-    def cdf(x):
-        x = np.asarray(x, dtype=float)
+    def log_cdf(x):
         with np.errstate(over="ignore"):
-            t = np.power(np.where(x < 0.0, -x, 1.0), b)
-            return np.where(x < 0.0, np.exp(-t), 1.0)
+            return -np.power(np.maximum(-x, 0.0), b)
 
-    def sf(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore"):
-            t = np.power(np.where(x < 0.0, -x, 1.0), b)
-            return np.where(x < 0.0, -np.expm1(-t), 0.0)
-
-    def quantile(u):
-        return -np.exp(np.log(-np.log(u)) / b)
-
+    cdf, sf = _cdf_sf((-math.inf, 0.0), log_cdf=log_cdf)
     mean = -math.exp(lgamma(1.0 + 1.0 / b))
     var = math.exp(lgamma(1.0 + 2.0 / b)) - mean ** 2
     return DistributionSpec(
         name="reverse_weibull", params={"beta": b},
-        cdf=cdf, sf=sf, quantile=quantile, support=(-math.inf, 0.0),
+        cdf=cdf, sf=sf, quantile=lambda u: -np.exp(np.log(-np.log(u)) / b),
+        support=(-math.inf, 0.0),
         qdensity=lambda u, v: np.power(_neg_log(u, v), 1.0 / b - 1.0) / (b * u),
         mean=mean, variance=var,
         closed_delta=lambda s: _delta_reverse_weibull(b, s),
@@ -591,22 +519,14 @@ def make_reverse_weibull(beta: float) -> DistributionSpec:
 def make_gumbel() -> DistributionSpec:
     """Standard Gumbel: cdf exp(-e^(-x)) on the whole line."""
 
-    def cdf(x):
-        x = np.asarray(x, dtype=float)
+    def log_cdf(x):
         with np.errstate(over="ignore"):
-            return np.exp(-np.exp(-x))
+            return -np.exp(-x)
 
-    def sf(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore"):
-            return -np.expm1(-np.exp(-x))
-
-    def quantile(u):
-        return -np.log(-np.log(u))
-
+    cdf, sf = _cdf_sf((-math.inf, math.inf), log_cdf=log_cdf)
     return DistributionSpec(
         name="gumbel", params={},
-        cdf=cdf, sf=sf, quantile=quantile, support=(-math.inf, math.inf),
+        cdf=cdf, sf=sf, quantile=lambda u: -np.log(-np.log(u)), support=(-math.inf, math.inf),
         qdensity=lambda u, v: np.power(u * _neg_log(u, v), -1.0),
         mean=EULER_GAMMA, variance=math.pi ** 2 / 6.0,
         closed_delta=_delta_gumbel,
@@ -627,12 +547,10 @@ def make_logistic() -> DistributionSpec:
     def sf(x):
         return cdf(-np.asarray(x, dtype=float))
 
-    def quantile(u):
-        return np.log(u) - np.log1p(-u)
-
     return DistributionSpec(
         name="logistic", params={},
-        cdf=cdf, sf=sf, quantile=quantile, support=(-math.inf, math.inf),
+        cdf=cdf, sf=sf, quantile=lambda u: np.log(u) - np.log1p(-u),
+        support=(-math.inf, math.inf),
         qdensity=lambda u, v: np.power(u * v, -1.0),
         mean=0.0, variance=math.pi ** 2 / 3.0,
         closed_delta=_delta_logistic,
@@ -658,8 +576,10 @@ def normal_spec() -> DistributionSpec:
 
 def make_uniform(a: float = 0.0, length: float = 1.0) -> DistributionSpec:
     """Uniform on (a, a+length)."""
-    if not length > 0.0:
-        raise DomainError(f"uniform length must be positive, got {length}")
+    if not math.isfinite(a):
+        raise DomainError(f"uniform a must be finite, got {a}")
+    if not (length > 0.0 and math.isfinite(length)):
+        raise DomainError(f"uniform length must be finite and positive, got {length}")
     d = affine(make_power_uniform(1.0), float(length), float(a))
     return replace(d, name="uniform", params={"a": float(a), "length": float(length)})
 

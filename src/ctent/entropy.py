@@ -167,27 +167,23 @@ def _dual_coefficients(s: np.ndarray) -> tuple:
     return np.where(keep, c, 0.0)[:keep.sum(axis=0).max()], j0, k[:64] / (k[:64] + s + 1.0)
 
 
-def _j_upper(u, s):
-    # J(u) = sum_{m>=0} (1-u)^{s+1+m}/(s+1+m), 64 terms for 1-u <= 1/2, summed
-    # along the last axis so that no order's or node's sum depends on others
-    m = np.asarray(s, dtype=float)[..., None] + 1.0 + np.arange(64.0)
-    return np.sum(np.power(1.0 - np.asarray(u, dtype=float)[..., None], m) / m, axis=-1)
-
-
 def _j_lower(u: np.ndarray, c: np.ndarray, j0) -> np.ndarray:
     # J(u) about u = 0: log u is taken alone, so a subnormal u does not overflow
     return j0 - np.log(u) - u * _horner(c, u)
 
 
 def dual_tail_integral(u, s: float):
-    """J(u) = integral_u^1 (1-t)^s / t dt, elementwise, to ~1e-15."""
+    """J(u) = integral_u^1 (1-t)^s / t dt, elementwise, to ~1e-15: about u = 0
+    below 1/2, and from G_s's v-series above it, where u (s+1) J(u) =
+    v^(s+1) (1 - u v sum w[k] v^k)."""
     arr = np.atleast_1d(np.asarray(u, dtype=float))
+    c, j0, w = _dual_coefficients(np.array([float(s)]))
     out = np.empty_like(arr)
     hi = arr >= 0.5
-    out[hi] = _j_upper(arr[hi], s)
-    if (~hi).any():
-        c, j0, _ = _dual_coefficients(np.array([float(s)]))
-        out[~hi] = _j_lower(arr[~hi], c[:, 0], j0[0])
+    uh = arr[hi]
+    vh = 1.0 - uh
+    out[hi] = np.power(vh, s + 1.0) * (1.0 - uh * vh * _horner(w[:, 0], vh)) / (uh * (s + 1.0))
+    out[~hi] = _j_lower(arr[~hi], c[:, 0], j0[0])
     return out if np.ndim(u) else float(out[0])
 
 

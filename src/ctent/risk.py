@@ -90,10 +90,10 @@ def _K1(s: float) -> float:
 def K_series(s: float, t: float) -> float:
     """K_s(t) = sum_{n>=1} (-s)_n t^n / (n (n+1)!), to 1e-12 absolute.
 
-    Direct summation for t < 0.9; near t = 1 the complement
-    K_s(1) - K_s(t) is evaluated through the dual kernel identity
-    G_s(t) = (1+s) t (K_s(1) - K_s(t) - log t), which converges fast
-    exactly where the raw series does not.
+    Through the dual kernel identity G_s(t) = (1+s) t (K_s(1) - K_s(t) -
+    log t), whose series converge fast where the raw one does not.  Where
+    the kernel refuses the order (s above ~32.6 for t < 1/2), this raises
+    :class:`NonIntegrableError`.
     """
     if not -1.0 < s:
         raise DomainError(f"series order must exceed -1, got {s}")
@@ -103,19 +103,12 @@ def K_series(s: float, t: float) -> float:
         return 0.0
     if t == 1.0:
         return _K1(s)
-    if t >= 0.9:
-        return _K1(s) - (float(dual_kernel(t, s)) / ((1.0 + s) * t) + math.log(t))
-    a = 1.0  # (-s)_n/(n+1)! at n=0
-    tn = 1.0
-    acc = 0.0
-    for n in range(1, 20000):
-        a *= (n - 1.0 - s) / (n + 1.0)
-        tn *= t
-        term = a * tn / n
-        acc += term
-        if abs(term) * t / (1.0 - t) < 1e-13:
-            break
-    return acc
+    g = dual_kernel(t, s)
+    if math.isnan(g):
+        raise NonIntegrableError(
+            f"the dual kernel refuses order s={s:g} at t={t:g}: its series would "
+            f"round past its bound")
+    return _K1(s) - (g / ((1.0 + s) * t) + math.log(t))
 
 
 def _ratio_np(t: np.ndarray, s: float) -> np.ndarray:

@@ -222,6 +222,19 @@ def test_entropy_huge_lomax_shape(capsys):
     assert "nan" not in out.lower()
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("dist,param", [
+    ("power_uniform", "beta"), ("reflected_power", "beta"), ("lomax", "beta"),
+    ("negative_lomax", "beta"), ("frechet", "beta"), ("reverse_weibull", "beta"),
+    ("uniform", "a"), ("uniform", "length"),
+])
+def test_non_finite_shape_exits_domain(capsys, dist, param, value):
+    for verb in ("entropy", "risk"):
+        code, out, err = run(capsys, verb, "--dist", dist, "--param", f"{param}={value}")
+        assert code == 2
+        assert f"{param} must be finite" in err and "Traceback" not in err and out == ""
+
+
 @pytest.mark.parametrize("dist", ["exponential", "gumbel", "normal", "logistic"])
 def test_risk_near_minus_one_never_prints_inf(capsys, dist):
     # the entropy-family integrand once overflowed here into a traceback

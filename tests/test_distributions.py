@@ -31,7 +31,7 @@ from ctent import (
     normal_spec,
     sample,
 )
-from ctent.distributions import dist_mean, dist_std
+from ctent.distributions import _REGISTRY, dist_mean, dist_std
 from ctent.risk import _quantile_mixture
 
 PI2_6 = math.pi ** 2 / 6.0
@@ -117,6 +117,71 @@ def test_negative_exponential_examples():
     assert d.closed_delta(0.0) == 1.0
     assert d.closed_delta(1.0) == 0.5
     assert d.closed_nabla(0.0) == pytest.approx(1.0, abs=1e-13)
+
+
+def _slots_at(d, orders):
+    # each closed slot's value at each order, or the error it raises there
+    out = []
+    for slot in ("closed_delta", "closed_nabla", "neg_closed_delta", "neg_closed_nabla"):
+        f = getattr(d, slot)
+        for s in orders:
+            try:
+                out.append(f(s))
+            except (DivergentEntropy, NonIntegrableError) as exc:
+                out.append(type(exc))
+    return out
+
+
+@pytest.mark.parametrize("mirror,partner", [
+    (make_negative_exponential(), make_exponential()),
+    (make_negative_lomax(1.05), make_lomax(1.05)),
+    (make_negative_lomax(2.0), make_lomax(2.0)),
+    (make_negative_lomax(4.5), make_lomax(4.5)),
+], ids=lambda d: d.label())
+def test_mirror_laws_are_renamed_negations(mirror, partner):
+    neg = negate(partner)
+    assert mirror.support == neg.support
+    assert (mirror.mean, mirror.variance) == (neg.mean, neg.variance)
+    assert mirror.finiteness_threshold == neg.finiteness_threshold
+    assert mirror.neg_finiteness_threshold == neg.neg_finiteness_threshold
+    orders = (-0.9, -0.5, -0.2, 0.0, 1e-5, 0.5, 1.0, 2.5, 10.0)
+    assert _slots_at(mirror, orders) == _slots_at(neg, orders)
+    x = np.concatenate([-np.logspace(-300, 300, 601), np.linspace(-5.0, 5.0, 101),
+                        [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324]])
+    for f, g in ((mirror.cdf, neg.cdf), (mirror.sf, neg.sf)):
+        assert np.asarray(f(x)).tobytes() == np.asarray(g(x)).tobytes()
+    # the own quantile keeps u below 1e-16, where -q(1 - u) cannot
+    with np.errstate(divide="ignore"):  # q(1) = inf
+        assert neg.quantile(1e-20) == -math.inf
+    assert math.isfinite(mirror.quantile(1e-20))
+    if mirror.name == "negative_exponential":
+        assert mirror.quantile(1e-20) == math.log(1e-20)
+
+
+def _registered():
+    shapes = {"beta": 2.5, "a": -1.0, "length": 3.0}
+    for name in available_distributions():
+        yield from_name(name, {k: shapes[k] for k in _REGISTRY[name][1]})
+
+
+@pytest.mark.parametrize("d", list(_registered()), ids=lambda d: d.name)
+def test_cdf_and_sf_are_nan_at_nan(d):
+    for x in (math.nan, np.array([math.nan, 0.5])):
+        assert np.isnan(np.asarray(d.cdf(x))).flat[0]
+        assert np.isnan(np.asarray(d.sf(x))).flat[0]
+
+
+@pytest.mark.parametrize("d", list(_registered()), ids=lambda d: d.name)
+def test_cdf_and_sf_exact_at_and_beyond_finite_ends(d):
+    lo, hi = d.support
+    if math.isfinite(lo):
+        x = np.array([lo, lo - 1e-300, lo - 1.0, lo - 1e300, -math.inf])
+        assert np.all(np.asarray(d.cdf(x)) == 0.0) and np.all(np.asarray(d.sf(x)) == 1.0)
+        assert d.cdf(lo) == 0.0 and d.sf(lo) == 1.0
+    if math.isfinite(hi):
+        x = np.array([hi, hi + 1e-300, hi + 1.0, hi + 1e300, math.inf])
+        assert np.all(np.asarray(d.cdf(x)) == 1.0) and np.all(np.asarray(d.sf(x)) == 0.0)
+        assert d.cdf(hi) == 1.0 and d.sf(hi) == 0.0
 
 
 def test_frechet_examples():

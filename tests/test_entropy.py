@@ -89,6 +89,15 @@ def test_dual_kernel_properties():
     for u in (1e-12, 0.2, 0.5, 0.9, 1.0 - 1e-12):
         exact, _ = quad(lambda t: (1.0 - t) ** 0.7 / t, u, 1.0, limit=200)
         assert dual_tail_integral(u, 0.7) == pytest.approx(exact, rel=1e-9)
+    # u >= 1/2: J = v^(s+1) Phi(v, 1, s+1), v = 1 - u, with Phi Lerch's
+    us = np.array([0.5, 0.6, 0.75, 0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-12])
+    for s in (-0.999, -0.5, 0.7, 3.0, 10.0):
+        got = dual_tail_integral(us, s)
+        for u, g in zip(us, got):
+            v = mp.mpf(1.0 - u)
+            with mp.workdps(30):
+                exact = mp.power(v, s + 1.0) * mp.lerchphi(v, 1, s + 1.0)
+            assert g == pytest.approx(float(exact), rel=1e-14)
     assert dual_kernel(0.0, 1.0) == 0.0 and dual_kernel(1.0, 1.0) == 0.0
 
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -60,8 +61,15 @@ def test_K_series_examples():
         for t in (0.3, 0.91, 0.999):
             assert K_series(s, t) == pytest.approx(_k_series_oracle(s, t, 400_000),
                                                    abs=1e-10)
+    # the raw series, summed in floats, misses 1e-12 here by 2.5x
+    with mp.workdps(60):
+        exact = mp.nsum(lambda n: mp.rf(-30, n) * mp.mpf(0.89) ** n
+                        / (n * mp.factorial(n + 1)), [1, mp.inf])
+    assert K_series(30.0, 0.89) == pytest.approx(float(exact), abs=1e-12)
     with pytest.raises(DomainError):
         K_series(0.5, 1.2)
+    with pytest.raises(NonIntegrableError):
+        K_series(40.0, 0.3)  # the dual kernel refuses the order below t = 1/2
 
 
 @pytest.mark.parametrize("a,L,s", [(0.0, 1.0, 0.0), (2.0, 3.0, 1.0), (-1.0, 2.0, 0.5)])
