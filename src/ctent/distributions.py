@@ -313,13 +313,13 @@ def _nabla_frechet(beta: float, s):
 
 @_over_orders
 def _delta_reverse_weibull(beta: float, s):
-    g = math.exp(lgamma(1.0 + 1.0 / beta))
+    g = np.exp(lgamma(1.0 + 1.0 / beta))  # inf where Gamma overflows
     return np.where(s == 0.0, g / beta, -g * np.expm1(-np.log1p(s) / beta) / s)
 
 
 @_over_orders
 def _nabla_reverse_weibull(beta: float, s):
-    g = math.exp(lgamma(1.0 + 1.0 / beta))
+    g = np.exp(lgamma(1.0 + 1.0 / beta))  # inf where Gamma overflows
     series = _dual_series(s, lambda n: -beta * np.expm1(-np.log1p(n) / beta) / n)
     return (s + 1.0) * g / beta * series
 
@@ -382,6 +382,11 @@ def _neg_log(u, v):
         return np.where(u < 0.5, -np.log(u), -np.log1p(-np.asarray(v, dtype=float)))
 
 
+def _power_variance(b: float) -> float:
+    # b / ((b+2) (b+1)^2), divided out term by term so that no factor overflows
+    return b / (b + 2.0) / (b + 1.0) / (b + 1.0)
+
+
 def _lomax_variance(b: float) -> float | None:
     # b / ((b-1)^2 (b-2)), divided out term by term so that no factor overflows
     return b / (b - 1.0) / (b - 1.0) / (b - 2.0) if b > 2.0 else None
@@ -398,7 +403,7 @@ def make_power_uniform(beta: float) -> DistributionSpec:
         name="power_uniform", params={"beta": b},
         cdf=cdf, sf=sf, quantile=lambda u: np.exp(np.log(u) / b), support=(0.0, 1.0),
         qdensity=lambda u, v: np.power(u, 1.0 / b - 1.0) / b,
-        mean=b / (b + 1.0), variance=b / ((b + 2.0) * (b + 1.0) ** 2),
+        mean=b / (b + 1.0), variance=_power_variance(b),
         closed_delta=lambda s: _delta_power(b, s),
         closed_nabla=lambda s: _nabla_power(b, s),
         neg_closed_delta=lambda s: _delta_reflected(b, s),
@@ -414,7 +419,7 @@ def make_reflected_power(beta: float) -> DistributionSpec:
         name="reflected_power", params={"beta": b},
         cdf=cdf, sf=sf, quantile=lambda u: -np.expm1(np.log1p(-u) / b), support=(0.0, 1.0),
         qdensity=lambda u, v: np.power(v, 1.0 / b - 1.0) / b,
-        mean=1.0 / (b + 1.0), variance=b / ((b + 2.0) * (b + 1.0) ** 2),
+        mean=1.0 / (b + 1.0), variance=_power_variance(b),
         closed_delta=lambda s: _delta_reflected(b, s),
         closed_nabla=lambda s: _nabla_reflected(b, s),
         neg_closed_delta=lambda s: _delta_power(b, s),
@@ -503,8 +508,11 @@ def make_reverse_weibull(beta: float) -> DistributionSpec:
             return -np.power(np.maximum(-x, 0.0), b)
 
     cdf, sf = _cdf_sf((-math.inf, 0.0), log_cdf=log_cdf)
-    mean = -math.exp(lgamma(1.0 + 1.0 / b))
-    var = math.exp(lgamma(1.0 + 2.0 / b)) - mean ** 2
+    lg = lgamma(1.0 + 1.0 / b)
+    with np.errstate(over="ignore"):  # an overflowing moment is infinite
+        g = float(np.exp(lg))
+        var = float(g * g * np.expm1(lgamma(1.0 + 2.0 / b) - 2.0 * lg)) if g < math.inf else g
+    mean = -g
     return DistributionSpec(
         name="reverse_weibull", params={"beta": b},
         cdf=cdf, sf=sf, quantile=lambda u: -np.exp(np.log(-np.log(u)) / b),
@@ -602,11 +610,16 @@ def affine(d: DistributionSpec, a: float, b: float) -> DistributionSpec:
         raise DomainError(f"affine scale must be positive, got {a}")
     cdf, sf, q, qd = d.cdf, d.sf, d.quantile, d.qdensity
     lo, hi = d.support
+
+    def standard(x):  # (x - b)/a; it overflows where the base law is 0 or 1
+        with np.errstate(over="ignore"):
+            return (np.asarray(x, dtype=float) - b) / a
+
     return DistributionSpec(
         name=f"affine[{d.name}]",
         params={**d.params, "scale": a, "shift": b},
-        cdf=lambda x: cdf((np.asarray(x, dtype=float) - b) / a),
-        sf=lambda x: sf((np.asarray(x, dtype=float) - b) / a),
+        cdf=lambda x: cdf(standard(x)),
+        sf=lambda x: sf(standard(x)),
         quantile=lambda u: a * q(u) + b,
         qdensity=None if qd is None else (lambda u, v: a * qd(u, v)),
         support=(a * lo + b, a * hi + b),

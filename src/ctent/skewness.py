@@ -36,7 +36,7 @@ from .distributions import (
     negate,
 )
 from .entropy import as_order, delta_value, nabla_value
-from .errors import DomainError, NotBracketedError
+from .errors import DomainError, NonIntegrableError, NotBracketedError
 
 _S_HI_CAP = 1e4
 
@@ -53,7 +53,8 @@ class SkewnessCurve:
 def diamond(d: DistributionSpec, s, kind: str = "diamond",
             prefer_closed: bool = True) -> float:
     """Entropy-ratio skewness map at order s; inf when the numerator
-    diverges, 0 when the denominator does."""
+    diverges, 0 when the denominator does.  A denominator that underflows to
+    0 raises :class:`NonIntegrableError`."""
     sv = as_order(s).s
     nd = negate(d)
     if kind == "diamond":
@@ -68,6 +69,8 @@ def diamond(d: DistributionSpec, s, kind: str = "diamond",
         return math.inf
     if not den.is_finite:
         return 0.0
+    if den.value == 0.0:
+        raise NonIntegrableError(f"the {kind} denominator of {d.label()} at s={sv:g} is 0")
     return num.value / den.value
 
 

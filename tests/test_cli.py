@@ -1,8 +1,17 @@
+import contextlib
+import io
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctent import distributions as dist
 from ctent.cli import main
@@ -250,3 +259,57 @@ def test_risk_non_finite_integral_exits_numeric(capsys):
     code, out, err = run(capsys, "risk", "--dist", "exponential", "--s", "1e6")
     assert code == 3
     assert "nan" not in out.lower() and "distortion integral" in err
+
+
+def test_nan_dual_kernel_never_reaches_quadpack():
+    # the k_s integrand is NaN where the dual kernel refuses the order, and
+    # QUADPACK (limit=500) died of signal 11 on it; a crash here ends the
+    # child process, not the test run
+    argvs = [f"risk --dist reverse_weibull --param beta={b} --s {s}" for b, s in (
+        ("1.05", "1e3"), ("1.05", "1e6"), ("2", "33"), ("2", "1e3"), ("2", "1e6"))]
+    path = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    script = ("import sys; from ctent.cli import main; "
+              "print([main(a.split()) for a in sys.argv[1:]])")
+    child = subprocess.run([sys.executable, "-c", script, *argvs], capture_output=True,
+                           text=True, env=env, timeout=600)
+    assert child.returncode == 0 and "Traceback" not in child.stderr
+    assert child.stdout.split("\n")[-2] == "[3, 3, 3, 3, 3]"
+    assert child.stderr.count("distortion integral") == 5
+
+
+@pytest.mark.parametrize("verb", ["entropy", "risk", "skew"])
+@pytest.mark.parametrize("dist_name,param", [
+    ("power_uniform", "beta=1e160"), ("reflected_power", "beta=1e160"),
+    ("reverse_weibull", "beta=0.005"),
+])
+def test_overflowing_moments_exit_cleanly(capsys, verb, dist_name, param):
+    # (b + 1)^2 and exp(lgamma(1 + 1/b)) raised OverflowError in the constructors
+    code, out, err = run(capsys, verb, "--dist", dist_name, "--param", param, "--s", "0.5")
+    assert code in (0, 2, 3) and "Traceback" not in err
+    if code == 0:
+        assert not re.search(r"\b(nan|inf)\b", out)
+
+
+_SHAPES = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e) | st.sampled_from([math.inf, math.nan])
+_ORDERS = st.floats(-0.999999, 1.0) | st.floats(0.0, 6.0).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def _argv(draw):
+    name = draw(st.sampled_from(dist.available_distributions()))
+    argv = [draw(st.sampled_from(["entropy", "risk", "skew"])), "--dist", name]
+    for param in dist._REGISTRY[name][1]:
+        argv += ["--param", f"{param}={draw(_SHAPES)!r}"]
+    return argv + ["--s", repr(draw(_ORDERS))]
+
+
+@settings(derandomize=True, max_examples=600, deadline=None, database=None)
+@given(_argv())
+def test_every_argv_maps_to_an_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert not re.search(r"\b(nan|inf)\b", out.getvalue()), (argv, out.getvalue())

@@ -27,6 +27,7 @@ from ctent import (
     make_reflected_power,
     make_reverse_weibull,
     make_s_logistic,
+    make_uniform,
     negate,
     normal_spec,
     sample,
@@ -374,6 +375,24 @@ def test_lomax_variance_at_huge_shape():
     assert make_lomax(1e300).variance == 0.0
     assert make_negative_lomax(1e300).variance == 0.0
     assert make_lomax(3.0).variance == pytest.approx(0.75, rel=1e-15)
+
+
+def test_moments_that_overflow_are_infinite():
+    # (b + 1)^2 and exp(lgamma(1 + 1/b)) raised OverflowError here
+    for make in (make_power_uniform, make_reflected_power):
+        assert make(1e160).variance == pytest.approx(1e-320, rel=1e-10)
+        assert make(2.5).variance == pytest.approx(2.5 / (4.5 * 3.5 ** 2), rel=1e-15)
+    for b in (0.005, 1e-308):
+        rw = make_reverse_weibull(b)
+        assert (rw.mean, rw.variance) == (-math.inf, math.inf)
+    assert make_reverse_weibull(2.0).variance == pytest.approx(1.0 - math.pi / 4.0, rel=1e-15)
+
+
+def test_affine_far_outside_the_support_is_silent():
+    # (x - b)/a overflows for a < 1; pytest turns its RuntimeWarning into an error
+    d = make_uniform(0.5, 1e-3)
+    assert float(d.cdf(1.7e308)) == 1.0 and float(d.sf(-1.7e308)) == 1.0
+    assert float(d.sf(1.7e308)) == 0.0 and float(d.cdf(-1.7e308)) == 0.0
 
 
 def _mp_psi_step(c, s):

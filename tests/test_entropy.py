@@ -12,6 +12,7 @@ from ctent import (
     EmpiricalSample,
     EntropyOrder,
     NonIntegrableError,
+    affine,
     available_distributions,
     delta_plugin,
     delta_quadrature,
@@ -38,7 +39,7 @@ from ctent import (
     sample,
 )
 from ctent import entropy
-from ctent.entropy import _g_uv, dual_kernel, dual_kernel_np, dual_tail_integral
+from ctent.entropy import _g_uv, _quad, dual_kernel, dual_kernel_np, dual_tail_integral
 from ctent.risk import _quantile_mixture
 
 PI2_6 = math.pi ** 2 / 6.0
@@ -121,11 +122,62 @@ def test_oracle_agreement(d):
 
 @pytest.mark.parametrize("s", [-0.3, 0.0, 0.5, 2.0, 10.0])
 def test_x_space_bound_holds_where_quadpack_reports_failure(s):
-    # QUADPACK reports roundoff on lomax(1.1) at these orders, and the value
-    # is off by ~1.3e-9 relative, past the 1e-9 floor of a converged integral
+    # over the whole support, QUADPACK reported roundoff on lomax(1.1) at
+    # these orders, and the value was ~1.3e-9 relative off
     d = make_lomax(1.1)
     ev = delta_quadrature(d, s)
     assert abs(ev.value - d.closed_delta(s)) <= ev.abs_error_bound
+
+
+@pytest.mark.parametrize("scale,shift", [(1e-6, 0.0), (1e6, 0.0), (1.0, 1e6), (1e-6, 5.0),
+                                         (1e3, -1e7)])
+@pytest.mark.parametrize("base", [make_exponential, make_logistic, lambda: make_lomax(3.0),
+                                  make_gumbel, make_negative_exponential,
+                                  lambda: make_frechet(3.0)],
+                         ids=["exponential", "logistic", "lomax(3)", "gumbel",
+                              "negative_exponential", "frechet(3)"])
+def test_x_space_oracle_is_invariant_to_scale_and_shift(base, scale, shift):
+    # integrated over the whole support, 57 of these 90 values missed their
+    # bound: affine(exponential, 1e-6, 0) gave 0.0 +- 1e-9 for 5.6e-7
+    d = affine(base(), scale, shift)
+    for s in (-0.3, 0.5, 2.0):
+        ev = delta_quadrature(d, s)
+        assert abs(ev.value - d.closed_delta(s)) <= ev.abs_error_bound
+
+
+def test_tail_probes_are_invariant_to_scale():
+    # probed at x = 1e4 ... 1e10, the first read "mean appears infinite" and
+    # the second a divergent entropy
+    d = affine(make_lomax(1.05), 1e6, 0.0)
+    ev = delta_quadrature(d, 0.5)
+    assert abs(ev.value - d.closed_delta(0.5)) <= ev.abs_error_bound
+    ev = delta_value(affine(normal_spec(), 1e12, 0.0), -0.3)
+    assert not ev.divergent
+    assert ev.value == pytest.approx(1e12 * delta_value(normal_spec(), -0.3).value, rel=1e-10)
+
+
+def test_x_space_heavy_tail_next_to_its_threshold():
+    # converged, yet 1.3e-9 relative off when integrated over the whole support
+    d = make_lomax(1.1)
+    assert delta_quadrature(d, -0.9).value == pytest.approx(d.closed_delta(-0.9), rel=1e-12)
+
+
+@pytest.mark.parametrize("s,exact", [(-0.97, 6.9571606437314548), (-0.98, 8.6058505623586390),
+                                     (-0.99, 12.315322276296189), (-0.999, 39.522700511968377)])
+def test_x_space_refuses_a_tail_lost_to_underflow(s, exact):
+    # mpmath at 40 digits.  The normal cdf underflows to 0 below x ~ -38.5,
+    # where cdf^(1+s) still carries mass as s -> -1
+    try:
+        ev = delta_quadrature(normal_spec(), s)
+    except NonIntegrableError as exc:
+        assert "lost its tail" in str(exc)
+    else:
+        assert abs(ev.value - exact) <= ev.abs_error_bound
+
+
+def test_quadpack_never_sees_a_non_finite_integrand():
+    with pytest.raises(NonIntegrableError):
+        _quad(lambda x: math.nan if x > 0.5 else 1.0, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("d", [make_exponential(), make_power_uniform(2.5),

@@ -267,6 +267,38 @@ def test_risk_of_extreme_scales_matches_mean_plus_mirror(base, c):
                                      abs=rn.abs_error_bound)
 
 
+@pytest.mark.parametrize("scale,shift", [(1.0, 1e6), (1e-6, 5.0), (1e3, -1e7)])
+@pytest.mark.parametrize("base", [make_logistic, make_gumbel], ids=["logistic", "gumbel"])
+def test_risk_of_shifted_laws_matches_mean_plus_mirror(base, scale, shift):
+    # split at x = 0, the distortion integral of affine(logistic, 1, 1e6)
+    # gave -1.0 for 1 000 001.23
+    d = affine(base(), scale, shift)
+    for risk, mirrored in ((risk_delta, delta_value), (risk_nabla, nabla_value)):
+        r = risk(d, 0.5)
+        assert abs(r.value - (dist_mean(d) + mirrored(negate(d), 0.5).value)) <= r.abs_error_bound
+
+
+def test_risk_refuses_a_tail_lost_to_underflow():
+    # sf underflows near x = 745 while h_s(sf) ~ sf^(1+s) is still of order one
+    with pytest.raises(NonIntegrableError, match="lost its tail"):
+        risk_delta(make_exponential(), -0.999999)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 6])
+def test_h_tilde_distortion_against_mpmath(n):
+    t = np.array([1e-300, 1e-12, 0.2, 0.5, 0.9, 1.0 - 1e-9])
+    got = np.asarray(make_distortion("H_tilde_n", n).eval(t), dtype=float)
+    for ti, g in zip(t.tolist(), got.tolist()):
+        ln = -mp.log(mp.mpf(ti))
+        want = mp.mpf(ti) * mp.fsum(ln ** k / mp.factorial(k) for k in range(n + 1))
+        assert g == pytest.approx(float(want), rel=1e-13)
+
+
+def test_relevation_risk_at_many_units():
+    # the partial sum's k! once overflowed a float past k = 170
+    assert relevation_risk(make_exponential(), 200).value == pytest.approx(200.0, rel=1e-12)
+
+
 @pytest.mark.parametrize("s", [-0.3, 0.5, 2.0])
 def test_risk_nabla_heavy_tail_falls_back_to_quadpack(monkeypatch, s):
     # tanh-sinh refuses the k_s integral of lomax(1.05); QUADPACK answers it
