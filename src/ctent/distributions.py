@@ -48,6 +48,10 @@ ClosedForm = Optional[Callable]
 class DistributionSpec:
     """A distribution exposed through CDF, quantile, support and moments.
 
+    ``cdf`` and ``sf`` take a numpy array or a float.  A float gives a float,
+    not a 0-d array, equal bit for bit to the value at a one-element array:
+    NaN at NaN, and exactly 0 or 1 at and beyond a finite end of the support.
+    The scalar x-space integrals call them one float at a time.
     ``qdensity(u, v)`` is the quantile density q'(u) = dq/du, called with
     ``v = 1 - u`` passed separately and exactly, so that it stays accurate
     as either u or v approaches zero; it accepts arrays.  ``None`` means
@@ -353,7 +357,10 @@ def _cdf_sf(support: tuple, log_cdf: Callable = None, log_sf: Callable = None) -
     """(cdf, sf) of a law from one log-probability t(x), its log-cdf or its
     log-survival: that side is exp(t), the other -expm1(t), each exactly 0 or
     1 at and beyond a finite end of the support and NaN at NaN.  t runs at
-    every point, so it clamps its argument or silences its own overflow."""
+    every point of an array, so it clamps its argument or silences its own
+    overflow.  A float x, as the scalar x-space integrals pass it, takes plain
+    comparisons at the ends and gives a Python float, bit for bit the array's
+    value, without forming a 0-d array."""
     t = log_sf if log_cdf is None else log_cdf
     lo, hi = support
     low, high = lo > -math.inf, hi < math.inf
@@ -362,6 +369,12 @@ def _cdf_sf(support: tuple, log_cdf: Callable = None, log_sf: Callable = None) -
 
     def side(exp_form: bool, below: float, above: float) -> Callable:
         def f(x):
+            if isinstance(x, float):
+                if low and x <= lo:
+                    return below
+                if high and x >= hi:
+                    return above
+                return float(exp(t(x))) if exp_form else float(-expm1(t(x)))
             x = asarray(x, dtype=float)
             p = exp(t(x)) if exp_form else -expm1(t(x))
             if low:
@@ -373,6 +386,11 @@ def _cdf_sf(support: tuple, log_cdf: Callable = None, log_sf: Callable = None) -
         return f
 
     return side(log_cdf is not None, 0.0, 1.0), side(log_cdf is None, 1.0, 0.0)
+
+
+def _negated(x):
+    # -x, a float kept a float for the scalar x-space integrals
+    return -x if isinstance(x, float) else -np.asarray(x, dtype=float)
 
 
 def _neg_log(u, v):
@@ -546,14 +564,17 @@ def make_logistic() -> DistributionSpec:
     """Standard logistic: cdf e^x/(1+e^x); variance pi^2/3."""
 
     def cdf(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore"):
-            e = np.exp(-np.abs(x))
-            pos = 1.0 / (1.0 + e)
-            return np.where(x >= 0.0, pos, e * pos)
+        # e^-|x| cannot overflow; a float stays a float, as in _cdf_sf
+        scalar = isinstance(x, float)
+        x = x if scalar else np.asarray(x, dtype=float)
+        e = np.exp(-np.abs(x))
+        pos = 1.0 / (1.0 + e)
+        if scalar:
+            return float(pos if x >= 0.0 else e * pos)
+        return np.where(x >= 0.0, pos, e * pos)
 
     def sf(x):
-        return cdf(-np.asarray(x, dtype=float))
+        return cdf(_negated(x))
 
     return DistributionSpec(
         name="logistic", params={},
@@ -575,7 +596,7 @@ def normal_spec() -> DistributionSpec:
     """Standard normal (symmetric, unit variance); no closed forms."""
     return DistributionSpec(
         name="normal", params={},
-        cdf=ndtr, sf=lambda x: ndtr(-np.asarray(x, dtype=float)), quantile=ndtri,
+        cdf=ndtr, sf=lambda x: ndtr(_negated(x)), quantile=ndtri,
         # q'(u) = sqrt(2 pi) exp(x^2/2) at x = q(u), symmetric about u = 1/2
         qdensity=lambda u, v: _SQRT_2PI * np.exp(0.5 * ndtri(np.minimum(u, v)) ** 2),
         support=(-math.inf, math.inf), mean=0.0, variance=1.0,
@@ -612,6 +633,8 @@ def affine(d: DistributionSpec, a: float, b: float) -> DistributionSpec:
     lo, hi = d.support
 
     def standard(x):  # (x - b)/a; it overflows where the base law is 0 or 1
+        if isinstance(x, float):
+            return (x - b) / a
         with np.errstate(over="ignore"):
             return (np.asarray(x, dtype=float) - b) / a
 
@@ -642,8 +665,8 @@ def negate(d: DistributionSpec) -> DistributionSpec:
     return DistributionSpec(
         name=f"negated[{d.name}]",
         params=dict(d.params),
-        cdf=lambda x: sf(-np.asarray(x, dtype=float)),
-        sf=lambda x: cdf(-np.asarray(x, dtype=float)),
+        cdf=lambda x: sf(_negated(x)),
+        sf=lambda x: cdf(_negated(x)),
         quantile=lambda u: -q(1.0 - np.asarray(u, dtype=float)),
         qdensity=None if qd is None else (lambda u, v: qd(v, u)),
         support=(-hi, -lo),

@@ -16,9 +16,9 @@ Every evaluator, single order or profile, calls one private evaluator over
 an array of orders: orders at or below the finiteness threshold are
 divergent, the rest take one call of the closed form, and the orders left
 (no closed form, or a dual whose duality series refuses them) take one
-vectorised tanh-sinh integral (Takahasi & Mori 1974) over u and over
-v = 1 - u on (0, 1/2), so that each endpoint singularity sits at an exact
-zero of its own variable.  A single order reaches the closed form as a
+vectorised tanh-sinh call (Takahasi & Mori 1974) over both halves, u and
+v = 1 - u each on (0, 1/2), so that each endpoint singularity sits at an
+exact zero of its own variable.  A single order reaches the closed form as a
 float, under the single-order contract of :class:`DistributionSpec`: a dual
 that refuses the order raises :class:`NonIntegrableError` and is then
 integrated, while a returned NaN or inf raises.  Over an array a refused
@@ -239,7 +239,7 @@ def dual_kernel(u: float, s: float) -> float:
 # ---------------------------------------------------------------------------
 # quadrature plumbing
 
-_ORDER_BLOCK = 512  # orders integrated together: temporaries of a few MiB
+_ORDER_BLOCK = 256  # orders integrated together, two sides each: temporaries of a few MiB
 
 
 def _quad(f: Callable[[float], float], a: float, b: float,
@@ -374,27 +374,37 @@ def _x_space(d: DistributionSpec, s: float) -> tuple:
 
 def _quantile_integral(qd: Callable, which: str, s: np.ndarray) -> np.ndarray:
     """integral_0^1 kernel(u, v) q'(u) du, v = 1 - u, at every order of s, by
-    tanh-sinh on u and on v in (0, 1/2) (in u alone the nodes with 1 - u below
-    ~1e-16, and the tail mass, are lost).  Rows: value, bound, status, nfev."""
+    one tanh-sinh call over both halves: side 0 in u and side 1 in v, each on
+    (0, 1/2) (in u alone the nodes with 1 - u below ~1e-16, and the tail
+    mass, are lost).  Rows: value, bound, status, nfev."""
     if which == "delta":
-        lower = upper = (lambda u, v, i: _g_uv(u, v, s[i]))
+        kernels = (lambda u, v, i: _g_uv(u, v, s[i]),) * 2
     else:
         c, j0, w = _dual_coefficients(s)
-        lower, upper = (lambda u, v, i: _dual_lower(u, v, s[i], c[:, i], j0[i]),
-                        lambda u, v, i: _dual_upper(u, v, s[i], w[:, i]))
-    # orders go by index through tanh-sinh's args, a cost one order skips
-    halves = (lambda u, i=0: lower(u, 1.0 - u, i) * qd(u, 1.0 - u),
-              lambda v, i=0: upper(1.0 - v, v, i) * qd(1.0 - v, v))
-    args = (np.arange(s.size),) if s.size > 1 else ()
+        kernels = (lambda u, v, i: _dual_lower(u, v, s[i], c[:, i], j0[i]),
+                   lambda u, v, i: _dual_upper(u, v, s[i], w[:, i]))
+
+    def f(t, side, i):
+        # the side and the order index come through args, constant along a
+        # row of t: a row is one (side, order) element
+        out = np.empty_like(t)
+        upper = side[..., 0] == 1
+        for k, rows in enumerate((~upper, upper)):
+            if rows.any():
+                x = t[rows]
+                u, v = (x, 1.0 - x) if k == 0 else (1.0 - x, x)
+                out[rows] = kernels[k](u, v, i[rows]) * qd(u, v)
+        return out
+
     with np.errstate(all="ignore"):
-        r = [tanhsinh(f, 0.0, 0.5, args=args) for f in halves]
-    val = r[0].integral + r[1].integral
-    bound = r[0].error + r[1].error + 1e-10 * np.maximum(1.0, np.abs(val))
-    first = r[0].status != 0
-    status = np.where(first, r[0].status, r[1].status)
+        r = tanhsinh(f, 0.0, 0.5, args=(np.arange(2)[:, None], np.arange(s.size)))
+    val = r.integral[0] + r.integral[1]
+    bound = r.error[0] + r.error[1] + 1e-10 * np.maximum(1.0, np.abs(val))
+    first = r.status[0] != 0  # the first half's status and nfev win
+    status = np.where(first, r.status[0], r.status[1])
     val = np.where((val < 0.0) & (-val <= bound), 0.0, val)
     val[status != 0] = np.nan
-    return np.array([val, bound, status, np.where(first, r[0].nfev, r[1].nfev)])
+    return np.array([val, bound, status, np.where(first, r.nfev[0], r.nfev[1])])
 
 
 class _Column(NamedTuple):

@@ -25,7 +25,7 @@ import numpy as np
 from .distributions import DistributionSpec, negate
 from .duality import bnb_pmf
 from .entropy import delta_value
-from .errors import DomainError
+from .errors import DomainError, NonIntegrableError
 from .risk import make_distortion, relevation_risk
 
 _CHUNK = 1 << 17
@@ -157,11 +157,15 @@ def simulate_Tn(d: DistributionSpec, n_units: int, n: int, seed: int) -> Simulat
 
     def one(rng, m):
         x = np.asarray(d.quantile(_uniforms(rng, m)), dtype=float)
-        for _ in range(int(n_units) - 1):
-            fbar = np.asarray(d.sf(x), dtype=float)
-            v = _uniforms(rng, m)
-            u_next = np.clip(1.0 - v * fbar, _U_CLIP, 1.0 - _U_CLIP)
-            x = np.maximum(np.asarray(d.quantile(u_next), dtype=float), x)
+        for unit in range(2, int(n_units) + 1):
+            # v Fbar(x) <= v <= 1 - 2^-53; below 2^-53, 1 - v Fbar(x) would
+            # round to 1 - 2^-53 or 1, and every such trial stop at one point
+            vf = _uniforms(rng, m) * np.asarray(d.sf(x), dtype=float)
+            if np.any(vf < _U_CLIP):
+                raise NonIntegrableError(
+                    f"unit {unit} of {d.label()} has a residual survival v Fbar(x) below "
+                    f"2^-53, where 1 - v Fbar(x) rounds onto the clip at 1 - 2^-53")
+            x = np.maximum(np.asarray(d.quantile(1.0 - vf), dtype=float), x)
         return float(np.sum(x)), float(np.sum(x * x))
 
     sums = _run_chunks(one, seed, n)

@@ -261,6 +261,15 @@ def test_risk_non_finite_integral_exits_numeric(capsys):
     assert "nan" not in out.lower() and "distortion integral" in err
 
 
+def test_saturated_relevation_draws_exit_numeric(capsys):
+    # after ~19 exponential units v Fbar(x) falls below 2^-53, 1 - v Fbar
+    # rounds onto the clip, and every trial would stop at q(1 - 2^-53) = 36.7
+    code, out, err = run(capsys, "simulate", "--dist", "exponential", "--mode", "tn",
+                         "--units", "200", "--trials", "2000", "--seed", "1")
+    assert code == 3
+    assert out == "" and "Traceback" not in err and "exponential" in err
+
+
 def test_nan_dual_kernel_never_reaches_quadpack():
     # the k_s integrand is NaN where the dual kernel refuses the order, and
     # QUADPACK (limit=500) died of signal 11 on it; a crash here ends the

@@ -185,6 +185,27 @@ def test_cdf_and_sf_exact_at_and_beyond_finite_ends(d):
         assert d.cdf(hi) == 1.0 and d.sf(hi) == 0.0
 
 
+def _float_grid(d):
+    lo, hi = d.support
+    return [-math.inf, math.inf, math.nan, 0.0, -0.0, lo, hi, 5e-324, -5e-324,
+            2.2250738585072014e-308, -2.2250738585072014e-308, 1e300, -1e300,
+            1.0 - 2.0 ** -53, -(1.0 - 2.0 ** -53)]
+
+
+@pytest.mark.parametrize("d", [m for d in _registered() for m in (
+    d, negate(d), affine(d, 2.0, 1.0))] + [make_negative_lomax(2.0),
+                                          make_negative_exponential()],
+    ids=lambda d: d.label())
+def test_float_and_one_element_array_give_the_same_probability(d):
+    # the scalar x-space integrals pass one float at a time, and take the
+    # float path that forms no 0-d array
+    for x in _float_grid(d):
+        for f in (d.cdf, d.sf):
+            got, want = f(x), np.asarray(f(np.array([x])), dtype=float)[0]
+            assert isinstance(got, float), (x, type(got))  # not a 0-d array
+            assert np.float64(got).tobytes() == want.tobytes(), (x, got, want)
+
+
 def test_frechet_examples():
     d = make_frechet(2.0)
     assert d.closed_delta(0.0) == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-12)

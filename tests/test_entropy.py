@@ -339,6 +339,21 @@ def test_quantile_route_reports_non_convergence():
         nabla_quadrature(from_quantile("bare", lambda u: u, (0.0, 1.0)), 0.5)
 
 
+def test_fused_quantile_integral_treats_each_order_on_its_own():
+    # both halves of every order share one tanh-sinh call; an order that
+    # does not converge leaves the others as their single-order calls
+    d = negate(make_frechet(1.6))
+    orders = np.array([-0.3426, -0.3058, 0.5])
+    col = entropy._evaluate(d, "delta", orders, "quantile")
+    assert math.isnan(col.value[0]) and col.status[0] == -2
+    for k in (1, 2):
+        one = entropy._evaluate(d, "delta", orders[k:k + 1], "quantile")
+        got = [float(a[k]) for a in (col.value, col.bound, col.status, col.nfev)]
+        assert got == [float(a[0]) for a in (one.value, one.bound, one.status, one.nfev)]
+    with pytest.raises(NonIntegrableError, match="tanh-sinh status -2, 16387 evaluations"):
+        delta_quantile(d, -0.3426)
+
+
 def test_dual_kernel_cancellation_free_near_one():
     # G_s(1 - v) = v - (1-v) sum_k (k+1) v^{k+s+2}/(k+s+2); at v = 1e-12,
     # s = -0.4 the first two terms give the value to ~1e-30
