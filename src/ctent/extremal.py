@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.integrate import tanhsinh
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import zeta
 
@@ -40,8 +41,8 @@ from .distributions import (
     negate,
     normal_spec,
 )
-from .entropy import _quad, delta_quantile
-from .errors import DomainError, NotBracketedError
+from .entropy import delta_quantile
+from .errors import DomainError, NonIntegrableError, NotBracketedError
 from .specfun import lgamma
 
 SYM_BOUND_0 = math.pi / (2.0 * math.sqrt(3.0))
@@ -148,9 +149,14 @@ def make_s_logistic(s: float, beta: float) -> DistributionSpec:
     if s < 0.0 and beta <= -2.0 * s:
         var = math.inf  # tails like |x|^(-beta/|s|) leave no second moment
     else:
-        # variance in quantile space, where the integrand is polynomial-like
-        var, _, _ = _quad(lambda u: float(quantile(u)) ** 2, 0.0, 1.0,
-                          epsabs=1e-12, epsrel=1e-11, limit=400)
+        # in quantile space: the law is odd about u = 1/2, so the variance is
+        # twice the integral of q(u)^2 over (0, 1/2), where u is exact
+        r = tanhsinh(lambda u: quantile(u) ** 2, 0.0, 0.5, rtol=1e-13)
+        if r.status != 0:
+            raise NonIntegrableError(
+                f"the variance of s_logistic(s={s:g}, beta={beta:g}) does not converge "
+                f"(tanh-sinh status {r.status} after {r.nfev} evaluations)")
+        var = 2.0 * float(r.integral)
     d = from_quantile("s_logistic", quantile, (-hi, hi), mean=0.0, variance=var,
                       params={"s": float(s), "beta": float(beta)}, qdensity=qdensity)
     threshold = -s / beta - 1.0 if s < 0.0 else None

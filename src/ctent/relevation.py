@@ -77,6 +77,37 @@ def _uniforms(rng, m: int):
     return np.clip(rng.random(m), _U_CLIP, 1.0 - _U_CLIP)
 
 
+def _aged(d: DistributionSpec, fbar, v, used, what: str) -> np.ndarray:
+    """q(1 - v Fbar(x)) with fbar = Fbar(x): the lifetime of a unit that
+    starts at age x, by inverse-CDF residual sampling from the uniform v
+    (exact, no rejection).  Below v Fbar(x) = 2^-53, 1 - v Fbar(x) would
+    round onto the clip at 1 - 2^-53 or to 1, and every such draw stop at
+    one point: a ``used`` draw there raises :class:`NonIntegrableError`."""
+    vf = v * fbar
+    if np.any(used & (vf < _U_CLIP)):
+        raise NonIntegrableError(
+            f"{what} of {d.label()} has a residual survival v Fbar(x) below 2^-53, "
+            f"where 1 - v Fbar(x) rounds onto the clip at 1 - 2^-53")
+    return np.asarray(d.quantile(np.clip(1.0 - vf, _U_CLIP, 1.0 - _U_CLIP)), dtype=float)
+
+
+def _mean_se(draw, seed: int, n: int) -> tuple:
+    """Mean and standard error of the values draw(rng, size) returns over n
+    trials, from per-chunk sums merged in chunk order."""
+    if n < 2:
+        raise DomainError("need at least 2 trials")
+
+    def sums(rng, m):
+        y = draw(rng, m)
+        return float(np.sum(y)), float(np.sum(y * y))
+
+    parts = _run_chunks(sums, seed, n)
+    tot = math.fsum(p[0] for p in parts)
+    tot2 = math.fsum(p[1] for p in parts)
+    var = max(tot2 - tot * tot / n, 0.0) / (n - 1)
+    return tot / n, math.sqrt(var / n)
+
+
 def _draw_ys(d: DistributionSpec, s: float, rng, m: int):
     """One chunk of (x, y) pairs for the prior-failure relevation model."""
     x = np.asarray(d.quantile(_uniforms(rng, m)), dtype=float)
@@ -84,10 +115,7 @@ def _draw_ys(d: DistributionSpec, s: float, rng, m: int):
     with np.errstate(divide="ignore", over="ignore"):
         survive_p = np.exp(s * np.log(np.clip(fbar, 1e-300, 1.0)))
     alive = rng.random(m) < survive_p
-    v = _uniforms(rng, m)
-    resid_u = 1.0 - v * fbar  # inverse-CDF residual sampling: exact, no rejection
-    y = np.asarray(d.quantile(np.clip(resid_u, _U_CLIP, 1.0 - _U_CLIP)),
-                   dtype=float) - x
+    y = _aged(d, fbar, _uniforms(rng, m), alive, "the second unit") - x
     y = np.where(alive, np.maximum(y, 0.0), 0.0)
     return x, y
 
@@ -98,19 +126,7 @@ def simulate_Ys(d: DistributionSpec, s: float, n: int, seed: int) -> SimulationR
         raise DomainError("the prior-failure model needs s > 0")
     _check_nonneg_support(d)
     n = int(n)
-    if n < 2:
-        raise DomainError("need at least 2 trials")
-
-    def one(rng, m):
-        _, y = _draw_ys(d, s, rng, m)
-        return float(np.sum(y)), float(np.sum(y * y))
-
-    sums = _run_chunks(one, seed, n)
-    tot = math.fsum(p[0] for p in sums)
-    tot2 = math.fsum(p[1] for p in sums)
-    mean = tot / n
-    var = max(tot2 - tot * tot / n, 0.0) / (n - 1)
-    se = math.sqrt(var / n)
+    mean, se = _mean_se(lambda rng, m: _draw_ys(d, s, rng, m)[1], seed, n)
     ev = delta_value(negate(d), s)
     target = ev.value if ev.is_finite else None
     z = (mean - target) / se if (target is not None and se > 0.0) else None
@@ -158,22 +174,11 @@ def simulate_Tn(d: DistributionSpec, n_units: int, n: int, seed: int) -> Simulat
     def one(rng, m):
         x = np.asarray(d.quantile(_uniforms(rng, m)), dtype=float)
         for unit in range(2, int(n_units) + 1):
-            # v Fbar(x) <= v <= 1 - 2^-53; below 2^-53, 1 - v Fbar(x) would
-            # round to 1 - 2^-53 or 1, and every such trial stop at one point
-            vf = _uniforms(rng, m) * np.asarray(d.sf(x), dtype=float)
-            if np.any(vf < _U_CLIP):
-                raise NonIntegrableError(
-                    f"unit {unit} of {d.label()} has a residual survival v Fbar(x) below "
-                    f"2^-53, where 1 - v Fbar(x) rounds onto the clip at 1 - 2^-53")
-            x = np.maximum(np.asarray(d.quantile(1.0 - vf), dtype=float), x)
-        return float(np.sum(x)), float(np.sum(x * x))
+            fbar = np.asarray(d.sf(x), dtype=float)
+            x = np.maximum(_aged(d, fbar, _uniforms(rng, m), True, f"unit {unit}"), x)
+        return x
 
-    sums = _run_chunks(one, seed, n)
-    tot = math.fsum(p[0] for p in sums)
-    tot2 = math.fsum(p[1] for p in sums)
-    mean = tot / n
-    var = max(tot2 - tot * tot / n, 0.0) / (n - 1)
-    se = math.sqrt(var / n)
+    mean, se = _mean_se(one, seed, n)
     target = relevation_risk(d, int(n_units)).value
     z = (mean - target) / se if se > 0.0 else None
     return SimulationResult(n, mean, se, target, z)

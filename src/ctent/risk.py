@@ -12,8 +12,10 @@ s in (0,1) and concavity for s > 1; the diagnostics here exhibit both.
 Evaluation is by the Wang distortion integral in the entropy module's
 x-space frame, on its (u, v) kernels: the median plus the interquartile
 width times one tanh-sinh call over arrays that integrates both sides of
-the median, and QUADPACK on a side where tanh-sinh refuses (heavy tails
-such as lomax(1.05)).  A non-finite integrand, value or error, or a tail
+the median.  A side whose integrand decays like z^-a with 1 < a < 2 (heavy
+tails such as lomax(1.05)) runs in that call under the power substitution
+z = y^-m - 1, m = 1/(a - 1), with a measured from two far probes.  A side
+that tanh-sinh refuses, a non-finite integrand, value or error, or a tail
 lost to an underflowed probability, raises :class:`NonIntegrableError`.
 The result is cross-checked, unchanged, against mean + entropy-of-the-
 mirrored-law from the entropy module.  ``relevation_risk``, the expected
@@ -280,12 +282,29 @@ def coherence_diagnostics(f: DistortionFunction, grid_n: int = 10000) -> dict:
 # ---------------------------------------------------------------------------
 # the risk measures
 
+_FAR = np.array([1e30, 1e60])  # z of the two probes that set the power m
+_TOP = 1e300  # the farthest w z at which a substituted side is evaluated
+
+
+def _decay(f1, f2, z1: float, z2: float):
+    # the exponent a of a decay like z^-a through f1 at z1 and f2 at z2
+    return np.log(np.abs(f1 / f2)) / math.log(z2 / z1)
+
+
 def _wang(d: DistributionSpec, s: float, kernel: Callable, what: str) -> tuple:
     """The Wang risk of ``d`` under the distortion t + kernel(t, 1 - t), in
     the frame of :func:`entropy._frame`: m + w times the integral of the
     distorted survival above the median less that of one minus it below.
-    Both sides are one tanh-sinh call over arrays (scipy maps an infinite end
-    itself), and QUADPACK integrates a side that tanh-sinh refuses.
+    Both sides are one tanh-sinh call over arrays, and a side that it
+    refuses raises :class:`NonIntegrableError`.  scipy maps an infinite end
+    itself, except where the integrand decays like z^-a with 1 < a < 2
+    (lomax(1.05) under k_s), a measured from the integrand at z = 1e30 and
+    1e60: tanh-sinh does not finish such a side on (0, inf), so it runs over
+    y with z = y^-m - 1, m = 1/(a - 1) up to 200, which leaves the integrand
+    bounded at y = 0.  y stops at z = Z = 1e300/max(w, 1), where x is still
+    finite; the tail past Z is Z f(Z)/(a - 1), with a measured just below Z,
+    and its error is the difference from the same tail with a from the far
+    probes.
 
     The error estimate is first trusted at level 3, as Bailey advises: at
     level 2 it read 7e-14 for the dual family of negated Gumbel at s = 5,
@@ -293,34 +312,61 @@ def _wang(d: DistributionSpec, s: float, kernel: Callable, what: str) -> tuple:
     value past its first node, so the integrand raises on one itself."""
     m, w, signs, ends, probs = _frame(d)
     lo, hi = d.support
+    name = f"the {what} distortion integral of {d.label()}"
     underflowed = np.zeros(2, dtype=bool)  # per side, p = 0 inside the support
 
-    def f(z, side):
+    def distorted(z, side):
         # side: 0 above the median, 1 below it; both broadcast against z
         z, side = np.broadcast_arrays(z, side)
         sign, up = signs[side], side == 0
         x, p = m + sign * w * z, np.empty(z.shape)
         p[up], p[~up] = probs[0](x[up]), probs[1](x[~up])
-        out = sign * _distorted(kernel, s, p, up)
+        return x, p, sign * _distorted(kernel, s, p, up)
+
+    def f(t, side, power):
+        # t is z on a side with power 1, else y
+        t, side, power = np.broadcast_arrays(t, side, power)
+        sub = power > 1.0
+        yp = np.where(sub, t, 1.0) ** -power
+        x, p, out = distorted(np.where(sub, yp - 1.0, t), side)
+        out = np.where(sub, out * yp / t * power, out)
         if not np.isfinite(out).all():
-            raise NonIntegrableError(
-                f"the {what} distortion integral of {d.label()} meets a non-finite integrand")
+            raise NonIntegrableError(f"{name} meets a non-finite integrand")
         if not p.all():
             underflowed[side[(p == 0.0) & (lo < x) & (x < hi)]] = True
         return out
 
     with np.errstate(all="ignore"):
-        r = tanhsinh(f, 0.0, ends, args=(np.arange(2),), atol=1e-12, rtol=1e-11, minlevel=3)
-        val, err = r.integral.copy(), r.error.copy()
-        for k in np.flatnonzero(r.status != 0):
-            val[k], err[k], _ = _quad(lambda z: float(f(np.array(z), np.array(k))), 0.0, ends[k])
+        start, power, past, slack = np.zeros(2), np.ones(2), 0.0, 0.0
+        far = np.flatnonzero(np.isinf(ends))
+        if far.size:
+            top = _TOP / max(w, 1.0)
+            # through distorted, not f: a probe sets no lost-tail flag
+            probe = distorted(np.append(_FAR, [top * 1e-30, top]), far[:, None])[2]
+            a = _decay(probe[:, 0], probe[:, 1], _FAR[0], _FAR[1])
+            heavy = (a > 1.0) & (a < 2.0)
+            a, probe, sides = a[heavy], probe[heavy], far[heavy]
+            power[sides] = np.minimum(1.0 / (a - 1.0), 200.0)
+            start[sides] = (1.0 + top) ** (-1.0 / power[sides])
+            zf = top * probe[:, 3]  # the tail past Z is Z f(Z)/(a - 1)
+            near = np.where(zf == 0.0, np.inf,
+                            _decay(probe[:, 2], probe[:, 3], top * 1e-30, top))
+            tails = zf / np.maximum(near - 1.0, 0.0)
+            past = float(np.sum(tails))
+            slack = float(np.sum(np.abs(tails - zf / (a - 1.0))))
+        r = tanhsinh(f, start, np.where(power > 1.0, 1.0, ends), args=(np.arange(2), power),
+                     atol=1e-12, rtol=1e-11, minlevel=3)
         lost = w * sum(abs(float(_distorted(kernel, s, _TINY, k == 0)))
                        for k in np.flatnonzero(underflowed))
-    total, error = m + w * float(np.sum(val)), w * float(np.sum(err))
+    total = m + w * (float(np.sum(r.integral)) + past)
+    error = w * (float(np.sum(r.error)) + slack)
     if not (math.isfinite(total) and math.isfinite(error)):
+        raise NonIntegrableError(f"{name} gives {total} with error {error}")
+    _refuse_lost_tail(name, lost, total)
+    for k in np.flatnonzero(r.status != 0):
         raise NonIntegrableError(
-            f"the {what} distortion integral of {d.label()} gives {total} with error {error}")
-    _refuse_lost_tail(f"the {what} distortion integral of {d.label()}", lost, total)
+            f"{name} does not converge {('above', 'below')[k]} the median (tanh-sinh "
+            f"status {r.status[k]} after {r.nfev[k]} evaluations)")
     return total, error
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from ctent import (
     DomainError,
+    NonIntegrableError,
     affine,
     beta_trinomial_bound_check,
     bound_l2,
@@ -91,6 +92,40 @@ def test_s_logistic_special_cases():
         make_s_logistic(-0.6, 1.0)
     with pytest.raises(DomainError):
         make_s_logistic(1.0, 1.5)
+
+
+def _s_logistic_variance_mp(s: float, beta: float):
+    # 2 x the lower half at 40 digits, with u = w^k, k = ceil(1/(1 + 2s/beta)),
+    # which leaves the integrand bounded at w = 0; a plain mp.quad over
+    # (0, 1/2) misses the singularity u^(2s/beta) in the third digit
+    with mp.workdps(40):
+        s, beta = mp.mpf(s), mp.mpf(beta)
+        k = mp.ceil(1 / (1 + 2 * s / beta))
+
+        def f(w):
+            return k * w ** (k - 1) * abs(w ** (k * s) - (1 - w ** k) ** s) ** (2 / beta)
+
+        return float(2 * mp.quad(f, [0, mp.mpf(0.5) ** (1 / k)]))
+
+
+@pytest.mark.parametrize("s,beta", [(-0.2, 0.5), (-0.4, 0.85), (-0.45, 0.95)])
+def test_s_logistic_variance_near_its_threshold(s, beta):
+    # QUADPACK over (0, 1) missed these by 8.5e-8, 7.7e-9 and 2.4e-8 relative
+    want = _s_logistic_variance_mp(s, beta)
+    assert make_s_logistic(s, beta).variance == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [-0.45, -0.3, 0.3, 1.0, 2.5])
+def test_s_logistic_variance_at_beta_one(s):
+    want = 2.0 / (2.0 * s + 1.0) - 2.0 * float(mp.beta(s + 1.0, s + 1.0))
+    assert make_s_logistic(s, 1.0).variance == pytest.approx(want, abs=1e-13)
+
+
+def test_s_logistic_variance_refusal_raises():
+    # just above beta = 2|s| most of the mass of q(u)^2 lies below the least
+    # normal double
+    with pytest.raises(NonIntegrableError, match="variance"):
+        make_s_logistic(-0.45, 0.9001)
 
 
 def test_s_logistic_cdf_quantile_roundtrip():

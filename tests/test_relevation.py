@@ -6,6 +6,7 @@ from scipy import stats
 
 from ctent import (
     DomainError,
+    NonIntegrableError,
     bnb_pmf,
     delta_value,
     make_exponential,
@@ -20,6 +21,7 @@ from ctent import (
     simulate_Ys,
 )
 from ctent.distributions import dist_mean
+from ctent.relevation import _aged
 
 N_UNIT = 2 * 10 ** 5  # unit-test trial counts; the acceptance suite uses 1e6
 
@@ -129,6 +131,25 @@ def test_domain_guards():
         simulate_Tn(make_exponential(), 0, 1000, 1)
     with pytest.raises(DomainError):
         sample_Ns(0.5, 1000, 1)
+    # one trial has no standard error; simulate_Tn once divided by zero here
+    for simulate in (lambda n: simulate_Ys(make_exponential(), 1.0, n, 1),
+                     lambda n: simulate_Tn(make_exponential(), 2, n, 1)):
+        with pytest.raises(DomainError, match="at least 2 trials"):
+            simulate(1)
+
+
+def test_saturated_residual_draw_refused_only_where_used():
+    # sf(40) = 4.2e-18: 1 - v Fbar(x) rounds to 1 - 2^-53 or 1 for any v
+    d = make_exponential()
+    x = np.array([1.0, 40.0])
+    fbar = np.asarray(d.sf(x), dtype=float)
+    v = np.array([0.5, 0.5])
+    with pytest.raises(NonIntegrableError, match="below 2\\^-53"):
+        _aged(d, fbar, v, np.array([True, True]), "the second unit")
+    # an unused draw (a second unit dead on arrival) passes, clipped
+    y = _aged(d, fbar, v, np.array([True, False]), "the second unit")
+    assert y[0] == pytest.approx(1.0 + math.log(2.0), rel=1e-15)
+    assert np.isfinite(y[1])
 
 
 def test_sample_Ns_frequencies():

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 
 import mpmath as mp
@@ -31,8 +33,8 @@ from ctent import (
     risk_delta,
     risk_nabla,
 )
-from ctent.distributions import dist_mean
-from ctent.entropy import _quad
+from ctent.cli import main
+from ctent.distributions import dist_mean, from_name
 from ctent.specfun import EULER_GAMMA, psi
 
 K_HALF_AT_ONE = -0.2803723055467760  # s/(s+1) - psi(s+1) - gamma at s = 1/2
@@ -299,21 +301,72 @@ def test_relevation_risk_at_many_units():
     assert relevation_risk(make_exponential(), 200).value == pytest.approx(200.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("s", [-0.3, 0.5, 2.0])
-def test_risk_nabla_heavy_tail_falls_back_to_quadpack(monkeypatch, s):
-    # tanh-sinh refuses the k_s integral of lomax(1.05); QUADPACK answers it
-    calls = []
+@pytest.mark.parametrize("label,s", [("k_s", -0.3), ("k_s", 0.5), ("k_s", 2.0),
+                                     ("h_s", 0.5), ("h_s", 2.0)])
+def test_heavy_tail_risk_converges_on_tanh_sinh(monkeypatch, label, s):
+    # lomax(1.05)'s integrand decays like z^-1.05, which tanh-sinh does not
+    # finish on (0, inf); the power substitution answers it, never QUADPACK
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Wang integral reached QUADPACK")
 
-    def counting_quad(*args, **kwargs):
-        calls.append(args[1:3])
-        return _quad(*args, **kwargs)
-
-    monkeypatch.setattr(risk_module, "_quad", counting_quad)
+    monkeypatch.setattr(risk_module, "_quad", refuse)
     d = make_lomax(1.05)
-    rn = risk_nabla(d, s)
-    assert calls
-    assert rn.value == pytest.approx(dist_mean(d) + nabla_value(negate(d), s).value,
-                                     abs=rn.abs_error_bound)
+    risk, mirrored = (risk_nabla, nabla_value) if label == "k_s" else (risk_delta, delta_value)
+    r = risk(d, s)
+    assert r.value == pytest.approx(dist_mean(d) + mirrored(negate(d), s).value,
+                                    abs=r.abs_error_bound)
+
+
+@pytest.mark.parametrize("beta", [1.01, 1.02, 1.03, 1.2])
+@pytest.mark.parametrize("n", [1, 2])
+def test_relevation_risk_of_heavy_lomax(beta, n):
+    # E[T_1] = 1/(beta-1), E[T_2] = E[T_1] + beta/(beta-1)^2.  At beta = 1.01
+    # about 1e-3 of the mass lies past x = 1e300, added as the power-law tail:
+    # exact for sf alone; under the log factor of n = 2 its bound is loose
+    want = 1.0 / (beta - 1.0) + (n == 2) * beta / (beta - 1.0) ** 2
+    r = relevation_risk(make_lomax(beta), n)
+    assert r.value == pytest.approx(want, abs=r.abs_error_bound)
+    if n == 1:
+        assert r.abs_error_bound < 1e-9 * want
+
+
+# Every Wang integral of the test suite that tanh-sinh refused on (0, inf),
+# with how it ends: the exception, or None for a value within its bound of
+# mean + the mirrored entropy; and the exit code of ``ctent risk``, which
+# forms risk_delta and then risk_nabla.  lomax(1.00002) raised OracleMismatch
+# while a QUADPACK fallback integrated the side: its value was 19 034 for a
+# risk of 1.3e9, most of whose mass lies past the largest double
+_REFUSED_SIDES = [
+    ("exponential", {}, "h_s", -0.999999, NonIntegrableError, 3),
+    ("logistic", {}, "h_s", -0.999999, NonIntegrableError, 3),
+    ("normal", {}, "h_s", -0.999999, NonIntegrableError, 3),
+    ("gumbel", {}, "h_s", -0.999999, NonIntegrableError, 3),
+    ("lomax", {"beta": 1.05}, "k_s", -0.3, None, 2),
+    ("lomax", {"beta": 1.05}, "k_s", 0.5, None, 0),
+    ("lomax", {"beta": 1.05}, "k_s", 2.0, None, 0),
+    ("reverse_weibull", {"beta": 0.005}, "h_s", 0.5, NonIntegrableError, 3),
+    ("lomax", {"beta": 1.0000230261160268}, "h_s", 1e-05, NonIntegrableError, 3),
+    ("reverse_weibull", {"beta": 3.0130304289373933e-115}, "h_s", 4587.502386396469,
+     NonIntegrableError, 3),
+]
+
+
+@pytest.mark.parametrize("name,params,label,s,raises,code", _REFUSED_SIDES)
+def test_sides_tanh_sinh_refused_on_the_half_line(name, params, label, s, raises, code):
+    d = from_name(name, params)
+    risk, mirrored = (risk_nabla, nabla_value) if label == "k_s" else (risk_delta, delta_value)
+    if raises is None:
+        r = risk(d, s)
+        assert r.value == pytest.approx(dist_mean(d) + mirrored(negate(d), s).value,
+                                        abs=r.abs_error_bound)
+    else:
+        with pytest.raises(raises):
+            risk(d, s)
+    argv = ["risk", "--dist", name, "--s", repr(s)]
+    for key, value in params.items():
+        argv += ["--param", f"{key}={value!r}"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == code
 
 
 def test_risk_nabla_makes_no_scalar_kernel_calls(monkeypatch):
