@@ -27,6 +27,7 @@ from functools import wraps
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.special import betaln, gammaln, ndtr, ndtri, poch, zeta
 from scipy.special import psi as digamma
 
@@ -56,7 +57,8 @@ class DistributionSpec:
     ``v = 1 - u`` passed separately and exactly, so that it stays accurate
     as either u or v approaches zero; it accepts arrays.  ``None`` means
     the law has no quantile density and cannot be integrated in quantile
-    space.
+    space.  An infinite ``variance`` is inf; a ``mean`` or ``variance`` of
+    ``None`` is not stored, and :func:`dist_mean` or :func:`dist_std` integrates.
     ``closed_delta``/``closed_nabla`` evaluate the entropies in closed form,
     at one order or over a numpy array of orders, and raise
     :class:`DivergentEntropy` when an order is one where the entropy is
@@ -405,9 +407,9 @@ def _power_variance(b: float) -> float:
     return b / (b + 2.0) / (b + 1.0) / (b + 1.0)
 
 
-def _lomax_variance(b: float) -> float | None:
+def _lomax_variance(b: float) -> float:
     # b / ((b-1)^2 (b-2)), divided out term by term so that no factor overflows
-    return b / (b - 1.0) / (b - 1.0) / (b - 2.0) if b > 2.0 else None
+    return b / (b - 1.0) / (b - 1.0) / (b - 2.0) if b > 2.0 else math.inf
 
 
 _BELOW_ONE = 1.0 - 2.0 ** -53  # the largest float below 1: log1p(-x) stays finite
@@ -504,7 +506,7 @@ def make_frechet(beta: float) -> DistributionSpec:
 
     cdf, sf = _cdf_sf((0.0, math.inf), log_cdf=log_cdf)
     mean = math.exp(lgamma(1.0 - 1.0 / b))
-    var = math.exp(lgamma(1.0 - 2.0 / b)) - mean ** 2 if b > 2.0 else None
+    var = math.exp(lgamma(1.0 - 2.0 / b)) - mean ** 2 if b > 2.0 else math.inf
     return DistributionSpec(
         name="frechet", params={"beta": b},
         cdf=cdf, sf=sf, quantile=lambda u: np.exp(-np.log(-np.log(u)) / b),
@@ -734,29 +736,30 @@ def from_quantile(name: str, quantile: Callable, support: tuple,
     )
 
 
+def _quantile_moment(d: DistributionSpec, f: Callable, what: str) -> float:
+    # integral_0^1 f(q(u)) du by QUADPACK, for a law built from a quantile
+    # that stores no such moment; a reported failure raises
+    r = quad(lambda u: f(float(d.quantile(u))), 0.0, 1.0, limit=200, full_output=1)
+    if len(r) > 3:  # a fourth item is the failure message
+        raise NonIntegrableError(f"the {what} of {d.label()} does not converge: {r[3]}")
+    return r[0]
+
+
 def dist_mean(d: DistributionSpec) -> float:
     """The distribution's mean; falls back to quantile-space quadrature."""
-    if d.mean is not None:
-        return float(d.mean)
-    from scipy.integrate import quad
-
-    val, _ = quad(lambda u: float(d.quantile(u)), 0.0, 1.0, limit=200)
-    return val
+    return float(d.mean) if d.mean is not None else _quantile_moment(d, lambda x: x, "mean")
 
 
 def dist_std(d: DistributionSpec) -> float:
     """Standard deviation, inf for an infinite variance; quadrature
     fallback when not stored."""
-    if d.variance is not None:
-        var = float(d.variance)
-        if not var >= 0.0:
-            raise DomainError(f"{d.label()} carries the variance {var}, not a nonnegative one")
-        return math.sqrt(var)
-    from scipy.integrate import quad
-
-    m = dist_mean(d)
-    val, _ = quad(lambda u: (float(d.quantile(u)) - m) ** 2, 0.0, 1.0, limit=200)
-    return math.sqrt(max(val, 0.0))
+    if d.variance is None:
+        m = dist_mean(d)
+        return math.sqrt(max(_quantile_moment(d, lambda x: (x - m) ** 2, "variance"), 0.0))
+    var = float(d.variance)
+    if not var >= 0.0:
+        raise DomainError(f"{d.label()} carries the variance {var}, not a nonnegative one")
+    return math.sqrt(var)
 
 
 # ---------------------------------------------------------------------------

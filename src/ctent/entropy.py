@@ -12,6 +12,12 @@ C(s, k): an order where its rounding could exceed 1e-10 of G_s (s above
 v^k/(k+s+2) in v = 1 - u has no cancellation.  Both series' coefficients are
 tabulated once per order and summed by Horner's rule.
 
+Each kernel K(u, 1 - u) is a pair of halves of a probability t <= 1/2 held
+exactly, lower(t) = K(t, 1 - t) and upper(t) = K(1 - t, t), so that neither
+end loses its digits.  One splitter, ``_halves``, sends u < 1/2 to the lower
+half and u >= 1/2 to the upper one at 1 - u; the reversed pair is the
+mirrored kernel u -> K(1 - u, u).
+
 Every evaluator, single order or profile, calls one private evaluator over
 an array of orders: orders at or below the finiteness threshold are
 divergent, the rest take one call of the closed form, and the orders left
@@ -113,20 +119,32 @@ class EntropyProfile:
 _LOG_MAX = math.log(np.finfo(float).max)  # expm1 overflows above this
 _EPS = np.finfo(float).eps
 _TERMS = 240  # cap on the terms of the dual kernel's series
+_SCALE = 2.0 ** 64  # lifts a subnormal product into the normal range
 
 
-def _log_u(u, v):
-    # log u, from v = 1 - u near u = 1 (the slower log1p there only); ``out``
-    # keeps a 0-d u an array for the assignment
-    logu = np.log(u, out=np.empty_like(u))
-    hi = u >= 0.5
-    logu[hi] = np.log1p(-v[hi])
-    return logu
+def _halves(pair, u) -> np.ndarray:
+    """The kernel K(u, 1 - u) of ``pair`` = (lower, upper), elementwise:
+    lower(u) for u < 1/2, upper(1 - u) (1 - u exact) for u >= 1/2, and 0
+    outside (0, 1) and at NaN."""
+    u = np.asarray(u, dtype=float)
+    out = np.zeros(u.shape)
+    lo, hi = (u > 0.0) & (u < 0.5), (u >= 0.5) & (u < 1.0)
+    if lo.any():
+        out[lo] = pair[0](u[lo])
+    if hi.any():
+        out[hi] = pair[1](1.0 - u[hi])
+    return out
 
 
-def _g_uv(u, v, s):
+def _log_pair(core: Callable, *args) -> tuple:
+    # the halves of a kernel core(u, log u, *args): log u is log t on the
+    # lower half and log1p(-t) on the upper, so that each end keeps its digits
+    return (lambda t: core(t, np.log(t), *args),
+            lambda t: core(1.0 - t, np.log1p(-t), *args))
+
+
+def _g_core(u, logu, s):
     # g_s(u); s may be a column of orders
-    logu = _log_u(u, v)
     e = s * logu
     with np.errstate(over="ignore", invalid="ignore"):
         g = -u * np.expm1(e) / s
@@ -137,16 +155,9 @@ def _g_uv(u, v, s):
     return np.where(s == 0.0, -u * logu, g) if np.any(s == 0.0) else g
 
 
-def _inside(kernel: Callable, u, s: float) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    inside = (u > 0.0) & (u < 1.0)
-    uu = np.where(inside, u, 0.5)
-    return np.where(inside, kernel(uu, 1.0 - uu, s), 0.0)
-
-
 def g_kernel_np(u: np.ndarray, s: float) -> np.ndarray:
     """Quantile-space entropy kernel u(1-u^s)/s; vanishes at both endpoints."""
-    return _inside(_g_uv, u, s)
+    return _halves(_log_pair(_g_core, s), u)
 
 
 def _through_first(small: np.ndarray) -> np.ndarray:
@@ -201,34 +212,28 @@ def dual_tail_integral(u, s: float):
     return out if np.ndim(u) else float(out[0])
 
 
-def _dual_lower(u, v, s, c, j0):
-    # G_s(u) = v (1 - v^s) + u (s+1) J(u) for u < 1/2
-    head = -v * np.expm1(s * np.log1p(-u))
-    return head + u * (s + 1.0) * _j_lower(u, c, j0)
+def _dual_lower(t, s, c, j0):
+    # G_s(t) = v (1 - v^s) + t (s+1) J(t), v = 1 - t, for t < 1/2; the product
+    # runs 2^64 higher, which keeps a subnormal t's digits and no other bit
+    head = -(1.0 - t) * np.expm1(s * np.log1p(-t))
+    return head + t * _SCALE * (s + 1.0) * _j_lower(t, c, j0) / _SCALE
 
 
-def _dual_upper(u, v, s, w):
-    # G_s(u) for v = 1-u <= 1/2: head + u(s+1)J(u), the v^(s+1) terms cancelled
-    return v - u * np.power(v, s + 2.0) * _horner(w, v)
+def _dual_upper(t, s, w):
+    # G_s(1 - t) for t <= 1/2: head + u(s+1)J(u), u = 1 - t, t^(s+1) cancelled
+    return t - (1.0 - t) * np.power(t, s + 2.0) * _horner(w, t)
 
 
-def _dual_uv(u, v, s: float):
-    # G_s(u) at u in (0,1), v = 1 - u, for one order
-    shape = np.shape(u)
-    u, v = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (u, v))
+def _dual_pair(s: float) -> tuple:
+    # the halves of G_s, on one order's coefficient tables
     c, j0, w = _dual_coefficients(np.array([float(s)]))
-    out = np.empty_like(u)
-    hi = u >= 0.5
-    if hi.any():
-        out[hi] = _dual_upper(u[hi], v[hi], s, w[:, 0])
-    if (~hi).any():
-        out[~hi] = _dual_lower(u[~hi], v[~hi], s, c[:, 0], j0[0])
-    return out.reshape(shape)
+    return (lambda t: _dual_lower(t, s, c[:, 0], j0[0]),
+            lambda t: _dual_upper(t, s, w[:, 0]))
 
 
 def dual_kernel_np(u: np.ndarray, s: float) -> np.ndarray:
     """G_s(u): quantile-space kernel of the dual entropy; G_0(u) = -u log u."""
-    return _inside(_dual_uv, u, s)
+    return _halves(_dual_pair(s), u)
 
 
 def dual_kernel(u: float, s: float) -> float:
@@ -378,11 +383,12 @@ def _quantile_integral(qd: Callable, which: str, s: np.ndarray) -> np.ndarray:
     (0, 1/2) (in u alone the nodes with 1 - u below ~1e-16, and the tail
     mass, are lost).  Rows: value, bound, status, nfev."""
     if which == "delta":
-        kernels = (lambda u, v, i: _g_uv(u, v, s[i]),) * 2
+        halves = (lambda t, i: _g_core(t, np.log(t), s[i]),
+                  lambda t, i: _g_core(1.0 - t, np.log1p(-t), s[i]))
     else:
         c, j0, w = _dual_coefficients(s)
-        kernels = (lambda u, v, i: _dual_lower(u, v, s[i], c[:, i], j0[i]),
-                   lambda u, v, i: _dual_upper(u, v, s[i], w[:, i]))
+        halves = (lambda t, i: _dual_lower(t, s[i], c[:, i], j0[i]),
+                  lambda t, i: _dual_upper(t, s[i], w[:, i]))
 
     def f(t, side, i):
         # the side and the order index come through args, constant along a
@@ -393,7 +399,7 @@ def _quantile_integral(qd: Callable, which: str, s: np.ndarray) -> np.ndarray:
             if rows.any():
                 x = t[rows]
                 u, v = (x, 1.0 - x) if k == 0 else (1.0 - x, x)
-                out[rows] = kernels[k](u, v, i[rows]) * qd(u, v)
+                out[rows] = halves[k](x, i[rows]) * qd(u, v)
         return out
 
     with np.errstate(all="ignore"):

@@ -9,18 +9,22 @@ s > -1, which is what makes the two functionals coherent.  The generalized
 CRE distortion t + t(-log t)^s/Gamma(s+1) fails monotonicity on (0,1) for
 s in (0,1) and concavity for s > 1; the diagnostics here exhibit both.
 
-Evaluation is by the Wang distortion integral in the entropy module's
-x-space frame, on its (u, v) kernels: the median plus the interquartile
-width times one tanh-sinh call over arrays that integrates both sides of
-the median.  A side whose integrand decays like z^-a with 1 < a < 2 (heavy
-tails such as lomax(1.05)) runs in that call under the power substitution
-z = y^-m - 1, m = 1/(a - 1), with a measured from two far probes.  A side
-that tanh-sinh refuses, a non-finite integrand, value or error, or a tail
-lost to an underflowed probability, raises :class:`NonIntegrableError`.
-The result is cross-checked, unchanged, against mean + entropy-of-the-
-mirrored-law from the entropy module.  ``relevation_risk``, the expected
-n-th failure time, is the same integral of the relevation partial-sum
-distortion H_tilde_{n-1}, another (u, v) kernel.
+Each distortion is t plus a kernel held as a pair of halves (see
+``entropy._halves``): g_s for h_s, G_s for k_s, u(-log u)^s/Gamma(s+1) and
+u sum_{k=1..n} (-log u)^k/k! for the other two.  The risk is the Wang
+distortion integral in the entropy module's x-space frame: the median plus
+the interquartile width times one tanh-sinh call over arrays that
+integrates both sides of the median, at each side's small-side probability
+p, p + K(p, 1 - p) above the median and, through the reversed pair,
+K(1 - p, p) - p below it.  A side whose integrand decays like z^-a with
+1 < a < 2 (heavy tails such as lomax(1.05)) runs in that call under the
+power substitution z = y^-m - 1, m = 1/(a - 1), with a measured from two
+far probes.  A side that tanh-sinh refuses, a non-finite integrand, value
+or error, or a tail lost to an underflowed probability, raises
+:class:`NonIntegrableError`.  The result is cross-checked, unchanged,
+against mean + entropy-of-the-mirrored-law from the entropy module.
+``relevation_risk``, the expected n-th failure time, is the same integral
+of the relevation partial-sum distortion H_tilde_{n-1}.
 """
 
 from __future__ import annotations
@@ -35,10 +39,11 @@ from scipy.integrate import tanhsinh
 from .distributions import DistributionSpec, dist_mean, from_quantile, negate
 from .entropy import (
     _TINY,
-    _dual_uv,
+    _dual_pair,
     _frame,
-    _g_uv,
-    _log_u,
+    _g_core,
+    _halves,
+    _log_pair,
     _quad,
     _refuse_lost_tail,
     as_order,
@@ -119,34 +124,18 @@ def K_series(s: float, t: float) -> float:
     return _K1(s) - (g / ((1.0 + s) * t) + math.log(t))
 
 
-def _ratio_np(t: np.ndarray, s: float) -> np.ndarray:
-    # (1 - t^s)/s elementwise on (0,1)
-    if s == 0.0:
-        return -np.log(t)
-    return -np.expm1(s * np.log(t)) / s
-
-
-def _distorted(kernel: Callable, s: float, p, upper):
-    # where upper (a bool or an array of them): the distortion p + kernel(p,
-    # 1 - p) of a survival value p; else one minus the distortion of 1 - p,
-    # as p - kernel(1 - p, p) with v = p exact, so that it does not cancel as
-    # p -> 0.  A NaN p stays NaN
-    p = np.asarray(p, dtype=float)
-    inside = (p > 0.0) & (p < 1.0)
-    pp = np.where(inside, p, 0.5)
-    qq = 1.0 - pp
-    with np.errstate(divide="ignore"):  # the log of the unused branch at p ~ 0
-        k = kernel(np.where(upper, pp, qq), np.where(upper, qq, pp), s)
-    return np.where(inside, pp + np.where(upper, k, -k), np.clip(p, 0.0, 1.0))
-
-
-def _h_tilde_uv(u, v, n: int):
+def _h_tilde_core(u, logu, n: int):
     # H_tilde_n(u) - u = u sum_{k=1..n} L^k / k!, L = -log u, by Horner's rule
-    ln = -_log_u(u, v)
+    ln = -logu
     acc = np.zeros_like(ln)
     for k in range(n, 0, -1):
         acc = ln * (1.0 + acc) / k
     return u * acc
+
+
+def _distortion(pair) -> Callable:
+    # t + K(t, 1 - t) on [0, 1], the clipped t outside it; NaN stays NaN
+    return lambda t: np.clip(t, 0.0, 1.0) + _halves(pair, t)
 
 
 def make_distortion(label: str, s_or_n: float) -> DistortionFunction:
@@ -161,15 +150,12 @@ def make_distortion(label: str, s_or_n: float) -> DistortionFunction:
         if not s > -1.0:
             raise DomainError("h_s needs s > -1")
 
-        def ev(t):
-            return _distorted(_g_uv, s, t, True)
+        ev = _distortion(_log_pair(_g_core, s))
 
         def d1(t):
-            t = np.asarray(t, dtype=float)
-            return (s + 1.0) * _ratio_np(t, s)
+            return (s + 1.0) * (-np.log(t) if s == 0.0 else -np.expm1(s * np.log(t)) / s)
 
         def d2(t):
-            t = np.asarray(t, dtype=float)
             return -(s + 1.0) * np.exp((s - 1.0) * np.log(t))
 
         return DistortionFunction("h_s", s, ev, d1, d2)
@@ -178,14 +164,12 @@ def make_distortion(label: str, s_or_n: float) -> DistortionFunction:
         if not s > -1.0:
             raise DomainError("k_s needs s > -1")
 
-        def ev(t):
-            return _distorted(_dual_uv, s, t, True)
+        ev = _distortion(_dual_pair(s))
 
         def d1(t):
             # k' = k/t - w_s reduces exactly to (s+1) * J(t) with
             # J(t) = integral_t^1 (1-v)^s / v dv: manifestly positive and
             # free of the 1 - 1 cancellation near t = 1
-            t = np.asarray(t, dtype=float)
             return (s + 1.0) * np.asarray(dual_tail_integral(t, s), dtype=float)
 
         def d2(t):
@@ -198,26 +182,17 @@ def make_distortion(label: str, s_or_n: float) -> DistortionFunction:
         if s < 0.0:
             raise DomainError("h_tilde_s needs s >= 0")
         lg = lgamma(s + 1.0)
-
-        def ev(t):
-            t = np.asarray(t, dtype=float)
-            if s == 0.0:
-                return 2.0 * t
-            inside = (t > 0.0) & (t < 1.0)
-            tt = np.where(inside, t, 0.5)
-            with np.errstate(divide="ignore"):
-                out = tt + tt * np.exp(s * np.log(-np.log(tt)) - lg)
-            return np.where(inside, out, np.where(t <= 0.0, 0.0, 1.0))
+        # the kernel u (-log u)^s / Gamma(s+1); the order-0 map is 2t
+        ev = (lambda t: 2.0 * np.asarray(t, dtype=float)) if s == 0.0 else _distortion(
+            _log_pair(lambda u, logu: u * np.exp(s * np.log(-logu) - lg)))
 
         def d1(t):
-            t = np.asarray(t, dtype=float)
             if s == 0.0:
                 return np.full_like(t, 2.0)
             ln = -np.log(t)
             return 1.0 + (np.power(ln, s) - s * np.power(ln, s - 1.0)) * math.exp(-lg)
 
         def d2(t):
-            t = np.asarray(t, dtype=float)
             if s == 0.0:
                 return np.zeros_like(t)
             ln = -np.log(t)
@@ -231,13 +206,10 @@ def make_distortion(label: str, s_or_n: float) -> DistortionFunction:
             raise DomainError("H_tilde_n needs an integer n >= 0")
         fact = math.factorial(n)
 
-        def ev(t):
-            return _distorted(_h_tilde_uv, n, t, True)
+        ev = _distortion(_log_pair(_h_tilde_core, n))
 
         def d1(t):
-            t = np.asarray(t, dtype=float)
-            ln = -np.log(t)
-            return np.power(ln, n) / fact
+            return np.power(-np.log(t), n) / fact
 
         def d2(t):
             t = np.asarray(t, dtype=float)
@@ -264,7 +236,7 @@ def coherence_diagnostics(f: DistortionFunction, grid_n: int = 10000) -> dict:
     d2 = np.asarray(f.deriv2(t), dtype=float)
     mono_viol = np.flatnonzero(d1 <= 0.0)
     conc_viol = np.flatnonzero(d2 > 0.0)
-    report = {
+    return {
         "label": f.label,
         "s_or_n": f.s_or_n,
         "grid_n": int(grid_n),
@@ -276,7 +248,6 @@ def coherence_diagnostics(f: DistortionFunction, grid_n: int = 10000) -> dict:
         "first_concavity_violation": float(t[conc_viol[0]]) if conc_viol.size else None,
         "deriv1_positive_decreasing": bool(np.all(d1 > 0.0) and np.all(np.diff(d1) <= 1e-12)),
     }
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +262,11 @@ def _decay(f1, f2, z1: float, z2: float):
     return np.log(np.abs(f1 / f2)) / math.log(z2 / z1)
 
 
-def _wang(d: DistributionSpec, s: float, kernel: Callable, what: str) -> tuple:
-    """The Wang risk of ``d`` under the distortion t + kernel(t, 1 - t), in
-    the frame of :func:`entropy._frame`: m + w times the integral of the
-    distorted survival above the median less that of one minus it below.
+def _wang(d: DistributionSpec, pair: tuple, what: str) -> tuple:
+    """The Wang risk of ``d`` under the distortion t + K(t, 1 - t) of the
+    kernel ``pair`` (see :func:`entropy._halves`), in the frame of
+    :func:`entropy._frame`: m + w times the integral of the distorted
+    survival above the median less that of one minus it below.
     Both sides are one tanh-sinh call over arrays, and a side that it
     refuses raises :class:`NonIntegrableError`.  scipy maps an infinite end
     itself, except where the integrand decays like z^-a with 1 < a < 2
@@ -315,13 +287,19 @@ def _wang(d: DistributionSpec, s: float, kernel: Callable, what: str) -> tuple:
     name = f"the {what} distortion integral of {d.label()}"
     underflowed = np.zeros(2, dtype=bool)  # per side, p = 0 inside the support
 
+    def signed(p, side: int):
+        # at a side's small-side probability p: the distortion p + K(p, 1 - p)
+        # above the median; below it, the distortion of 1 - p less one, K(1 - p, p) - p
+        return p + _halves(pair, p) if side == 0 else _halves(pair[::-1], p) - p
+
     def distorted(z, side):
         # side: 0 above the median, 1 below it; both broadcast against z
         z, side = np.broadcast_arrays(z, side)
-        sign, up = signs[side], side == 0
-        x, p = m + sign * w * z, np.empty(z.shape)
-        p[up], p[~up] = probs[0](x[up]), probs[1](x[~up])
-        return x, p, sign * _distorted(kernel, s, p, up)
+        x, p, out = m + signs[side] * w * z, np.empty(z.shape), np.empty(z.shape)
+        for k, rows in enumerate((side == 0, side == 1)):
+            p[rows] = probs[k](x[rows])
+            out[rows] = signed(p[rows], k)
+        return x, p, out
 
     def f(t, side, power):
         # t is z on a side with power 1, else y
@@ -356,8 +334,7 @@ def _wang(d: DistributionSpec, s: float, kernel: Callable, what: str) -> tuple:
             slack = float(np.sum(np.abs(tails - zf / (a - 1.0))))
         r = tanhsinh(f, start, np.where(power > 1.0, 1.0, ends), args=(np.arange(2), power),
                      atol=1e-12, rtol=1e-11, minlevel=3)
-        lost = w * sum(abs(float(_distorted(kernel, s, _TINY, k == 0)))
-                       for k in np.flatnonzero(underflowed))
+        lost = w * sum(abs(float(signed(_TINY, k))) for k in np.flatnonzero(underflowed))
     total = m + w * (float(np.sum(r.integral)) + past)
     error = w * (float(np.sum(r.error)) + slack)
     if not (math.isfinite(total) and math.isfinite(error)):
@@ -370,10 +347,10 @@ def _wang(d: DistributionSpec, s: float, kernel: Callable, what: str) -> tuple:
     return total, error
 
 
-def _checked_risk(d: DistributionSpec, sv: float, kernel: Callable, label: str,
+def _checked_risk(d: DistributionSpec, sv: float, pair: tuple, label: str,
                   mirrored: Callable, name: str, family: str) -> RiskValue:
-    # the distortion integral, checked against mean + the mirrored entropy
-    val, err = _wang(d, sv, kernel, label)
+    # the distortion integral of ``pair``, checked against mean + the mirrored entropy
+    val, err = _wang(d, pair, label)
     ref = mirrored(negate(d), sv)
     if not ref.is_finite:
         raise DivergentEntropy(f"mirrored {name} is infinite at this order")
@@ -394,26 +371,31 @@ def risk_delta(d: DistributionSpec, s) -> RiskValue:
         raise DivergentEntropy(
             f"risk measure diverges: order s={sv:g} at or below the mirrored "
             f"finiteness threshold {d.neg_finiteness_threshold:g}")
-    return _checked_risk(d, sv, _g_uv, "h_s", delta_value, "entropy", "delta")
+    return _checked_risk(d, sv, _log_pair(_g_core, sv), "h_s", delta_value, "entropy", "delta")
 
 
 def risk_nabla(d: DistributionSpec, s) -> RiskValue:
     """The dual-family risk measure via the k_s distortion."""
-    return _checked_risk(d, as_order(s).s, _dual_uv, "k_s", nabla_value, "dual entropy", "nabla")
+    sv = as_order(s).s
+    return _checked_risk(d, sv, _dual_pair(sv), "k_s", nabla_value, "dual entropy", "nabla")
 
 
 def mrl_representation(d: DistributionSpec, s, which: str = "delta") -> RiskValue:
     """The perturbed mean-residual-life form of the risk measures:
     (s+1) E[Fbar(X)^s (X + mrl(X))] resp. (s+1) E[F(X)^s (X + mrl(X))],
-    integrated in quantile space with a nested partial-mean integral."""
+    integrated in quantile space with a nested partial-mean integral.  A
+    failure QUADPACK reports, inner or outer, raises
+    :class:`NonIntegrableError`."""
     sv = as_order(s).s
     if which not in ("delta", "nabla"):
         raise DomainError("which must be 'delta' or 'nabla'")
     q = d.quantile
+    inner = []  # whether each inner integral converged
 
     def partial_mean(u: float) -> float:
-        v, _, _ = _quad(lambda t: float(q(t)), u, 1.0, epsabs=1e-11, epsrel=1e-10,
-                        limit=200)
+        v, _, ok = _quad(lambda t: float(q(t)), u, 1.0, epsabs=1e-11, epsrel=1e-10,
+                         limit=200)
+        inner.append(ok)
         return v
 
     if which == "delta":
@@ -423,7 +405,13 @@ def mrl_representation(d: DistributionSpec, s, which: str = "delta") -> RiskValu
         def integrand(u: float) -> float:
             return math.exp(sv * math.log(u) - math.log1p(-u)) * partial_mean(u)
 
-    val, err, _ = _quad(integrand, 0.0, 1.0, epsabs=1e-10, epsrel=1e-9, limit=300)
+    with np.errstate(all="ignore"):  # q(1) = inf reaches _quad's non-finite check
+        val, err, ok = _quad(integrand, 0.0, 1.0, epsabs=1e-10, epsrel=1e-9, limit=300)
+    if not (ok and all(inner)):
+        raise NonIntegrableError(
+            f"the mean-residual-life integral of {d.label()} at s={sv:g} ({which}): "
+            f"{inner.count(False)} of {len(inner)} inner integrals failed, and the outer "
+            f"one {'converged' if ok else 'failed'}")
     total = (sv + 1.0) * val
     return RiskValue(total, (sv + 1.0) * err + 1e-7 * max(1.0, abs(total)), which)
 
@@ -508,5 +496,5 @@ def relevation_risk(d: DistributionSpec, n: int) -> RiskValue:
         raise DomainError(f"unit count must be a positive integer, got {n}")
     if d.support[0] < -1e-12:
         raise DomainError("relevation lifetimes need nonnegative support")
-    val, err = _wang(d, int(n) - 1, _h_tilde_uv, "H_tilde_n")
+    val, err = _wang(d, _log_pair(_h_tilde_core, int(n) - 1), "H_tilde_n")
     return RiskValue(val, err + 1e-10 * max(1.0, val), "relevation_n")

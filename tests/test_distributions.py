@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import mpmath as mp
@@ -16,6 +17,7 @@ from ctent import (
     available_distributions,
     delta_quadrature,
     from_name,
+    from_quantile,
     make_exponential,
     make_frechet,
     make_gumbel,
@@ -65,7 +67,8 @@ def test_mean_matches_quantile_integral(d):
     assert val == pytest.approx(d.mean, abs=1e-8)
 
 
-@pytest.mark.parametrize("d", [m for m in catalog_members() if m.variance is not None],
+@pytest.mark.parametrize("d", [m for m in catalog_members()
+                               if m.variance is not None and math.isfinite(m.variance)],
                          ids=lambda d: d.label())
 def test_variance_matches_quantile_integral(d):
     m = d.mean
@@ -530,6 +533,29 @@ def test_dist_std_of_infinite_and_negative_variances():
     assert dist_std(d) == math.inf
     with pytest.raises(DomainError):
         dist_std(replace(make_exponential(), variance=-1.0))
+
+
+@pytest.mark.parametrize("d", [make_lomax(1.5), make_lomax(2.0), make_frechet(1.6),
+                               make_frechet(2.0), make_negative_lomax(1.8)],
+                         ids=lambda d: d.label())
+def test_dist_std_of_a_stored_infinite_variance(d):
+    # the catalog states an infinite variance; no quadrature runs, and so
+    # nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert d.variance == math.inf and dist_std(d) == math.inf
+
+
+def test_moment_quadrature_reports_its_failure():
+    # a law built from a quantile stores no variance: the quadrature of a
+    # divergent one raises rather than returning what QUADPACK stopped at
+    heavy = from_quantile("heavy", make_lomax(1.5).quantile, (0.0, math.inf), mean=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonIntegrableError, match="variance"):
+            dist_std(heavy)
+    mix = _quantile_mixture(make_power_uniform(1.0), affine(make_exponential(), 1.5, 0.0), 0.3)
+    assert dist_mean(mix) == pytest.approx(0.3 * 0.5 + 0.7 * 1.5, rel=1e-12)
 
 
 @pytest.mark.parametrize("d", [

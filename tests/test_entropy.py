@@ -39,8 +39,8 @@ from ctent import (
     sample,
 )
 from ctent import entropy
-from ctent.entropy import _g_uv, _quad, dual_kernel, dual_kernel_np, dual_tail_integral
-from ctent.risk import _quantile_mixture
+from ctent.entropy import _quad, dual_kernel, dual_kernel_np, dual_tail_integral, g_kernel_np
+from ctent.risk import _h_tilde_core, _quantile_mixture, make_distortion
 
 PI2_6 = math.pi ** 2 / 6.0
 LN2_MINUS_QUARTER = 0.4431471805599453  # u(2 log(1/u) - (1-u)) at u = 1/2
@@ -401,8 +401,7 @@ def test_entropy_kernel_past_expm1_range():
     # is then (u - u^(1+s))/s, and unchanged wherever expm1 is in range
     s = -0.999999
     u = np.array([5e-324, 1e-310, 1e-300, 1e-200, 0.3, 0.7])
-    with np.errstate(divide="ignore"):  # log1p(-v) at v = 1, in the unused branch
-        g = _g_uv(u, 1.0 - u, s)
+    g = g_kernel_np(u, s)
     assert np.all(np.isfinite(g))
     assert g[0] == pytest.approx((5e-324 - math.exp((1.0 + s) * math.log(5e-324))) / s,
                                  rel=1e-15)
@@ -513,3 +512,88 @@ def test_dual_kernel_refuses_cancelling_orders():
     with pytest.raises(NonIntegrableError):
         nabla_plugin(EmpiricalSample(np.array([0.3, 1.1, 2.0, 5.0])), 40.0)
     assert nabla_value(make_exponential(), 40.0).method == "closed_form"
+
+
+# the halves of the kernels: u on both sides of 1/2, the tie, and the ends
+_HALF_POINTS = (5e-324, 1e-300, 0.25, 0.5 - 2.0 ** -54, 0.5, 0.5 + 2.0 ** -53, 1.0 - 2.0 ** -53)
+
+
+def _kernels_mp(u: float, s: float) -> tuple:
+    """g_s(u), G_s(u), h_s(u) and k_s(u) at 40 digits.  J(u) = integral_u^1
+    (1-t)^s/t dt is -(psi(s+1) + gamma) - log u - sum_k (-s)_k u^k/(k k!)
+    below 1/2, and v^(s+1) Phi(v, 1, s+1) (Lerch) from 1/2 on, v = 1 - u."""
+    with mp.workdps(40):
+        u, s = mp.mpf(u), mp.mpf(s)
+        logu = mp.log(u)
+        g = -u * logu if s == 0 else -u * mp.expm1(s * logu) / s
+        if u < 0.5:
+            terms = (mp.rf(-s, k) * u ** k / (k * mp.factorial(k)) for k in range(1, 400))
+            j = -(mp.digamma(s + 1) + mp.euler) - logu - mp.fsum(terms)
+        else:
+            j = (1 - u) ** (s + 1) * mp.lerchphi(1 - u, 1, s + 1)
+        big_g = -(1 - u) * mp.expm1(s * mp.log1p(-u)) + u * (s + 1) * j
+        return g, big_g, u + g, u + big_g
+
+
+def _h_tilde_mp(u: float, n: int):
+    with mp.workdps(40):
+        u = mp.mpf(u)
+        return u + u * mp.fsum((-mp.log(u)) ** k / mp.factorial(k) for k in range(1, n + 1))
+
+
+def _near(got: float, want) -> bool:
+    # 1e-13 relative; a subnormal value holds only whole steps of 2^-1074
+    return abs(got - float(want)) <= 1e-13 * abs(want) + 2.0 ** -1072
+
+
+@pytest.mark.parametrize("s", [-0.99, -0.3, 0.0, 0.5, 2.0])
+def test_kernels_and_distortions_on_both_halves_match_mpmath(s):
+    u = np.array(_HALF_POINTS)
+    got = (g_kernel_np(u, s), dual_kernel_np(u, s),
+           make_distortion("h_s", s).eval(u), make_distortion("k_s", s).eval(u))
+    for i, x in enumerate(_HALF_POINTS):
+        for name, values, want in zip("gGhk", got, _kernels_mp(x, s)):
+            assert _near(values[i], want), (name, x)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_relevation_distortion_on_both_halves_matches_mpmath(n):
+    got = make_distortion("H_tilde_n", n).eval(np.array(_HALF_POINTS))
+    for x, g in zip(_HALF_POINTS, got):
+        assert _near(g, _h_tilde_mp(x, n)), x
+
+
+def _distortions():
+    return [make_distortion(label, x) for label, xs in (
+        ("h_s", (-0.99, 0.0, 2.0)), ("k_s", (-0.99, 0.0, 2.0)),
+        ("h_tilde_s", (0.0, 0.5, 2.0)), ("H_tilde_n", (0, 1, 3))) for x in xs]
+
+
+def test_kernels_and_distortions_outside_the_open_interval():
+    t = np.array([-1.0, -0.0, 0.0, 1.0, 2.0])
+    for s in (-0.99, 0.0, 0.5, 2.0):
+        assert np.array_equal(g_kernel_np(t, s), np.zeros(5))
+        assert np.array_equal(dual_kernel_np(t, s), np.zeros(5))
+    for f in _distortions():
+        if f.label != "h_tilde_s" or f.s_or_n > 0.0:  # h_tilde_0 is 2t
+            assert np.array_equal(f.eval(t), np.clip(t, 0.0, 1.0)), f.label
+
+
+def test_every_distortion_keeps_nan():
+    for f in _distortions():
+        assert math.isnan(float(f.eval(math.nan))), (f.label, f.s_or_n)
+        assert np.isnan(f.eval(np.array([0.3, math.nan])))[1]
+
+
+def test_the_reversed_pair_is_the_mirrored_kernel():
+    # bit for bit on (1/2, 1]; at 1/2 itself the two sides take different halves
+    u = np.concatenate([np.random.default_rng(3).uniform(0.5, 1.0, 2000),
+                        [np.nextafter(0.5, 1.0), 0.75, 1.0 - 2.0 ** -53, 1.0]])
+    u = u[u > 0.5]
+    pairs = [entropy._log_pair(entropy._g_core, s) for s in (-0.99, 0.0, 0.5, 2.0)]
+    pairs += [entropy._dual_pair(s) for s in (-0.99, 0.0, 0.5, 2.0)]
+    pairs += [entropy._log_pair(_h_tilde_core, n) for n in (0, 1, 3)]
+    for pair in pairs:
+        assert np.array_equal(entropy._halves(pair[::-1], u), entropy._halves(pair, 1.0 - u))
+        # the tie goes to the upper half
+        assert entropy._halves(pair, 0.5) == pair[1](np.array([0.5]))[0]

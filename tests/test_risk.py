@@ -141,6 +141,14 @@ def test_mrl_agrees_with_distortion(d, s):
                                        abs=gotn.abs_error_bound + wantn.abs_error_bound)
 
 
+@pytest.mark.parametrize("s, which", [(0.8, "nabla"), (0.0, "delta")])
+def test_mrl_representation_reports_quadpack_failures(s, which):
+    # lomax(1.5): q(1) = inf meets the non-finite check without a warning,
+    # and inner integrals that QUADPACK reports failed raise
+    with pytest.raises(NonIntegrableError):
+        mrl_representation(make_lomax(1.5), s, which)
+
+
 def test_distortion_factories_normalised():
     for label, sn in (("h_s", 0.5), ("h_s", -0.5), ("k_s", 2.0),
                       ("h_tilde_s", 1.5), ("H_tilde_n", 2)):
