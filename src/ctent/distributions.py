@@ -39,6 +39,7 @@ NEAR_ZERO = 1e-4  # |s| below this switches closed forms to their limit branch
 # relative accuracy the closed forms promise: 1e-10 * max(1, |value|)
 CLOSED_BOUND = 1e-10
 _EPS = 2.220446049250313e-16
+_U_CLIP = 2.0 ** -53  # the smallest v at which 1 - v is exact
 
 # a closed form takes one order (returning a float) or a numpy array of
 # orders (returning an array)
@@ -53,9 +54,13 @@ class DistributionSpec:
     not a 0-d array, equal bit for bit to the value at a one-element array:
     NaN at NaN, and exactly 0 or 1 at and beyond a finite end of the support.
     The scalar x-space integrals call them one float at a time.
-    ``qdensity(u, v)`` is the quantile density q'(u) = dq/du, called with
-    ``v = 1 - u`` passed separately and exactly, so that it stays accurate
-    as either u or v approaches zero; it accepts arrays.  ``None`` means
+    ``quantile(u)`` is q(u).  ``quantile(u, v)``, with ``v = 1 - u`` passed
+    separately and exactly, is the same q(u) read on the small side: a
+    catalog law's closed form takes log v or ndtri(v) where 1 - u would
+    round, so that q(1 - v, v) keeps its digits down to the smallest v,
+    and a float gives a float.  ``qdensity(u, v)`` is the quantile density
+    q'(u) = dq/du, given the same pair, so that it stays accurate as either
+    u or v approaches zero; it accepts arrays.  ``None`` means
     the law has no quantile density and cannot be integrated in quantile
     space.  An infinite ``variance`` is inf; a ``mean`` or ``variance`` of
     ``None`` is not stored, and :func:`dist_mean` or :func:`dist_std` integrates.
@@ -421,7 +426,8 @@ def make_power_uniform(beta: float) -> DistributionSpec:
     cdf, sf = _cdf_sf((0.0, 1.0), log_cdf=lambda x: b * np.log(np.clip(x, 1e-300, 1.0)))
     return DistributionSpec(
         name="power_uniform", params={"beta": b},
-        cdf=cdf, sf=sf, quantile=lambda u: np.exp(np.log(u) / b), support=(0.0, 1.0),
+        # u^(1/b) keeps its digits where 1 - u rounds, so the pair reads u
+        cdf=cdf, sf=sf, quantile=lambda u, v=None: np.exp(np.log(u) / b), support=(0.0, 1.0),
         qdensity=lambda u, v: np.power(u, 1.0 / b - 1.0) / b,
         mean=b / (b + 1.0), variance=_power_variance(b),
         closed_delta=lambda s: _delta_power(b, s),
@@ -437,7 +443,8 @@ def make_reflected_power(beta: float) -> DistributionSpec:
     cdf, sf = _cdf_sf((0.0, 1.0), log_sf=lambda x: b * np.log1p(-np.clip(x, 0.0, _BELOW_ONE)))
     return DistributionSpec(
         name="reflected_power", params={"beta": b},
-        cdf=cdf, sf=sf, quantile=lambda u: -np.expm1(np.log1p(-u) / b), support=(0.0, 1.0),
+        cdf=cdf, sf=sf, support=(0.0, 1.0),
+        quantile=lambda u, v=None: -np.expm1((np.log1p(-u) if v is None else np.log(v)) / b),
         qdensity=lambda u, v: np.power(v, 1.0 / b - 1.0) / b,
         mean=1.0 / (b + 1.0), variance=_power_variance(b),
         closed_delta=lambda s: _delta_reflected(b, s),
@@ -452,7 +459,8 @@ def make_exponential() -> DistributionSpec:
     cdf, sf = _cdf_sf((0.0, math.inf), log_sf=lambda x: -np.maximum(x, 0.0))
     return DistributionSpec(
         name="exponential", params={},
-        cdf=cdf, sf=sf, quantile=lambda u: -np.log1p(-u), support=(0.0, math.inf),
+        cdf=cdf, sf=sf, quantile=lambda u, v=None: -np.log1p(-u) if v is None else -np.log(v),
+        support=(0.0, math.inf),
         qdensity=lambda u, v: np.power(v, -1.0),
         mean=1.0, variance=1.0,
         closed_delta=_delta_exponential,
@@ -468,7 +476,8 @@ def make_lomax(beta: float) -> DistributionSpec:
     cdf, sf = _cdf_sf((0.0, math.inf), log_sf=lambda x: -b * np.log1p(np.maximum(x, 0.0)))
     return DistributionSpec(
         name="lomax", params={"beta": b},
-        cdf=cdf, sf=sf, quantile=lambda u: np.expm1(-np.log1p(-u) / b), support=(0.0, math.inf),
+        cdf=cdf, sf=sf, support=(0.0, math.inf),
+        quantile=lambda u, v=None: np.expm1(-(np.log1p(-u) if v is None else np.log(v)) / b),
         qdensity=lambda u, v: np.power(v, -1.0 / b - 1.0) / b,
         mean=1.0 / (b - 1.0), variance=_lomax_variance(b),
         closed_delta=lambda s: _delta_lomax(b, s),
@@ -487,13 +496,15 @@ def make_negative_lomax(beta: float) -> DistributionSpec:
     b = _check_beta(beta, 1.0)
     # negate's support would end at -0.0
     return replace(negate(make_lomax(b)), name="negative_lomax", support=(-math.inf, 0.0),
-                   quantile=lambda u: -np.expm1(-np.log(u) / b))
+                   quantile=lambda u, v=None: -np.expm1(
+                       -np.log(u) / b if v is None else _neg_log(u, v) / b))
 
 
 def make_negative_exponential() -> DistributionSpec:
     """Mirrored unit exponential on (-inf, 0): cdf e^x."""
     return replace(negate(make_exponential()), name="negative_exponential",
-                   support=(-math.inf, 0.0), quantile=np.log)
+                   support=(-math.inf, 0.0),
+                   quantile=lambda u, v=None: np.log(u) if v is None else -_neg_log(u, v))
 
 
 def make_frechet(beta: float) -> DistributionSpec:
@@ -509,7 +520,8 @@ def make_frechet(beta: float) -> DistributionSpec:
     var = math.exp(lgamma(1.0 - 2.0 / b)) - mean ** 2 if b > 2.0 else math.inf
     return DistributionSpec(
         name="frechet", params={"beta": b},
-        cdf=cdf, sf=sf, quantile=lambda u: np.exp(-np.log(-np.log(u)) / b),
+        cdf=cdf, sf=sf,
+        quantile=lambda u, v=None: np.exp(-np.log(-np.log(u) if v is None else _neg_log(u, v)) / b),
         support=(0.0, math.inf),
         qdensity=lambda u, v: np.power(_neg_log(u, v), -1.0 / b - 1.0) / (b * u),
         mean=mean, variance=var,
@@ -535,7 +547,8 @@ def make_reverse_weibull(beta: float) -> DistributionSpec:
     mean = -g
     return DistributionSpec(
         name="reverse_weibull", params={"beta": b},
-        cdf=cdf, sf=sf, quantile=lambda u: -np.exp(np.log(-np.log(u)) / b),
+        cdf=cdf, sf=sf,
+        quantile=lambda u, v=None: -np.exp(np.log(-np.log(u) if v is None else _neg_log(u, v)) / b),
         support=(-math.inf, 0.0),
         qdensity=lambda u, v: np.power(_neg_log(u, v), 1.0 / b - 1.0) / (b * u),
         mean=mean, variance=var,
@@ -554,7 +567,8 @@ def make_gumbel() -> DistributionSpec:
     cdf, sf = _cdf_sf((-math.inf, math.inf), log_cdf=log_cdf)
     return DistributionSpec(
         name="gumbel", params={},
-        cdf=cdf, sf=sf, quantile=lambda u: -np.log(-np.log(u)), support=(-math.inf, math.inf),
+        cdf=cdf, sf=sf, support=(-math.inf, math.inf),
+        quantile=lambda u, v=None: -np.log(-np.log(u) if v is None else _neg_log(u, v)),
         qdensity=lambda u, v: np.power(u * _neg_log(u, v), -1.0),
         mean=EULER_GAMMA, variance=math.pi ** 2 / 6.0,
         closed_delta=_delta_gumbel,
@@ -580,7 +594,8 @@ def make_logistic() -> DistributionSpec:
 
     return DistributionSpec(
         name="logistic", params={},
-        cdf=cdf, sf=sf, quantile=lambda u: np.log(u) - np.log1p(-u),
+        cdf=cdf, sf=sf,
+        quantile=lambda u, v=None: np.log(u) - (np.log1p(-u) if v is None else np.log(v)),
         support=(-math.inf, math.inf),
         qdensity=lambda u, v: np.power(u * v, -1.0),
         mean=0.0, variance=math.pi ** 2 / 3.0,
@@ -598,7 +613,10 @@ def normal_spec() -> DistributionSpec:
     """Standard normal (symmetric, unit variance); no closed forms."""
     return DistributionSpec(
         name="normal", params={},
-        cdf=ndtr, sf=lambda x: ndtr(_negated(x)), quantile=ndtri,
+        cdf=ndtr, sf=lambda x: ndtr(_negated(x)),
+        # ndtri(u) below 1/2 and -ndtri(v) above: one ndtri at the smaller
+        quantile=lambda u, v=None: ndtri(u) if v is None else np.copysign(
+            ndtri(np.minimum(u, v)), np.subtract(u, 0.5)),
         # q'(u) = sqrt(2 pi) exp(x^2/2) at x = q(u), symmetric about u = 1/2
         qdensity=lambda u, v: _SQRT_2PI * np.exp(0.5 * ndtri(np.minimum(u, v)) ** 2),
         support=(-math.inf, math.inf), mean=0.0, variance=1.0,
@@ -645,7 +663,7 @@ def affine(d: DistributionSpec, a: float, b: float) -> DistributionSpec:
         params={**d.params, "scale": a, "shift": b},
         cdf=lambda x: cdf(standard(x)),
         sf=lambda x: sf(standard(x)),
-        quantile=lambda u: a * q(u) + b,
+        quantile=lambda u, v=None: a * (q(u) if v is None else q(u, v)) + b,
         qdensity=None if qd is None else (lambda u, v: a * qd(u, v)),
         support=(a * lo + b, a * hi + b),
         mean=None if d.mean is None else a * d.mean + b,
@@ -669,7 +687,8 @@ def negate(d: DistributionSpec) -> DistributionSpec:
         params=dict(d.params),
         cdf=lambda x: sf(_negated(x)),
         sf=lambda x: cdf(_negated(x)),
-        quantile=lambda u: -q(1.0 - np.asarray(u, dtype=float)),
+        quantile=lambda u, v=None: -(q(1.0 - np.asarray(u, dtype=float)) if v is None
+                                     else q(v, u)),
         qdensity=None if qd is None else (lambda u, v: qd(v, u)),
         support=(-hi, -lo),
         mean=None if d.mean is None else -d.mean,
@@ -692,12 +711,20 @@ def from_quantile(name: str, quantile: Callable, support: tuple,
     The CDF is 80 steps of monotone bisection on (0,1).  An array of points
     is bisected at once, one quantile call over the array per step, with the
     midpoints of each point's scalar call and so with its bits; ``quantile``
-    must accept numpy arrays.  ``qdensity(u, v)``
+    takes u alone and must accept numpy arrays.  The record's
+    ``quantile(u, v)`` calls it at u, which has rounded to 1 where the given
+    v is below 2^-53: there it gives NaN.  ``qdensity(u, v)``
     is the quantile's derivative at u, given v = 1 - u exactly (see
     :class:`DistributionSpec`); without it the quantile-space evaluators
     refuse the law.
     """
     lo, hi = support
+
+    def pair(u, v=None):
+        if v is None:
+            return quantile(u)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return np.where(np.less(v, _U_CLIP), math.nan, quantile(u))[()]
 
     def cdf_scalar(x: float) -> float:
         if x <= lo:
@@ -731,7 +758,7 @@ def from_quantile(name: str, quantile: Callable, support: tuple,
 
     return DistributionSpec(
         name=name, params=params or {},
-        cdf=cdf, quantile=quantile, qdensity=qdensity, support=support,
+        cdf=cdf, quantile=pair, qdensity=qdensity, support=support,
         mean=mean, variance=variance,
     )
 
@@ -764,9 +791,6 @@ def dist_std(d: DistributionSpec) -> float:
 
 # ---------------------------------------------------------------------------
 # sampling
-
-_U_CLIP = 2.0 ** -53
-
 
 def sample(d: DistributionSpec, n: int, seed: int) -> EmpiricalSample:
     """n i.i.d. draws via quantile(U) with a PCG64 generator; sorted output.

@@ -7,6 +7,16 @@ surviving unit ages from x.  The total lifetime X + Y_s has survival
 Fbar(t)(1 + (1 - Fbar(t)^s)/s), and E[Y_s] equals the entropy of the
 mirrored law, which is what the z-score targets check.
 
+Every lifetime is drawn through its survival probability: v = 1 - U, with
+U the generator's uniform, is exact in (0, 1], and x = q(1 - v, v) has
+Fbar(x) = v with no sf call.  A unit that ages from x survives to its
+residual survival w = v V, V another such uniform, so the second unit is
+q(1 - w, w) and the n-th failure time T_n of the relevation process is
+q at the product of n uniform survivals: one quantile call per chunk.  A
+law built by :func:`from_quantile` reads only u, which rounds to 1 below
+a survival of 2^-53; a trial that uses such a draw raises
+:class:`NonIntegrableError`.
+
 Trials are partitioned into fixed-size chunks, each driven by a generator
 stream spawned deterministically from (seed, chunk index); merging is by
 sums, so results are bit-identical for a given seed regardless of how many
@@ -29,7 +39,6 @@ from .errors import DomainError, NonIntegrableError
 from .risk import make_distortion, relevation_risk
 
 _CHUNK = 1 << 17
-_U_CLIP = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -73,22 +82,20 @@ def _check_nonneg_support(d: DistributionSpec) -> None:
         raise DomainError("relevation lifetimes need nonnegative support")
 
 
-def _uniforms(rng, m: int):
-    return np.clip(rng.random(m), _U_CLIP, 1.0 - _U_CLIP)
+def _survivals(rng, m: int) -> np.ndarray:
+    # 1 - U in (0, 1], exact, formed in place over the draw U
+    v = rng.random(m)
+    return np.subtract(1.0, v, out=v)
 
 
-def _aged(d: DistributionSpec, fbar, v, used, what: str) -> np.ndarray:
-    """q(1 - v Fbar(x)) with fbar = Fbar(x): the lifetime of a unit that
-    starts at age x, by inverse-CDF residual sampling from the uniform v
-    (exact, no rejection).  Below v Fbar(x) = 2^-53, 1 - v Fbar(x) would
-    round onto the clip at 1 - 2^-53 or to 1, and every such draw stop at
-    one point: a ``used`` draw there raises :class:`NonIntegrableError`."""
-    vf = v * fbar
-    if np.any(used & (vf < _U_CLIP)):
+def _used(d: DistributionSpec, t: np.ndarray, what: str) -> np.ndarray:
+    """t, the lifetimes the trials use, refused where one is NaN: a law
+    built by :func:`from_quantile` cannot read a survival below 2^-53."""
+    if np.isnan(t).any():
         raise NonIntegrableError(
-            f"{what} of {d.label()} has a residual survival v Fbar(x) below 2^-53, "
-            f"where 1 - v Fbar(x) rounds onto the clip at 1 - 2^-53")
-    return np.asarray(d.quantile(np.clip(1.0 - vf, _U_CLIP, 1.0 - _U_CLIP)), dtype=float)
+            f"{what} of {d.label()} has a survival below 2^-53, which its quantile, "
+            f"read at u = 1 - v, cannot resolve")
+    return t
 
 
 def _mean_se(draw, seed: int, n: int) -> tuple:
@@ -109,14 +116,18 @@ def _mean_se(draw, seed: int, n: int) -> tuple:
 
 
 def _draw_ys(d: DistributionSpec, s: float, rng, m: int):
-    """One chunk of (x, y) pairs for the prior-failure relevation model."""
-    x = np.asarray(d.quantile(_uniforms(rng, m)), dtype=float)
-    fbar = np.asarray(d.sf(x), dtype=float)
-    with np.errstate(divide="ignore", over="ignore"):
-        survive_p = np.exp(s * np.log(np.clip(fbar, 1e-300, 1.0)))
-    alive = rng.random(m) < survive_p
-    y = _aged(d, fbar, _uniforms(rng, m), alive, "the second unit") - x
-    y = np.where(alive, np.maximum(y, 0.0), 0.0)
+    """One chunk of (x, y) pairs for the prior-failure relevation model:
+    the first unit at survival v, the second alive with probability v^s
+    and then at survival v v2."""
+    v = _survivals(rng, m)
+    x = np.asarray(d.quantile(1.0 - v, v), dtype=float)
+    alive = rng.random(m) < v ** s
+    w = _survivals(rng, m)
+    w *= v
+    y = np.asarray(d.quantile(1.0 - w, w), dtype=float) - x
+    y *= alive  # 0 where the second unit is dead on arrival, but NaN stays NaN
+    if np.isnan(y).any():
+        y = _used(d, np.where(alive, y, 0.0), "the second unit")
     return x, y
 
 
@@ -164,19 +175,23 @@ def simulate_total_lifetime_survival(d: DistributionSpec, s: float,
 
 
 def simulate_Tn(d: DistributionSpec, n_units: int, n: int, seed: int) -> SimulationResult:
-    """Expected n-th failure time of the classical relevation process by
-    sequential residual sampling; target from the generalized-CRE sum."""
+    """Expected n-th failure time of the classical relevation process, drawn
+    at the product of the units' survivals; target from the
+    generalized-CRE sum."""
     if n_units < 1:
         raise DomainError("need at least one unit")
     _check_nonneg_support(d)
     n = int(n)
 
     def one(rng, m):
-        x = np.asarray(d.quantile(_uniforms(rng, m)), dtype=float)
-        for unit in range(2, int(n_units) + 1):
-            fbar = np.asarray(d.sf(x), dtype=float)
-            x = np.maximum(_aged(d, fbar, _uniforms(rng, m), True, f"unit {unit}"), x)
-        return x
+        # Fbar(T_n) is the product of the n units' uniform survivals
+        v = _survivals(rng, m)
+        for _ in range(1, int(n_units)):
+            v *= _survivals(rng, m)
+        if not v.all():
+            raise NonIntegrableError(
+                f"the survival of unit {n_units} of {d.label()} underflows to 0")
+        return _used(d, np.asarray(d.quantile(1.0 - v, v), dtype=float), f"unit {n_units}")
 
     mean, se = _mean_se(one, seed, n)
     target = relevation_risk(d, int(n_units)).value

@@ -261,13 +261,16 @@ def test_risk_non_finite_integral_exits_numeric(capsys):
     assert "nan" not in out.lower() and "distortion integral" in err
 
 
-def test_saturated_relevation_draws_exit_numeric(capsys):
-    # after ~19 exponential units v Fbar(x) falls below 2^-53, 1 - v Fbar
-    # rounds onto the clip, and every trial would stop at q(1 - 2^-53) = 36.7
+@pytest.mark.parametrize("units", [19, 50, 200])
+def test_many_unit_relevation_draws_reach_their_target(capsys, units):
+    # past ~19 exponential units the survival of T_n falls below 2^-53,
+    # where 1 - Fbar rounds to 1; the draw reads Fbar itself
     code, out, err = run(capsys, "simulate", "--dist", "exponential", "--mode", "tn",
-                         "--units", "200", "--trials", "2000", "--seed", "1")
-    assert code == 3
-    assert out == "" and "Traceback" not in err and "exponential" in err
+                         "--units", str(units), "--trials", "2000", "--seed", "1")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["target"] == pytest.approx(units, rel=1e-12)
+    assert abs(payload["z_score"]) < 4.0
 
 
 def test_nan_dual_kernel_never_reaches_quadpack():

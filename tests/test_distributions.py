@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtri
 
 from conftest import catalog_members, finite_order
 from ctent import (
@@ -38,6 +39,7 @@ from ctent.distributions import _REGISTRY, dist_mean, dist_std
 from ctent.risk import _quantile_mixture
 
 PI2_6 = math.pi ** 2 / 6.0
+_EPS = 2.0 ** -52
 
 
 def interior_grid(d, n=41):
@@ -572,3 +574,64 @@ def test_bisection_cdf_over_arrays_equals_scalar_calls(d):
     assert np.array_equal(np.asarray(d.cdf(xs)), each, equal_nan=True)
     assert np.array_equal(np.asarray(d.cdf(xs[:400].reshape(20, 20))),
                           each[:400].reshape(20, 20))
+
+
+def _mp_normal_isf(v):
+    # x with Phi(-x) = v, solved in log v so that it holds down to 5e-324
+    if v == 1:
+        return -mp.inf
+    x0 = -float(ndtri(float(v)))
+    return mp.findroot(lambda x: mp.log(mp.erfc(x / mp.sqrt(2)) / 2) - mp.log(v), x0)
+
+
+# each law, its inverse survival in mpmath (v -> x with Fbar(x) = v), and
+# the one-argument quantile expression it had before it took (u, v)
+_TWO_SIDED = [
+    (make_power_uniform(2.5), lambda v: mp.exp(mp.log1p(-v) / mp.mpf(2.5)),
+     lambda u: np.exp(np.log(u) / 2.5)),
+    (make_reflected_power(2.0), lambda v: 1 - mp.sqrt(v),
+     lambda u: -np.expm1(np.log1p(-u) / 2.0)),
+    (make_exponential(), lambda v: -mp.log(v), lambda u: -np.log1p(-u)),
+    (make_lomax(3.0), lambda v: mp.expm1(-mp.log(v) / 3), lambda u: np.expm1(-np.log1p(-u) / 3.0)),
+    (make_negative_lomax(2.0), lambda v: -mp.expm1(-mp.log1p(-v) / 2),
+     lambda u: -np.expm1(-np.log(u) / 2.0)),
+    (make_negative_exponential(), lambda v: mp.log1p(-v), np.log),
+    (make_frechet(3.0), lambda v: (-mp.log1p(-v)) ** (-mp.mpf(1) / 3),
+     lambda u: np.exp(-np.log(-np.log(u)) / 3.0)),
+    (make_reverse_weibull(2.5), lambda v: -(-mp.log1p(-v)) ** (1 / mp.mpf(2.5)),
+     lambda u: -np.exp(np.log(-np.log(u)) / 2.5)),
+    (make_gumbel(), lambda v: -mp.log(-mp.log1p(-v)), lambda u: -np.log(-np.log(u))),
+    (make_logistic(), lambda v: mp.log1p(-v) - mp.log(v), lambda u: np.log(u) - np.log1p(-u)),
+    (normal_spec(), _mp_normal_isf, ndtri),
+    (make_uniform(-1.0, 3.0), lambda v: 2 - 3 * v, lambda u: 3.0 * np.exp(np.log(u) / 1.0) + -1.0),
+    (affine(make_lomax(3.0), 2.0, 1.0), lambda v: 2 * mp.expm1(-mp.log(v) / 3) + 1,
+     lambda u: 2.0 * np.expm1(-np.log1p(-u) / 3.0) + 1.0),
+    (negate(make_negative_lomax(2.0)), lambda v: mp.expm1(-mp.log(v) / 2),
+     lambda u: -(-np.expm1(-np.log(1.0 - u) / 2.0))),
+]
+
+
+@pytest.mark.parametrize("d,isf,head", _TWO_SIDED, ids=[d.label() for d, _, _ in _TWO_SIDED])
+def test_two_sided_quantile_reads_the_small_side(d, isf, head):
+    with mp.workdps(40):
+        for v in (5e-324, 1e-300, 1e-20, 2.0 ** -53, 0.3, 0.5, 0.9, 1.0):
+            with np.errstate(divide="ignore"):  # log 0 at v = 1
+                got = d.quantile(1.0 - v, v)
+            assert isinstance(got, float), (v, type(got))
+            want = isf(mp.mpf(v))
+            if mp.isinf(want) or want == 0:
+                assert got == want, (v, got, want)
+                continue
+            # a power x = e^t at a tiny v carries the rounding of t = log(v)/b
+            # (and of 1/b in any float form): ~|log x| ulps of x; a result
+            # below the normal range is good to one subnormal step
+            rel = 1e-14 + 2.0 * _EPS * abs(mp.log(abs(want)))
+            assert abs(mp.mpf(got) - want) <= rel * abs(want) + 5e-324, (v, got, want)
+
+
+@pytest.mark.parametrize("d,isf,head", _TWO_SIDED, ids=[d.label() for d, _, _ in _TWO_SIDED])
+def test_one_argument_quantile_is_unchanged(d, isf, head):
+    u = np.array([0.0, 1.0, math.nan, 1.0 - 2.0 ** -53, 1.0 + 2.0 ** -52, 2.0 ** -53,
+                  5e-324, 1e-300, 0.3, 0.5, 0.9])
+    with np.errstate(all="ignore"):
+        assert np.asarray(d.quantile(u)).tobytes() == np.asarray(head(u)).tobytes()

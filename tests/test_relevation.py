@@ -20,8 +20,8 @@ from ctent import (
     simulate_total_lifetime_survival,
     simulate_Ys,
 )
-from ctent.distributions import dist_mean
-from ctent.relevation import _aged
+from ctent.distributions import dist_mean, from_quantile
+from ctent.relevation import _draw_ys
 
 N_UNIT = 2 * 10 ** 5  # unit-test trial counts; the acceptance suite uses 1e6
 
@@ -115,11 +115,14 @@ def test_reproducibility():
 
 
 def test_worker_count_does_not_change_results(monkeypatch):
+    # 300 000 trials span three chunks of 2^17
     ex = make_exponential()
-    base = simulate_Ys(ex, 1.0, 300_000, 9)
+    runs = (lambda: simulate_Ys(ex, 1.0, 300_000, 9),
+            lambda: simulate_Tn(ex, 3, 300_000, 9),
+            lambda: simulate_total_lifetime_survival(ex, 1.0, [0.5, 2.0], 300_000, 9))
+    base = [run() for run in runs]
     monkeypatch.setenv("CTENT_THREADS", "4")
-    threaded = simulate_Ys(ex, 1.0, 300_000, 9)
-    assert base == threaded
+    assert [run() for run in runs] == base
 
 
 def test_domain_guards():
@@ -138,18 +141,48 @@ def test_domain_guards():
             simulate(1)
 
 
-def test_saturated_residual_draw_refused_only_where_used():
-    # sf(40) = 4.2e-18: 1 - v Fbar(x) rounds to 1 - 2^-53 or 1 for any v
+class _Draws:
+    """A generator stand-in whose random(m) returns the given rows in turn."""
+
+    def __init__(self, *rows):
+        self.rows = [np.array(r, dtype=float) for r in rows]
+
+    def random(self, m):
+        return self.rows.pop(0)[:m].copy()
+
+
+def test_residual_draw_below_2_53_reads_the_survival():
+    # sf(40) = 4.2e-18: 1 - v Fbar(x) rounds to 1, yet the residual
+    # survival w = v2 Fbar(x) draws 40 - log(v2)
     d = make_exponential()
-    x = np.array([1.0, 40.0])
-    fbar = np.asarray(d.sf(x), dtype=float)
-    v = np.array([0.5, 0.5])
+    v2 = np.array([0.5, 1e-3, 1e-200])
+    w = v2 * float(d.sf(40.0))
+    assert np.all(1.0 - w == 1.0)
+    assert np.asarray(d.quantile(1.0 - w, w)) == pytest.approx(40.0 - np.log(v2), rel=1e-15)
+    # in the draw, the first unit at the smallest survival 2^-53 (x = 36.7),
+    # and the second at 2^-53 v2 with v2 = 1 - U exact
+    v2 = np.array([0.5, 2.0 ** -10, 2.0 ** -53])
+    x, y = _draw_ys(d, 1.0, _Draws([1.0 - 2.0 ** -53] * 3, [0.0] * 3, 1.0 - v2), 3)
+    assert x == pytest.approx(53.0 * math.log(2.0), rel=1e-15)
+    assert y == pytest.approx(-np.log(v2), abs=1e-13)
+
+
+def test_quantile_law_refuses_a_used_draw_below_2_53():
+    # a law built from its quantile reads u = 1 - w, which has rounded to
+    # 1 at w = 2^-54: NaN, refused where the second unit is alive
+    d = from_quantile("exp_q", lambda u: -np.log1p(-np.asarray(u, dtype=float)), (0.0, math.inf))
+    first = [1.0 - 2.0 ** -53] * 2
     with pytest.raises(NonIntegrableError, match="below 2\\^-53"):
-        _aged(d, fbar, v, np.array([True, True]), "the second unit")
-    # an unused draw (a second unit dead on arrival) passes, clipped
-    y = _aged(d, fbar, v, np.array([True, False]), "the second unit")
-    assert y[0] == pytest.approx(1.0 + math.log(2.0), rel=1e-15)
-    assert np.isfinite(y[1])
+        _draw_ys(d, 1.0, _Draws(first, [0.0, 0.5], [0.5, 0.5]), 2)
+    # a second unit dead on arrival does not use its draw
+    x, y = _draw_ys(d, 1.0, _Draws(first, [0.5, 0.5], [0.5, 0.5]), 2)
+    assert np.all(y == 0.0) and np.all(np.isfinite(x))
+
+
+def test_failure_time_survival_underflow_refused():
+    # 1000 exponential units: the product of the survivals falls below 5e-324
+    with pytest.raises(NonIntegrableError, match="underflows"):
+        simulate_Tn(make_exponential(), 1000, 100, 1)
 
 
 def test_sample_Ns_frequencies():
