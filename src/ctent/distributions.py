@@ -14,9 +14,9 @@ A catalog law states one log-probability t(x), its log-cdf or log-survival,
 and :func:`_cdf_sf` forms exp(t) on that side and -expm1(t) on the other, so
 that each keeps its digits where it is small; the logistic and the normal
 (``ndtr``) keep their own pair.  The negative Lomax and negative exponential
-are ``negate`` of their partners, renamed, with their own quantile
-(``negate``'s -q(1-u) loses u below ~1e-16).  All CDF/survival/quantile
-callables accept scalars or numpy arrays and are overflow-safe.
+are ``negate`` of their partners, renamed, with their own quantile (the
+partners' q(u, v) reads v alone: ``negate``'s -q(v, u) loses v below ~1e-16).
+All CDF/survival/quantile callables take scalars or arrays and are overflow-safe.
 """
 
 from __future__ import annotations
@@ -678,8 +678,10 @@ def affine(d: DistributionSpec, a: float, b: float) -> DistributionSpec:
 
 
 def negate(d: DistributionSpec) -> DistributionSpec:
-    """Spec of -X.  Closed forms are not inherited; they come from the
-    mirrored-partner slots when the mirrored law is known analytically."""
+    """Spec of -X, with quantile -q(v, u), v = 1 - u by default: the base's
+    small side is u itself (NaN below 2^-53 for a ``from_quantile`` base).
+    Closed forms are not inherited; they come from the mirrored-partner
+    slots when the mirrored law is known analytically."""
     cdf, sf, q, qd = d.cdf, d.sf, d.quantile, d.qdensity
     lo, hi = d.support
     return DistributionSpec(
@@ -687,8 +689,7 @@ def negate(d: DistributionSpec) -> DistributionSpec:
         params=dict(d.params),
         cdf=lambda x: sf(_negated(x)),
         sf=lambda x: cdf(_negated(x)),
-        quantile=lambda u, v=None: -(q(1.0 - np.asarray(u, dtype=float)) if v is None
-                                     else q(v, u)),
+        quantile=lambda u, v=None: -q(1.0 - np.asarray(u, dtype=float) if v is None else v, u),
         qdensity=None if qd is None else (lambda u, v: qd(v, u)),
         support=(-hi, -lo),
         mean=None if d.mean is None else -d.mean,

@@ -207,7 +207,9 @@ def dual_tail_integral(u, s: float):
     hi = arr >= 0.5
     uh = arr[hi]
     vh = 1.0 - uh
-    out[hi] = np.power(vh, s + 1.0) * (1.0 - uh * vh * _horner(w[:, 0], vh)) / (uh * (s + 1.0))
+    # v v^s, not v^(s+1): a rounded s + 1 costs |log v| times its rounding
+    vs = vh * np.power(vh, s, out=np.zeros_like(vh), where=vh != 0.0)
+    out[hi] = vs * (1.0 - uh * vh * _horner(w[:, 0], vh)) / (uh * (s + 1.0))
     out[~hi] = _j_lower(arr[~hi], c[:, 0], j0[0])
     return out if np.ndim(u) else float(out[0])
 
@@ -247,9 +249,7 @@ def dual_kernel(u: float, s: float) -> float:
 _ORDER_BLOCK = 256  # orders integrated together, two sides each: temporaries of a few MiB
 
 
-def _quad(f: Callable[[float], float], a: float, b: float,
-          epsabs: float = 1e-12, epsrel: float = 1e-11,
-          limit: int = 500) -> tuple:
+def _quad(f: Callable[[float], float], a: float, b: float) -> tuple:
     """QUADPACK's value, error estimate, and whether it reported success.  A
     non-finite integrand value raises :class:`NonIntegrableError`: QUADPACK
     would carry it along, and with ``limit=500`` has crashed the process on
@@ -263,7 +263,7 @@ def _quad(f: Callable[[float], float], a: float, b: float,
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        r = quad(finite, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit, full_output=1)
+        r = quad(finite, a, b, epsabs=1e-12, epsrel=1e-11, limit=500, full_output=1)
     return r[0], r[1], len(r) == 3  # a fourth item is the failure message
 
 
@@ -377,11 +377,30 @@ def _x_space(d: DistributionSpec, s: float) -> tuple:
     return 0.0 if -bound <= val < 0.0 else val, bound
 
 
+def _both_halves(f: Callable, args: tuple = (), **tolerances):
+    """integral_0^1 f(k, u, v, *args) du, v = 1 - u, as one tanh-sinh call over
+    both halves, side k = 0 in u and side 1 in v, each on (0, 1/2) (in u alone
+    the nodes with 1 - u below ~1e-16, and the tail mass, are lost).  A row of
+    nodes is one element of the side column broadcast against ``args``.
+    Returns scipy's result, side 0 first."""
+
+    def g(t, side, *rest):
+        out = np.empty_like(t)
+        upper = side[..., 0] == 1
+        for k, rows in enumerate((~upper, upper)):
+            if rows.any():
+                x = t[rows]
+                u, v = (x, 1.0 - x) if k == 0 else (1.0 - x, x)
+                out[rows] = f(k, u, v, *(a[rows] for a in rest))
+        return out
+
+    with np.errstate(all="ignore"):
+        return tanhsinh(g, 0.0, 0.5, args=(np.arange(2)[:, None],) + args, **tolerances)
+
+
 def _quantile_integral(qd: Callable, which: str, s: np.ndarray) -> np.ndarray:
-    """integral_0^1 kernel(u, v) q'(u) du, v = 1 - u, at every order of s, by
-    one tanh-sinh call over both halves: side 0 in u and side 1 in v, each on
-    (0, 1/2) (in u alone the nodes with 1 - u below ~1e-16, and the tail
-    mass, are lost).  Rows: value, bound, status, nfev."""
+    """integral_0^1 kernel(u, v) q'(u) du, v = 1 - u, at every order of s, over
+    both halves (:func:`_both_halves`).  Rows: value, bound, status, nfev."""
     if which == "delta":
         halves = (lambda t, i: _g_core(t, np.log(t), s[i]),
                   lambda t, i: _g_core(1.0 - t, np.log1p(-t), s[i]))
@@ -390,20 +409,8 @@ def _quantile_integral(qd: Callable, which: str, s: np.ndarray) -> np.ndarray:
         halves = (lambda t, i: _dual_lower(t, s[i], c[:, i], j0[i]),
                   lambda t, i: _dual_upper(t, s[i], w[:, i]))
 
-    def f(t, side, i):
-        # the side and the order index come through args, constant along a
-        # row of t: a row is one (side, order) element
-        out = np.empty_like(t)
-        upper = side[..., 0] == 1
-        for k, rows in enumerate((~upper, upper)):
-            if rows.any():
-                x = t[rows]
-                u, v = (x, 1.0 - x) if k == 0 else (1.0 - x, x)
-                out[rows] = halves[k](x, i[rows]) * qd(u, v)
-        return out
-
-    with np.errstate(all="ignore"):
-        r = tanhsinh(f, 0.0, 0.5, args=(np.arange(2)[:, None], np.arange(s.size)))
+    r = _both_halves(lambda k, u, v, i: halves[k]((u, v)[k], i) * qd(u, v),
+                     (np.arange(s.size),))
     val = r.integral[0] + r.integral[1]
     bound = r.error[0] + r.error[1] + 1e-10 * np.maximum(1.0, np.abs(val))
     first = r.status[0] != 0  # the first half's status and nfev win

@@ -24,7 +24,9 @@ or error, or a tail lost to an underflowed probability, raises
 :class:`NonIntegrableError`.  The result is cross-checked, unchanged,
 against mean + entropy-of-the-mirrored-law from the entropy module.
 ``relevation_risk``, the expected n-th failure time, is the same integral
-of the relevation partial-sum distortion H_tilde_{n-1}.
+of the relevation partial-sum distortion H_tilde_{n-1}.  The
+mean-residual-life form, ``mrl_representation``, is integral_0^1 q(u) D'(1-u)
+du against the distortion's derivative, on the entropy's quantile splitter.
 """
 
 from __future__ import annotations
@@ -39,12 +41,12 @@ from scipy.integrate import tanhsinh
 from .distributions import DistributionSpec, dist_mean, from_quantile, negate
 from .entropy import (
     _TINY,
+    _both_halves,
     _dual_pair,
     _frame,
     _g_core,
     _halves,
     _log_pair,
-    _quad,
     _refuse_lost_tail,
     as_order,
     delta_value,
@@ -381,39 +383,28 @@ def risk_nabla(d: DistributionSpec, s) -> RiskValue:
 
 
 def mrl_representation(d: DistributionSpec, s, which: str = "delta") -> RiskValue:
-    """The perturbed mean-residual-life form of the risk measures:
-    (s+1) E[Fbar(X)^s (X + mrl(X))] resp. (s+1) E[F(X)^s (X + mrl(X))],
-    integrated in quantile space with a nested partial-mean integral.  A
-    failure QUADPACK reports, inner or outer, raises
-    :class:`NonIntegrableError`."""
+    """The perturbed mean-residual-life form of the risk measures,
+    (s+1) E[Fbar(X)^s (X + mrl(X))] resp. (s+1) E[F(X)^s (X + mrl(X))].  With
+    the partial mean PM(u) = integral_u^1 q and the weight w(u) = (1-u)^(s-1)
+    resp. u^s/(1-u), it is (s+1) integral_0^1 w PM du; (s+1) integral_0^t w is
+    the distortion's derivative D'(1-t), h_s'(1-t) = (s+1)(1 - (1-t)^s)/s resp.
+    k_s'(1-t) = (s+1) J(1-t), so the exchanged integrals are integral_0^1 q(u)
+    D'(1-u) du: one tanh-sinh call over both halves (:func:`entropy._both_halves`)
+    against q(u, v) and D'(v).  The bound adds 1e-7 * max(1, |value|) to both
+    halves' error estimate, which can run optimistic; a half that does not
+    converge raises :class:`NonIntegrableError`."""
     sv = as_order(s).s
     if which not in ("delta", "nabla"):
         raise DomainError("which must be 'delta' or 'nabla'")
-    q = d.quantile
-    inner = []  # whether each inner integral converged
-
-    def partial_mean(u: float) -> float:
-        v, _, ok = _quad(lambda t: float(q(t)), u, 1.0, epsabs=1e-11, epsrel=1e-10,
-                         limit=200)
-        inner.append(ok)
-        return v
-
-    if which == "delta":
-        def integrand(u: float) -> float:
-            return math.exp((sv - 1.0) * math.log1p(-u)) * partial_mean(u)
-    else:
-        def integrand(u: float) -> float:
-            return math.exp(sv * math.log(u) - math.log1p(-u)) * partial_mean(u)
-
-    with np.errstate(all="ignore"):  # q(1) = inf reaches _quad's non-finite check
-        val, err, ok = _quad(integrand, 0.0, 1.0, epsabs=1e-10, epsrel=1e-9, limit=300)
-    if not (ok and all(inner)):
+    q, d1 = d.quantile, make_distortion("h_s" if which == "delta" else "k_s", sv).deriv1
+    r = _both_halves(lambda k, u, v: q(u, v) * d1(v), atol=1e-12, rtol=1e-11, minlevel=3)
+    for k in np.flatnonzero(r.status != 0):
         raise NonIntegrableError(
-            f"the mean-residual-life integral of {d.label()} at s={sv:g} ({which}): "
-            f"{inner.count(False)} of {len(inner)} inner integrals failed, and the outer "
-            f"one {'converged' if ok else 'failed'}")
-    total = (sv + 1.0) * val
-    return RiskValue(total, (sv + 1.0) * err + 1e-7 * max(1.0, abs(total)), which)
+            f"the mean-residual-life integral of {d.label()} at s={sv:g} ({which}) does not "
+            f"converge where u {('< 1/2', '> 1/2')[k]} (tanh-sinh status "
+            f"{int(r.status.flat[k])} after {int(r.nfev.flat[k])} evaluations)")
+    total = float(np.sum(r.integral))
+    return RiskValue(total, float(np.sum(r.error)) + 1e-7 * max(1.0, abs(total)), which)
 
 
 def _quantile_mixture(d1: DistributionSpec, d2: DistributionSpec,

@@ -156,9 +156,11 @@ def test_mirror_laws_are_renamed_negations(mirror, partner):
                         [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324]])
     for f, g in ((mirror.cdf, neg.cdf), (mirror.sf, neg.sf)):
         assert np.asarray(f(x)).tobytes() == np.asarray(g(x)).tobytes()
-    # the own quantile keeps u below 1e-16, where -q(1 - u) cannot
-    with np.errstate(divide="ignore"):  # q(1) = inf
-        assert neg.quantile(1e-20) == -math.inf
+    # negate's one-argument quantile reads the partner's small side at u, so
+    # it keeps u below 1e-16 as the own quantile does, bit for bit
+    u = np.array([5e-324, 1e-300, 1e-20, 2.0 ** -53, 0.3, 0.5, 0.9, 1.0 - 2.0 ** -53])
+    with np.errstate(divide="ignore"):
+        assert np.asarray(neg.quantile(u)).tobytes() == np.asarray(mirror.quantile(u)).tobytes()
     assert math.isfinite(mirror.quantile(1e-20))
     if mirror.name == "negative_exponential":
         assert mirror.quantile(1e-20) == math.log(1e-20)
@@ -606,8 +608,10 @@ _TWO_SIDED = [
     (make_uniform(-1.0, 3.0), lambda v: 2 - 3 * v, lambda u: 3.0 * np.exp(np.log(u) / 1.0) + -1.0),
     (affine(make_lomax(3.0), 2.0, 1.0), lambda v: 2 * mp.expm1(-mp.log(v) / 3) + 1,
      lambda u: 2.0 * np.expm1(-np.log1p(-u) / 3.0) + 1.0),
+    # negate's one-argument quantile is -q(1 - u, u): the partner's own
+    # quantile then reads -log u as -log1p(-u) for u below 1/2
     (negate(make_negative_lomax(2.0)), lambda v: mp.expm1(-mp.log(v) / 2),
-     lambda u: -(-np.expm1(-np.log(1.0 - u) / 2.0))),
+     lambda u: -(-np.expm1(np.where(1.0 - u < 0.5, -np.log(1.0 - u), -np.log1p(-u)) / 2.0))),
 ]
 
 

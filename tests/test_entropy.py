@@ -46,6 +46,18 @@ PI2_6 = math.pi ** 2 / 6.0
 LN2_MINUS_QUARTER = 0.4431471805599453  # u(2 log(1/u) - (1-u)) at u = 1/2
 
 
+def test_dual_tail_integral_near_one_against_its_series():
+    # J(u) = sum_k v^(s+1+k)/(s+1+k), v = 1 - u; at s = 7.3, where s + 1
+    # rounds, v^(s+1) formed as such was 2.5e-14 off at u = 1 - 1e-12
+    us = np.array([0.5000001, 0.75, 0.9999, 1.0 - 1e-12])
+    for s in (-0.3, 0.5, 7.3, 7.52):
+        for u, got in zip(us, dual_tail_integral(us, s)):
+            with mp.workdps(60):
+                v, a = mp.mpf(1.0 - u), mp.mpf(s) + 1
+                exact = mp.nsum(lambda k: v ** (a + k) / (a + k), [0, mp.inf])
+            assert got == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+
+
 def test_entropy_order_validation():
     with pytest.raises(DomainError):
         EntropyOrder(-1.0)

@@ -34,7 +34,8 @@ from ctent import (
     risk_nabla,
 )
 from ctent.cli import main
-from ctent.distributions import dist_mean, from_name
+from ctent.distributions import dist_mean, from_name, from_quantile
+from ctent.extremal import make_s_logistic
 from ctent.specfun import EULER_GAMMA, psi
 
 K_HALF_AT_ONE = -0.2803723055467760  # s/(s+1) - psi(s+1) - gamma at s = 1/2
@@ -127,7 +128,11 @@ def test_mrl_representation_examples():
 
 @pytest.mark.parametrize("d", [make_exponential(), make_power_uniform(1.0),
                                make_lomax(3.0), make_logistic(),
-                               make_frechet(2.5)],
+                               make_frechet(2.5), make_lomax(1.5), make_lomax(1.05),
+                               make_s_logistic(-0.2, 0.8),
+                               risk_module._quantile_mixture(
+                                   make_power_uniform(1.0),
+                                   affine(make_exponential(), 1.5, 0.0), 0.3)],
                          ids=lambda d: d.label())
 @pytest.mark.parametrize("s", [0.0, 0.8, 2.0])
 def test_mrl_agrees_with_distortion(d, s):
@@ -141,12 +146,56 @@ def test_mrl_agrees_with_distortion(d, s):
                                        abs=gotn.abs_error_bound + wantn.abs_error_bound)
 
 
-@pytest.mark.parametrize("s, which", [(0.8, "nabla"), (0.0, "delta")])
-def test_mrl_representation_reports_quadpack_failures(s, which):
-    # lomax(1.5): q(1) = inf meets the non-finite check without a warning,
-    # and inner integrals that QUADPACK reports failed raise
-    with pytest.raises(NonIntegrableError):
-        mrl_representation(make_lomax(1.5), s, which)
+@pytest.mark.parametrize("d, s, which", [
+    (make_lomax(1.5), -0.3, "delta"), (make_lomax(1.5), -0.3, "nabla"),
+    (make_frechet(2.5), -0.3, "nabla"),
+    (make_lomax(1.05), 0.5, "delta"), (make_lomax(1.05), 0.5, "nabla"),
+    (make_s_logistic(-0.2, 0.8), 0.5, "delta"), (make_s_logistic(-0.2, 0.8), 0.5, "nabla"),
+], ids=lambda x: x.label() if hasattr(x, "label") else str(x))
+def test_mrl_answers_where_nested_quadpack_refused(d, s, which):
+    # each of these raised while the partial mean was an inner QUADPACK
+    # integral, as did the heavy laws of test_mrl_agrees_with_distortion
+    got = mrl_representation(d, s, which)
+    want = (risk_delta if which == "delta" else risk_nabla)(d, s)
+    assert got.value == pytest.approx(want.value,
+                                      abs=got.abs_error_bound + want.abs_error_bound)
+
+
+@pytest.mark.parametrize("s", [0.0, 0.8, 2.0])
+def test_mrl_of_a_law_given_by_its_quantile_alone(s):
+    # a one-argument quantile is NaN where v = 1 - u < 2^-53; the catalog
+    # law's risk is the reference
+    d = from_quantile("lomax_quantile", make_lomax(3.0).quantile, (0.0, math.inf))
+    for which, risk in (("delta", risk_delta), ("nabla", risk_nabla)):
+        got, want = mrl_representation(d, s, which), risk(make_lomax(3.0), s)
+        assert got.value == pytest.approx(want.value,
+                                          abs=got.abs_error_bound + want.abs_error_bound)
+
+
+@pytest.mark.parametrize("s, which, want", [(0.8, "nabla", 11.6642767652), (0.0, "delta", 8.0)])
+def test_mrl_representation_answers_heavy_lomax(s, which, want):
+    # q(1) = inf, and failed inner integrals, once stopped the nested QUADPACK form here
+    got = mrl_representation(make_lomax(1.5), s, which)
+    assert got.value == pytest.approx(want, abs=got.abs_error_bound)
+
+
+@pytest.mark.parametrize("beta, s", [(1.05, -0.3), (1.5, -0.4)])
+def test_mrl_representation_reports_tanh_sinh_failures(beta, s):
+    # the mirrored law's entropy diverges here: the integrand grows faster
+    # than 1/v towards u = 1, and tanh-sinh's refusal raises
+    with pytest.raises(NonIntegrableError, match="does not converge"):
+        mrl_representation(make_lomax(beta), s, "delta")
+
+
+def test_mrl_representation_makes_no_quadpack_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the mean-residual-life form reached QUADPACK")
+
+    monkeypatch.setattr(entropy_module, "quad", refuse)
+    for which, risk in (("delta", risk_delta), ("nabla", risk_nabla)):
+        got, want = mrl_representation(make_lomax(3.0), 0.5, which), risk(make_lomax(3.0), 0.5)
+        assert got.value == pytest.approx(want.value,
+                                          abs=got.abs_error_bound + want.abs_error_bound)
 
 
 def test_distortion_factories_normalised():
@@ -317,7 +366,7 @@ def test_heavy_tail_risk_converges_on_tanh_sinh(monkeypatch, label, s):
     def refuse(*args, **kwargs):
         raise AssertionError("the Wang integral reached QUADPACK")
 
-    monkeypatch.setattr(risk_module, "_quad", refuse)
+    monkeypatch.setattr(entropy_module, "quad", refuse)
     d = make_lomax(1.05)
     risk, mirrored = (risk_nabla, nabla_value) if label == "k_s" else (risk_delta, delta_value)
     r = risk(d, s)
