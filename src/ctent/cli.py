@@ -91,6 +91,8 @@ def _parse_grid(spec: str):
         grid = np.linspace(float(a), float(b), int(n))
     except ValueError as exc:
         raise DomainError(f"--s-grid expects a:b:n, got {spec!r}") from exc
+    if not grid.size:
+        raise DomainError(f"a grid needs at least one point, got {spec!r}")
     return [float(x) for x in grid]
 
 

@@ -81,7 +81,7 @@ class DistributionSpec:
     support: tuple
     mean: float | None
     variance: float | None
-    sf: Callable = None
+    sf: Callable
     qdensity: Callable = None
     closed_delta: ClosedForm = None
     closed_nabla: ClosedForm = None
@@ -94,9 +94,6 @@ class DistributionSpec:
         lo, hi = self.support
         if not lo < hi:
             raise DomainError(f"empty support {self.support}")
-        if self.sf is None:
-            cdf = self.cdf
-            object.__setattr__(self, "sf", lambda x: 1.0 - cdf(x))
 
     def label(self) -> str:
         if not self.params:
@@ -759,7 +756,7 @@ def from_quantile(name: str, quantile: Callable, support: tuple,
 
     return DistributionSpec(
         name=name, params=params or {},
-        cdf=cdf, quantile=pair, qdensity=qdensity, support=support,
+        cdf=cdf, sf=lambda x: 1.0 - cdf(x), quantile=pair, qdensity=qdensity, support=support,
         mean=mean, variance=variance,
     )
 

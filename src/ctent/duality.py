@@ -203,17 +203,12 @@ def bnb_partial_sum(s: float, n_terms: int) -> tuple:
     return partial, tail
 
 
-def binomial_involution(v, k: int | None = None) -> list:
+def binomial_involution(v) -> list:
     """Apply the alternating-binomial transform w_j = sum_{n<=j}
-    C(j+1, n+1)(-1)^n v_n to a vector of length k+1; the transform is its
-    own inverse."""
+    C(j+1, n+1)(-1)^n v_n to a vector; the transform is its own inverse."""
     v = [float(x) for x in v]
-    if k is None:
-        k = len(v) - 1
-    if len(v) != k + 1:
-        raise DomainError(f"vector length {len(v)} does not match k+1 = {k + 1}")
     out = []
-    for j in range(k + 1):
+    for j in range(len(v)):
         acc = math.fsum(
             (-1.0) ** n * math.comb(j + 1, n + 1) * v[n] for n in range(j + 1))
         out.append(acc)

@@ -535,22 +535,22 @@ def nabla_plugin(x: EmpiricalSample, s) -> EntropyValue:
 # ---------------------------------------------------------------------------
 # dispatch and profiles
 
-def delta_value(d: DistributionSpec, s, prefer_closed: bool = True) -> EntropyValue:
+def delta_value(d: DistributionSpec, s) -> EntropyValue:
     """Best-method entropy: the closed form when the law has one, else the
     quantile-space integral when it has a quantile density, else x-space
-    quadrature.  ``prefer_closed=False`` always takes the x-space route,
+    quadrature.  :func:`delta_quadrature` always takes the x-space route,
     the independent oracle.  A closed form that gives a non-finite value
     without flagging divergence raises :class:`NonIntegrableError`."""
-    return _one(d, "delta", s, "best" if prefer_closed else "x")
+    return _one(d, "delta", s, "best")
 
 
-def nabla_value(d: DistributionSpec, s, prefer_closed: bool = True) -> EntropyValue:
+def nabla_value(d: DistributionSpec, s) -> EntropyValue:
     """Best-method dual entropy: the closed form when the law has one, else
     the quantile-space integral.  A closed form whose alternating series
     cannot meet its bound at this order raises :class:`NonIntegrableError`,
     and the integral takes over; one that gives a non-finite value raises
     :class:`NonIntegrableError` to the caller."""
-    return _one(d, "nabla", s, "best" if prefer_closed else "quantile")
+    return _one(d, "nabla", s, "best")
 
 
 def entropy_profile(d: DistributionSpec, s_grid: Sequence[float]) -> EntropyProfile:

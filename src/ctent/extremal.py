@@ -178,6 +178,9 @@ def bound_symmetric(s) -> RangeBound:
 # ---------------------------------------------------------------------------
 # the gamma-function gap
 
+_GAP_BRACKET = (1e-6, 1.0 - 1e-6)  # where gamma_gap_argmax searches (0, 1)
+
+
 def gamma_gap(s: float) -> float:
     """phi(s) = Gamma(s+2)^2/Gamma(2s+1) - 1 - 2s + s^2 for s > -2.
 
@@ -195,9 +198,9 @@ def gamma_gap(s: float) -> float:
     return math.exp(2.0 * lgamma(s + 2.0)) * inv_gamma - poly
 
 
-def gamma_gap_argmax(lo: float = 1e-6, hi: float = 1.0 - 1e-6) -> tuple:
+def gamma_gap_argmax() -> tuple:
     """(argmax, max) of the gap on (0,1) by bounded Brent minimisation."""
-    r = minimize_scalar(lambda s: -gamma_gap(s), bounds=(lo, hi), method="bounded",
+    r = minimize_scalar(lambda s: -gamma_gap(s), bounds=_GAP_BRACKET, method="bounded",
                         options={"xatol": 1e-12})
     x = float(r.x)
     return x, gamma_gap(x)

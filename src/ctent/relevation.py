@@ -33,10 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DistributionSpec, negate
-from .duality import bnb_pmf
 from .entropy import delta_value
 from .errors import DomainError, NonIntegrableError
 from .risk import make_distortion, relevation_risk
+from .series import pochhammer_ratio_coeffs
 
 _CHUNK = 1 << 17
 
@@ -227,7 +227,7 @@ def sample_Ns(s: float, n: int, seed: int) -> dict:
         "k": ks,
         "count": [int(counts[k]) for k in ks],
         "frequency": [counts[k] / n for k in ks],
-        "pmf": [bnb_pmf(s, k) for k in ks],
+        "pmf": ((1.0 + s) * pochhammer_ratio_coeffs(s, _NS_TABLE - 1)).tolist(),
         "tail_count": int(counts[_NS_TABLE]),
         "tail_frequency": counts[_NS_TABLE] / n,
         "n_trials": n,

@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import tanhsinh
 
-from .distributions import DistributionSpec, dist_mean, from_quantile, negate
+from .distributions import DistributionSpec, affine, dist_mean, from_quantile, negate
 from .entropy import (
     _TINY,
     _both_halves,
@@ -225,15 +225,17 @@ def make_distortion(label: str, s_or_n: float) -> DistortionFunction:
     raise DomainError(f"unknown distortion label {label!r}")
 
 
-def coherence_diagnostics(f: DistortionFunction, grid_n: int = 10000) -> dict:
-    """Sign report for f' and f'' on a grid in (1e-6, 1-1e-6).
+_DIAGNOSTIC_GRID = 10000  # points of the coherence_diagnostics grid
+_AXIOM_TOL = 1e-8  # relative tolerance of risk_axioms_check's exact axioms
+
+
+def coherence_diagnostics(f: DistortionFunction) -> dict:
+    """Sign report for f' and f'' on a 10 000-point grid in (1e-6, 1-1e-6).
 
     Analytic derivatives are used (the families above carry them); the grid
     guards the implementation rather than the calculus.
     """
-    if grid_n < 100:
-        raise DomainError("grid_n must be at least 100")
-    t = np.linspace(1e-6, 1.0 - 1e-6, int(grid_n))
+    t = np.linspace(1e-6, 1.0 - 1e-6, _DIAGNOSTIC_GRID)
     d1 = np.asarray(f.deriv1(t), dtype=float)
     d2 = np.asarray(f.deriv2(t), dtype=float)
     mono_viol = np.flatnonzero(d1 <= 0.0)
@@ -241,7 +243,7 @@ def coherence_diagnostics(f: DistortionFunction, grid_n: int = 10000) -> dict:
     return {
         "label": f.label,
         "s_or_n": f.s_or_n,
-        "grid_n": int(grid_n),
+        "grid_n": _DIAGNOSTIC_GRID,
         "monotone_increasing": mono_viol.size == 0,
         "concave": conc_viol.size == 0,
         "deriv1_min": float(np.min(d1)),
@@ -422,30 +424,29 @@ def _quantile_mixture(d1: DistributionSpec, d2: DistributionSpec,
 
 
 def risk_axioms_check(d1: DistributionSpec, d2: DistributionSpec, s,
-                      a: float, b: float, tol: float = 1e-8) -> dict:
+                      a: float, b: float) -> dict:
     """Verify the coherence axioms numerically on a pair of distributions.
 
     Affine equivariance is checked exactly; monotonicity requires the
     survival functions to be pointwise ordered on a quantile grid (else
     PreconditionNotMet); subadditivity is checked in the comonotone form,
     where distortion measures are additive, and as convexity along quantile
-    mixtures.
+    mixtures.  The exact axioms hold to 1e-8 relative.
     """
     sv = as_order(s).s
     if not a > 0.0:
         raise DomainError("scale must be positive")
     report = {"s": sv, "a": a, "b": b}
 
-    from .distributions import affine as _affine
-
     families = (("delta", risk_delta), ("nabla", risk_nabla))
     at_d1, at_d2 = {}, {}  # each family's value at d1 and d2, formed once
     for fam, fn in families:
         base = at_d1[fam] = fn(d1, sv).value
-        moved = fn(_affine(d1, a, b), sv).value
+        moved = fn(affine(d1, a, b), sv).value
         report[f"affine_{fam}_lhs"] = moved
         report[f"affine_{fam}_rhs"] = a * base + b
-        report[f"affine_{fam}_ok"] = abs(moved - (a * base + b)) <= tol * max(1.0, abs(moved))
+        report[f"affine_{fam}_ok"] = (abs(moved - (a * base + b))
+                                      <= _AXIOM_TOL * max(1.0, abs(moved)))
 
     # stochastic-order precondition on a shared quantile grid
     us = np.linspace(0.005, 0.995, 199)
@@ -460,14 +461,14 @@ def risk_axioms_check(d1: DistributionSpec, d2: DistributionSpec, s,
     for fam, fn in families:
         v1 = at_d1[fam]
         v2 = at_d2[fam] = fn(d2, sv).value
-        report[f"monotone_{fam}_ok"] = v1 <= v2 + tol * max(1.0, abs(v2))
+        report[f"monotone_{fam}_ok"] = v1 <= v2 + _AXIOM_TOL * max(1.0, abs(v2))
         report[f"monotone_{fam}_pair"] = (v1, v2)
 
     # comonotone additivity: Y = 2X, so X + Y = 3X
     for fam, fn in families:
-        lhs = fn(_affine(d1, 3.0, 0.0), sv).value
-        rhs = at_d1[fam] + fn(_affine(d1, 2.0, 0.0), sv).value
-        report[f"comonotone_{fam}_ok"] = abs(lhs - rhs) <= tol * max(1.0, abs(lhs))
+        lhs = fn(affine(d1, 3.0, 0.0), sv).value
+        rhs = at_d1[fam] + fn(affine(d1, 2.0, 0.0), sv).value
+        report[f"comonotone_{fam}_ok"] = abs(lhs - rhs) <= _AXIOM_TOL * max(1.0, abs(lhs))
 
     # convexity along a quantile mixture (comonotone coupling: equality)
     lam = 0.3

@@ -1,7 +1,8 @@
 """Headless verification suite.
 
-Each check returns a dict {name, ok, runtime_s, detail}; ``run_selftest``
-aggregates them.  The "quick" level covers the closed-form identities and
+Each check returns (ok, detail); ``run_selftest`` times it and reports
+{name, ok, runtime_s, detail}, named after the check without its
+``check_`` prefix.  The "quick" level covers the closed-form identities and
 constants, "full" adds the Monte Carlo work, the randomized dominance
 sweep, the curve families, and writes the plot-ready CSV tables.
 """
@@ -39,7 +40,7 @@ def _table_members():
 _TABLE_ORDERS = (-0.4, -0.1, 0.0, 0.5, 1.0, 2.0, 5.0)
 
 
-def check_closed_form_table() -> dict:
+def check_closed_form_table() -> tuple:
     """Quadrature against every closed form at seven orders, 1e-7 relative,
     under 30 seconds."""
     t0 = time.time()
@@ -50,9 +51,7 @@ def check_closed_form_table() -> dict:
             thr = d.finiteness_threshold
             if thr is not None and s <= thr:
                 if not entropy.delta_quadrature(d, s).divergent:
-                    return {"name": "closed_form_table", "ok": False,
-                            "runtime_s": time.time() - t0,
-                            "detail": f"{d.label()} s={s}: divergence not flagged"}
+                    return False, f"{d.label()} s={s}: divergence not flagged"
                 continue
             cd = d.closed_delta(s)
             cn = d.closed_nabla(s)
@@ -63,13 +62,11 @@ def check_closed_form_table() -> dict:
                     worst, worst_case = r, f"{tag} {d.label()} s={s}"
     elapsed = time.time() - t0
     ok = worst <= 1e-7 and elapsed < 30.0
-    return {"name": "closed_form_table", "ok": ok, "runtime_s": elapsed,
-            "detail": f"worst rel err {worst:.2e} ({worst_case}), {elapsed:.1f}s"}
+    return ok, f"worst rel err {worst:.2e} ({worst_case}), {elapsed:.1f}s"
 
 
-def check_benchmark_constants() -> dict:
+def check_benchmark_constants() -> tuple:
     """The five benchmark entropies at s = 0, each to 1e-9 by quadrature."""
-    t0 = time.time()
     cases = [
         ("uniform", dist.make_power_uniform(1.0), 0.25),
         ("exponential", dist.make_exponential(), PI2_6 - 1.0),
@@ -81,15 +78,12 @@ def check_benchmark_constants() -> dict:
     for name, d, target in cases:
         errs[name] = abs(entropy.delta_quadrature(d, 0.0).value - target)
     ok = all(e <= 1e-9 for e in errs.values())
-    detail = ", ".join(f"{k}:{v:.1e}" for k, v in errs.items())
-    return {"name": "benchmark_constants", "ok": ok,
-            "runtime_s": time.time() - t0, "detail": detail}
+    return ok, ", ".join(f"{k}:{v:.1e}" for k, v in errs.items())
 
 
-def check_duality() -> dict:
+def check_duality() -> tuple:
     """Series transforms vs direct values (1e-6, 3 orders x 4 laws), pmf
     normalisation (1e-4 with tail), involution (1e-10)."""
-    t0 = time.time()
     members = [dist.make_power_uniform(1.0), dist.make_exponential(),
                dist.make_lomax(3.0), dist.make_reflected_power(2.0)]
     worst = 0.0
@@ -110,15 +104,13 @@ def check_duality() -> dict:
     round_err = max(abs(a - b) for a, b in
                     zip(duality.binomial_involution(forward), vec))
     ok = worst <= 1e-6 and pmf_err <= 1e-4 and inv_err <= 1e-9 and round_err <= 1e-10
-    return {"name": "duality", "ok": ok, "runtime_s": time.time() - t0,
-            "detail": (f"series err {worst:.1e}, pmf mass err {pmf_err:.1e}, "
-                       f"involution {inv_err:.1e}/{round_err:.1e}")}
+    return ok, (f"series err {worst:.1e}, pmf mass err {pmf_err:.1e}, "
+                f"involution {inv_err:.1e}/{round_err:.1e}")
 
 
-def check_risk() -> dict:
+def check_risk() -> tuple:
     """Uniform closed risk values (1e-9, three parameter triples) and the
     distortion diagnostics, including the generalized-CRE failures."""
-    t0 = time.time()
     worst = 0.0
     for a, L, s in ((0.0, 1.0, 0.0), (2.0, 3.0, 1.0), (-1.0, 2.0, 0.5)):
         u = dist.make_uniform(a, L)
@@ -129,25 +121,24 @@ def check_risk() -> dict:
     diag_ok = True
     for s in (-0.5, 0.5, 1.0, 3.0):
         for lab in ("h_s", "k_s"):
-            rep = risk.coherence_diagnostics(risk.make_distortion(lab, s), 10000)
+            rep = risk.coherence_diagnostics(risk.make_distortion(lab, s))
             diag_ok &= rep["monotone_increasing"] and rep["concave"]
-    mono_fail = risk.coherence_diagnostics(risk.make_distortion("h_tilde_s", 0.5), 10000)
-    conc_fail = risk.coherence_diagnostics(risk.make_distortion("h_tilde_s", 2.0), 10000)
+    mono_fail = risk.coherence_diagnostics(risk.make_distortion("h_tilde_s", 0.5))
+    conc_fail = risk.coherence_diagnostics(risk.make_distortion("h_tilde_s", 2.0))
     diag_ok &= (not mono_fail["monotone_increasing"]) and (not conc_fail["concave"])
     ok = worst <= 1e-9 and diag_ok
-    return {"name": "risk", "ok": ok, "runtime_s": time.time() - t0,
-            "detail": f"uniform formula err {worst:.1e}, diagnostics {'ok' if diag_ok else 'FAIL'}"}
+    return ok, f"uniform formula err {worst:.1e}, diagnostics {'ok' if diag_ok else 'FAIL'}"
 
 
-def check_range_bounds(trials: int = 200) -> dict:
+def check_range_bounds() -> tuple:
     """Attainment of the L2 and symmetric bounds (1e-6) and a randomized
-    dominance sweep: nothing exceeds its regime bound by more than 1e-9."""
-    t0 = time.time()
+    dominance sweep of 200 trials: nothing exceeds its regime bound by more
+    than 1e-9."""
     worst_attain = 0.0
     for s in (0.0, 1.0, 2.0, -0.3):
         b = extremal.bound_l2(s)
         m = b.maximizer
-        val = entropy.delta_value(m, s, prefer_closed=False).value
+        val = entropy.delta_quadrature(m, s).value
         worst_attain = max(worst_attain, abs(val / dist.dist_std(m) - b.upper))
     for s in (0.5, 1.0, 2.0):
         b = extremal.bound_symmetric(s)
@@ -160,7 +151,7 @@ def check_range_bounds(trials: int = 200) -> dict:
 
     rng = np.random.default_rng(20240817)
     overshoot = -math.inf
-    for _ in range(trials):
+    for _ in range(200):
         regime = rng.choice(["positive", "l2", "symmetric"])
         a = float(rng.uniform(0.2, 5.0))
         if regime == "positive":
@@ -205,29 +196,26 @@ def check_range_bounds(trials: int = 200) -> dict:
             overshoot = max(overshoot, val.value / dist.dist_std(d)
                             - extremal.symmetric_upper(s))
     ok = worst_attain <= 1e-6 and overshoot <= 1e-9
-    return {"name": "range_bounds", "ok": ok, "runtime_s": time.time() - t0,
-            "detail": f"attainment err {worst_attain:.1e}, max overshoot {overshoot:.1e}"}
+    return ok, f"attainment err {worst_attain:.1e}, max overshoot {overshoot:.1e}"
 
 
-def check_gamma_gap_constants() -> dict:
+def check_gamma_gap_constants() -> tuple:
     """The gap's maximum, its location, the negative root, and the normal
     law's cumulative entropy."""
-    t0 = time.time()
     argmax, peak = extremal.gamma_gap_argmax()
     root = extremal.gamma_gap_root()
     gauss = extremal.gaussian_cumulative_entropy()
     ok = (abs(argmax - 0.4671) <= 5e-4 and abs(peak - 0.0172) <= 5e-4
           and abs(root - (-1.6609)) <= 1e-3
           and abs(gauss - 0.9033) <= 5e-4 and gauss < extremal.SYM_BOUND_0)
-    return {"name": "gamma_gap_constants", "ok": ok, "runtime_s": time.time() - t0,
-            "detail": (f"argmax {argmax:.6f}, max {peak:.6f}, root {root:.6f}, "
-                       f"gaussian {gauss:.6f}")}
+    return ok, (f"argmax {argmax:.6f}, max {peak:.6f}, root {root:.6f}, "
+                f"gaussian {gauss:.6f}")
 
 
-def check_skewness_constants(curves_out: dict | None = None) -> dict:
+def check_skewness_constants(curves_out: dict) -> tuple:
     """The two limiting skewness roots (1e-5) and 20-point curve
-    monotonicity for both parameter families."""
-    t0 = time.time()
+    monotonicity for both parameter families; the curve pairs go into
+    ``curves_out`` for the figure tables."""
     m = skewness.rho(dist.make_negative_exponential(), "rho", tol=1e-9)
     m_bar = skewness.rho(dist.make_exponential(), "rho", tol=1e-9)
     mirror = skewness.rho(dist.make_exponential(), "rho_bar", tol=1e-9)
@@ -237,8 +225,7 @@ def check_skewness_constants(curves_out: dict | None = None) -> dict:
     c1b = skewness.rho_curve_power_uniform("rho_bar", betas1)
     c2 = skewness.rho_curve_negative_lomax("rho", betas2)
     c2b = skewness.rho_curve_negative_lomax("rho_bar", betas2)
-    if curves_out is not None:
-        curves_out.update({"power_uniform": (c1, c1b), "negative_lomax": (c2, c2b)})
+    curves_out.update({"power_uniform": (c1, c1b), "negative_lomax": (c2, c2b)})
 
     def mono(curve, sign):
         vals = [v for _, v in curve.values]
@@ -247,12 +234,10 @@ def check_skewness_constants(curves_out: dict | None = None) -> dict:
     curves_ok = (mono(c1, -1) and mono(c1b, +1) and mono(c2, +1) and mono(c2b, -1))
     ok = (abs(m - (-0.365952)) <= 1e-5 and abs(m_bar - 0.389592) <= 1e-5
           and abs(mirror - m) <= 1e-8 and curves_ok)
-    return {"name": "skewness_constants", "ok": ok, "runtime_s": time.time() - t0,
-            "detail": (f"root(-L) {m:.6f}, root(L) {m_bar:.6f}, "
-                       f"curves monotone: {curves_ok}")}
+    return ok, f"root(-L) {m:.6f}, root(L) {m_bar:.6f}, curves monotone: {curves_ok}"
 
 
-def check_simulation() -> dict:
+def check_simulation() -> tuple:
     """Monte Carlo agreement: E[Y_s] within 4 SE at 1e6 trials for three
     laws x s in {1,2}; the total-lifetime survival curve within binomial
     4-sigma bands at 10 points; E[T_3] for the exponential within 4 SE."""
@@ -270,16 +255,14 @@ def check_simulation() -> dict:
     t3 = relevation.simulate_Tn(dist.make_exponential(), 3, 10 ** 6, seed=55)
     elapsed = time.time() - t0
     ok = zmax <= 4.0 and zmax_curve <= 4.0 and abs(t3.z_score) <= 4.0 and elapsed < 180.0
-    return {"name": "simulation", "ok": ok, "runtime_s": elapsed,
-            "detail": (f"max |z| Ys {zmax:.2f}, survival {zmax_curve:.2f}, "
-                       f"T3 {t3.z_score:.2f}, {elapsed:.0f}s")}
+    return ok, (f"max |z| Ys {zmax:.2f}, survival {zmax_curve:.2f}, "
+                f"T3 {t3.z_score:.2f}, {elapsed:.0f}s")
 
 
-def check_estimator_consistency() -> dict:
+def check_estimator_consistency() -> tuple:
     """Plug-in estimate on 1e5 exponential draws within the 100-replicate
     empirical 4-sigma band of pi^2/6 - 1; the atomic two-point sample at
     s = 1 returns exactly 1/4."""
-    t0 = time.time()
     d = dist.make_exponential()
     target = PI2_6 - 1.0
     reps = np.array([
@@ -289,9 +272,8 @@ def check_estimator_consistency() -> dict:
     first_err = abs(float(reps[0]) - target)
     two_point = entropy.delta_plugin(dist.EmpiricalSample(np.array([0.0, 1.0])), 1.0)
     ok = first_err <= 4.0 * sigma and two_point.value == 0.25
-    return {"name": "estimator_consistency", "ok": ok, "runtime_s": time.time() - t0,
-            "detail": (f"|bias of first replicate| {first_err:.2e} vs 4*sigma "
-                       f"{4 * sigma:.2e}; two-point exact: {two_point.value == 0.25}")}
+    return ok, (f"|bias of first replicate| {first_err:.2e} vs 4*sigma "
+                f"{4 * sigma:.2e}; two-point exact: {two_point.value == 0.25}")
 
 
 # ---------------------------------------------------------------------------
@@ -305,14 +287,12 @@ def _write_csv(path: str, header, rows) -> None:
             w.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
 
 
-def write_figure_tables(out_dir: str, curves: dict | None = None) -> list:
-    """Plot-ready CSVs: the two skewness-parameter curve pairs and the
-    gamma gap on its narrow and wide windows."""
+def write_figure_tables(out_dir: str, curves: dict) -> list:
+    """Plot-ready CSVs: the two skewness-parameter curve pairs of
+    :func:`check_skewness_constants` and the gamma gap on its narrow and
+    wide windows."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    if curves is None:
-        curves = {}
-        check_skewness_constants(curves_out=curves)
     for key, fname in (("power_uniform", "fig_skewness_power_uniform.csv"),
                        ("negative_lomax", "fig_skewness_negative_lomax.csv")):
         c, cb = curves[key]
@@ -332,18 +312,25 @@ def write_figure_tables(out_dir: str, curves: dict | None = None) -> list:
     return written
 
 
+def check_figure_tables(out_dir: str, curves: dict) -> tuple:
+    """The figure CSVs, from the curves the skewness check left."""
+    if not curves:
+        return False, "no skewness curves"
+    return True, f"wrote {len(write_figure_tables(out_dir, curves))} files to {out_dir}"
+
+
 # ---------------------------------------------------------------------------
 
-def _quick_checks():
-    return [check_benchmark_constants, check_risk, check_gamma_gap_constants,
-            check_duality]
-
-
-def _full_checks():
-    return [check_closed_form_table, check_benchmark_constants, check_duality,
-            check_risk, check_range_bounds, check_gamma_gap_constants,
-            check_skewness_constants, check_simulation,
-            check_estimator_consistency]
+def _run(check, *args) -> dict:
+    """One report: the check timed, named without its ``check_`` prefix; a
+    CtentError, or an OSError from writing the tables, fails the check."""
+    t0 = time.time()
+    try:
+        ok, detail = check(*args)
+    except (CtentError, OSError) as exc:
+        ok, detail = False, f"{type(exc).__name__}: {exc}"
+    return {"name": check.__name__.removeprefix("check_"), "ok": ok,
+            "runtime_s": time.time() - t0, "detail": detail}
 
 
 def run_selftest(level: str = "quick", out_dir: str | None = None) -> tuple:
@@ -351,22 +338,15 @@ def run_selftest(level: str = "quick", out_dir: str | None = None) -> tuple:
     writes the figure CSVs (to out_dir or ./ctent_selftest_out)."""
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
-    checks = _quick_checks() if level == "quick" else _full_checks()
-    reports = []
-    curves: dict = {}  # the skewness check's curves, reused by the figure tables
-    for fn in checks:
-        try:
-            reports.append(fn(curves) if fn is check_skewness_constants else fn())
-        except CtentError as exc:
-            reports.append({"name": fn.__name__, "ok": False, "runtime_s": 0.0,
-                            "detail": f"{type(exc).__name__}: {exc}"})
-    if level == "full":
-        target = out_dir or "ctent_selftest_out"
-        try:
-            files = write_figure_tables(target, curves or None)
-            reports.append({"name": "figure_tables", "ok": True, "runtime_s": 0.0,
-                            "detail": f"wrote {len(files)} files to {target}"})
-        except OSError as exc:
-            reports.append({"name": "figure_tables", "ok": False, "runtime_s": 0.0,
-                            "detail": str(exc)})
+    if level == "quick":
+        checks = [(check_benchmark_constants,), (check_risk,), (check_gamma_gap_constants,),
+                  (check_duality,)]
+    else:
+        curves: dict = {}  # the skewness check's curves, read by the figure tables
+        checks = [(check_closed_form_table,), (check_benchmark_constants,), (check_duality,),
+                  (check_risk,), (check_range_bounds,), (check_gamma_gap_constants,),
+                  (check_skewness_constants, curves), (check_simulation,),
+                  (check_estimator_consistency,),
+                  (check_figure_tables, out_dir or "ctent_selftest_out", curves)]
+    reports = [_run(*check) for check in checks]
     return reports, all(r["ok"] for r in reports)

@@ -50,19 +50,18 @@ class SkewnessCurve:
     root: float | None = None
 
 
-def diamond(d: DistributionSpec, s, kind: str = "diamond",
-            prefer_closed: bool = True) -> float:
+def diamond(d: DistributionSpec, s, kind: str = "diamond") -> float:
     """Entropy-ratio skewness map at order s; inf when the numerator
     diverges, 0 when the denominator does.  A denominator that underflows to
     0 raises :class:`NonIntegrableError`."""
     sv = as_order(s).s
     nd = negate(d)
     if kind == "diamond":
-        num = nabla_value(d, sv, prefer_closed)
-        den = delta_value(nd, sv, prefer_closed)
+        num = nabla_value(d, sv)
+        den = delta_value(nd, sv)
     elif kind == "diamond_bar":
-        num = nabla_value(nd, sv, prefer_closed)
-        den = delta_value(d, sv, prefer_closed)
+        num = nabla_value(nd, sv)
+        den = delta_value(d, sv)
     else:
         raise DomainError(f"kind must be 'diamond' or 'diamond_bar', got {kind!r}")
     if not num.is_finite:
@@ -108,15 +107,16 @@ def rho(d: DistributionSpec, kind: str = "rho", tol: float = 1e-8) -> float:
     return brentq(excess, lo, hi, xtol=tol)
 
 
-def diamond_curve(d: DistributionSpec, s_grid: Sequence[float],
-                  kind: str = "diamond") -> SkewnessCurve:
-    """Sample a skewness map on a grid, attaching the unit-crossing root."""
-    vals = tuple((float(s), diamond(d, s, kind)) for s in s_grid)
+def diamond_curve(d: DistributionSpec, s_grid: Sequence[float]) -> SkewnessCurve:
+    """Sample the diamond map on a grid, attaching the unit-crossing root rho.
+    The mirrored map is ``diamond_curve(negate(d), s_grid)``, since
+    diamond_bar(X) = diamond(-X)."""
+    vals = tuple((float(s), diamond(d, s)) for s in s_grid)
     try:
-        root = rho(d, "rho" if kind == "diamond" else "rho_bar")
+        root = rho(d)
     except NotBracketedError:
         root = None
-    return SkewnessCurve(kind, vals, root)
+    return SkewnessCurve("diamond", vals, root)
 
 
 def rho_curve_power_uniform(kind: str, betas: Sequence[float]) -> SkewnessCurve:

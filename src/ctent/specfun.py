@@ -1,16 +1,16 @@
 """Special functions with the package's domain checks.
 
-Log-gamma, digamma and the polygammas of orders 1-3 (the higher ones
-serve the near-zero order branches), Pochhammer symbols and gamma
-ratios, all in double precision.  The values come from ``math.lgamma``
-and from scipy's digamma and Hurwitz zeta, psi^(m)(x) = (-1)^(m+1) m!
-zeta(m+1, x); this module adds the domain checks the rest of the package
-relies on.
+Log-gamma, digamma and the polygammas of orders 1-3, Pochhammer symbols
+and gamma ratios, all in double precision.  The values come from
+``math.lgamma`` and from scipy's digamma and Hurwitz zeta,
+psi^(m)(x) = (-1)^(m+1) m! zeta(m+1, x); this module adds the domain
+checks.
 
 Public entry points return a :class:`SpecialValue` carrying a conservative
-absolute error bound.  The bare-float helpers (``lgamma``, ``psi``,
-``psi1``, ``psi2``, ``psi3``) are what the rest of the package calls in
-hot loops.
+absolute error bound.  The bare-float helpers ``lgamma`` and ``psi`` are
+what the rest of the package calls; ``psi1``, ``psi2`` and ``psi3`` are
+public, domain-checked wrappers of scipy's zeta that no other module
+calls (the near-zero order branches call ``zeta`` directly).
 """
 
 from __future__ import annotations
@@ -62,14 +62,14 @@ def psi1(x: float) -> float:
 
 
 def psi2(x: float) -> float:
-    """Second derivative of digamma for x > 0 (limit branches only)."""
+    """Second derivative of digamma for x > 0."""
     if x <= 0.0:
         raise DomainError(f"polygamma(2) requires x > 0, got {x}")
     return float(-2.0 * zeta(3.0, x))
 
 
 def psi3(x: float) -> float:
-    """Third derivative of digamma for x > 0 (limit branches only)."""
+    """Third derivative of digamma for x > 0."""
     if x <= 0.0:
         raise DomainError(f"polygamma(3) requires x > 0, got {x}")
     return float(6.0 * zeta(4.0, x))

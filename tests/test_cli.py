@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctent import distributions as dist
+from ctent import selftest
 from ctent.cli import main
+from ctent.errors import NonIntegrableError, NotBracketedError
 
 
 def run(capsys, *argv):
@@ -216,6 +218,58 @@ def test_selftest_quick(capsys):
     lines = [json.loads(line) for line in out.strip().splitlines()]
     assert lines[-1]["all_ok"] is True
     assert all(rec["ok"] for rec in lines[:-1])
+
+
+def _named(name, check):
+    check.__name__ = name
+    return check
+
+
+def _raises(exc):
+    def check(*args):
+        raise exc("patched to fail")
+    return check
+
+
+def test_selftest_reports_a_raising_check_under_its_name(monkeypatch):
+    monkeypatch.setattr(selftest, "check_gamma_gap_constants",
+                        _named("check_gamma_gap_constants", _raises(NonIntegrableError)))
+    reports, ok = selftest.run_selftest("quick")
+    assert [r["name"] for r in reports] == [
+        "benchmark_constants", "risk", "gamma_gap_constants", "duality"]
+    gap = reports[2]
+    assert gap["ok"] is False and gap["detail"] == "NonIntegrableError: patched to fail"
+    assert ok is False
+
+
+def test_selftest_figure_tables_fail_without_skewness_curves(monkeypatch, tmp_path):
+    # every other check is stubbed, so that only the runner's plumbing runs
+    for name in ("closed_form_table", "benchmark_constants", "duality", "risk",
+                 "range_bounds", "gamma_gap_constants", "simulation",
+                 "estimator_consistency"):
+        monkeypatch.setattr(selftest, f"check_{name}",
+                            _named(f"check_{name}", lambda: (True, "stub")))
+    monkeypatch.setattr(selftest, "check_skewness_constants",
+                        _named("check_skewness_constants", _raises(NotBracketedError)))
+    reports, ok = selftest.run_selftest("full", out_dir=str(tmp_path))
+    by_name = {r["name"]: r for r in reports}
+    assert list(by_name)[-3:] == ["simulation", "estimator_consistency", "figure_tables"]
+    assert by_name["skewness_constants"]["ok"] is False
+    figure = by_name["figure_tables"]
+    assert (figure["ok"], figure["detail"]) == (False, "no skewness curves")
+    assert ok is False and not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv", [
+    ("profile", "--dist", "exponential", "--s-grid", "0:1:0"),
+    ("simulate", "--dist", "exponential", "--mode", "survival", "--t-grid", "0:1:0",
+     "--trials", "100"),
+])
+def test_zero_length_grid_exits_domain(capsys, argv, fmt):
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err and out == ""
 
 
 def test_entropy_infinite_order_exits_domain(capsys):

@@ -138,9 +138,6 @@ def test_involution_examples():
     for n, v in enumerate(dv):
         assert v == pytest.approx(lg.closed_delta(float(n)), abs=1e-12)
 
-    with pytest.raises(DomainError):
-        binomial_involution([1.0, 2.0], k=3)
-
 
 def test_truncation_cap_raises(monkeypatch):
     monkeypatch.setattr(duality, "_MAX_TERMS", 50)

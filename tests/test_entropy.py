@@ -319,7 +319,7 @@ def test_delta_value_dispatch():
     assert delta_value(d, -0.75).divergent
     ev = delta_value(d, 1.0)
     assert ev.method == "closed_form"
-    ev_q = delta_value(d, 1.0, prefer_closed=False)
+    ev_q = delta_quadrature(d, 1.0)
     assert ev_q.method == "quadrature_x"
     assert ev_q.value == pytest.approx(ev.value, abs=1e-8)
     assert nabla_value(d, 1.0).method == "closed_form"

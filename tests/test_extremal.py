@@ -52,7 +52,7 @@ def test_bound_l2_attained(s):
     b = bound_l2(s)
     assert b.upper == pytest.approx(1.0 / math.sqrt(2.0 * s + 1.0), rel=1e-14)
     assert b.attained
-    val = delta_value(b.maximizer, s, prefer_closed=False).value
+    val = delta_quadrature(b.maximizer, s).value
     assert val / dist_std(b.maximizer) == pytest.approx(b.upper, abs=1e-6)
 
 

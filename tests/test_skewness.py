@@ -5,6 +5,7 @@ import pytest
 from ctent import (
     DomainError,
     affine,
+    delta_quadrature,
     diamond,
     diamond_curve,
     make_frechet,
@@ -15,6 +16,7 @@ from ctent import (
     make_negative_lomax,
     make_power_uniform,
     make_reflected_power,
+    nabla_quadrature,
     negate,
     rho,
     rho_curve_negative_lomax,
@@ -112,12 +114,14 @@ def test_closed_form_ratio_agreement():
         den = (math.exp(lgamma(1.0 / b + s + 2.0))
                - math.exp(lgamma(1.0 / b + 2.0) + lgamma(s + 2.0)))
         expect = num / den
-        prefer_closed = i < 3
-        got = diamond(d, s, "diamond", prefer_closed=prefer_closed)
+        quadrature = i >= 3
+        got = (nabla_quadrature(d, s).value / delta_quadrature(negate(d), s).value
+               if quadrature else diamond(d, s, "diamond"))
         assert got == pytest.approx(expect, rel=1e-8)
         expect_bar = (s + 1.0) * (b * (s + 1.0) + 1.0) * (psi(1.0 / b + s + 2.0)
                                                           - psi(s + 2.0))
-        got_bar = diamond(d, s, "diamond_bar", prefer_closed=prefer_closed)
+        got_bar = (nabla_quadrature(negate(d), s).value / delta_quadrature(d, s).value
+                   if quadrature else diamond(d, s, "diamond_bar"))
         assert got_bar == pytest.approx(expect_bar, rel=1e-8)
 
 
@@ -151,7 +155,7 @@ def test_rho_curve_negative_lomax():
 
 
 def test_diamond_curve_carries_root():
-    c = diamond_curve(make_exponential(), [0.0, 0.5, 1.0], "diamond")
+    c = diamond_curve(make_exponential(), [0.0, 0.5, 1.0])
     assert c.root == pytest.approx(M_BAR_LIMIT, abs=1e-5)
     ratios = [v for _, v in c.values]
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
