@@ -85,12 +85,12 @@ def _parse_params(items) -> dict:
     return params
 
 
-def _parse_grid(spec: str):
+def _parse_grid(spec: str, option: str):
     try:
         a, b, n = spec.split(":")
         grid = np.linspace(float(a), float(b), int(n))
     except ValueError as exc:
-        raise DomainError(f"--s-grid expects a:b:n, got {spec!r}") from exc
+        raise DomainError(f"{option} expects a:b:n, got {spec!r}") from exc
     if not grid.size:
         raise DomainError(f"a grid needs at least one point, got {spec!r}")
     return [float(x) for x in grid]
@@ -156,7 +156,7 @@ def _cmd_profile(args) -> int:
     d = _resolve_dist(args)
     if not args.s_grid:
         raise DomainError("profile needs --s-grid a:b:n")
-    grid = _parse_grid(args.s_grid)
+    grid = _parse_grid(args.s_grid, "--s-grid")
     prof = entropy.entropy_profile(d, grid)
     rows = []
     for pt in prof.grid:
@@ -207,10 +207,8 @@ def _cmd_bounds(args) -> int:
         b = extremal.bound_positive(s)
     elif args.regime == "l2":
         b = extremal.bound_l2(s)
-    elif args.regime == "symmetric":
-        b = extremal.bound_symmetric(s)
     else:
-        raise DomainError("--regime must be positive, l2 or symmetric")
+        b = extremal.bound_symmetric(s)
     payload = {"regime": b.regime, "s": b.s, "upper": b.upper,
                "attained": b.attained,
                "maximizer": b.maximizer.label() if b.maximizer else None}
@@ -250,7 +248,7 @@ def _cmd_simulate(args) -> int:
                    "std_error": r.std_error, "target": r.target,
                    "z_score": r.z_score}
     elif args.mode == "survival":
-        grid = _parse_grid(args.t_grid) if args.t_grid else [0.5, 1.0, 2.0, 4.0]
+        grid = _parse_grid(args.t_grid, "--t-grid") if args.t_grid else [0.5, 1.0, 2.0, 4.0]
         payload = relevation.simulate_total_lifetime_survival(
             d, args.s if args.s is not None else 1.0, grid, n, args.seed)
         payload["mode"] = "survival"
@@ -261,12 +259,10 @@ def _cmd_simulate(args) -> int:
                                            payload["analytic"], payload["std_error"])]
             _emit(rows, "csv", args.out)
             return 0
-    elif args.mode == "ns":
+    else:
         payload = relevation.sample_Ns(args.s if args.s is not None else -0.5,
                                        n, args.seed)
         payload["mode"] = "ns"
-    else:
-        raise DomainError("--mode must be ys, survival, tn or ns")
     _emit(payload, args.format, args.out)
     return 0
 

@@ -36,7 +36,7 @@ from itertools import chain
 import numpy as np
 
 from .distributions import DistributionSpec, dist_mean
-from .entropy import EntropyValue, _entropy_values, _evaluate, as_order, delta_value
+from .entropy import EntropyValue, _divergent, _entropy_values, _evaluate, as_order, delta_value
 from .errors import DivergentEntropy, DomainError, TruncationNotConverged
 from .series import pochhammer_ratio_coeffs, sign_fix_index
 from .specfun import gamma_negative, lgamma
@@ -59,8 +59,7 @@ class SeriesTransform:
 
     @classmethod
     def build(cls, s: float, truncation_n: int) -> "SeriesTransform":
-        if not s > -1.0:
-            raise DomainError(f"series order must exceed -1, got {s}")
+        s = as_order(s).s
         c = (1.0 + s) * pochhammer_ratio_coeffs(s, truncation_n)
         # sum_n c_n = 1: the unaccounted mass bounds the coefficient tail
         tail = abs(1.0 - float(np.sum(c)))
@@ -158,7 +157,7 @@ def delta_from_nabla_series(d: DistributionSpec, s, tol: float = 1e-9) -> Entrop
     """delta(s) = sum_n c_n nabla_n; laws bounded below are reformulated as
     M - sum_n c_n (M - nabla_n), M = E[X] - min X, for fast convergence."""
     sv = as_order(s).s
-    if d.finiteness_threshold is not None and sv <= d.finiteness_threshold:
+    if _divergent(d, "delta", np.array([sv]), probe=False)[0]:
         return EntropyValue.make_divergent("series")
     lo = d.support[0]
     seq = _sequence(d, "nabla")

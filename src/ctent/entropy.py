@@ -52,10 +52,10 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad, tanhsinh
+from scipy.integrate import IntegrationWarning, quad
 from scipy.special import psi
 
-from .distributions import CLOSED_BOUND, NEAR_ZERO, DistributionSpec, EmpiricalSample
+from .distributions import CLOSED_BOUND, NEAR_ZERO, DistributionSpec, EmpiricalSample, _both_halves
 from .errors import DomainError, NonIntegrableError
 
 
@@ -323,11 +323,14 @@ def _probe_infinite_mean(d: DistributionSpec) -> None:
 
 
 def _divergent(d: DistributionSpec, which: str, s: np.ndarray, probe: bool) -> np.ndarray:
-    # delta: the finiteness threshold when attached, else (with ``probe``) a
-    # heuristic stand-in for the F^{1+s} criterion; nabla: a threshold >= 0
+    # a stored threshold >= 0 marks a tail with an infinite mean, where both
+    # entropies diverge at every order; else delta: the finiteness threshold
+    # when attached, else (with ``probe``) a heuristic stand-in for the
+    # F^{1+s} criterion
     thr = d.finiteness_threshold
-    if which == "nabla":
-        return np.full(s.shape, thr is not None and thr >= 0.0)
+    infinite_mean = any(t is not None and t >= 0.0 for t in (thr, d.neg_finiteness_threshold))
+    if which == "nabla" or infinite_mean:
+        return np.full(s.shape, infinite_mean)
     if thr is not None:
         return s <= thr
     if not (probe and math.isinf(d.support[0]) and np.any(s < 0.0)):
@@ -375,27 +378,6 @@ def _x_space(d: DistributionSpec, s: float) -> tuple:
     # 1e-7 where it reports failure
     bound = max(err, (1e-9 if ok else 1e-7) * max(1.0, abs(val)))
     return 0.0 if -bound <= val < 0.0 else val, bound
-
-
-def _both_halves(f: Callable, args: tuple = (), **tolerances):
-    """integral_0^1 f(k, u, v, *args) du, v = 1 - u, as one tanh-sinh call over
-    both halves, side k = 0 in u and side 1 in v, each on (0, 1/2) (in u alone
-    the nodes with 1 - u below ~1e-16, and the tail mass, are lost).  A row of
-    nodes is one element of the side column broadcast against ``args``.
-    Returns scipy's result, side 0 first."""
-
-    def g(t, side, *rest):
-        out = np.empty_like(t)
-        upper = side[..., 0] == 1
-        for k, rows in enumerate((~upper, upper)):
-            if rows.any():
-                x = t[rows]
-                u, v = (x, 1.0 - x) if k == 0 else (1.0 - x, x)
-                out[rows] = f(k, u, v, *(a[rows] for a in rest))
-        return out
-
-    with np.errstate(all="ignore"):
-        return tanhsinh(g, 0.0, 0.5, args=(np.arange(2)[:, None],) + args, **tolerances)
 
 
 def _quantile_integral(qd: Callable, which: str, s: np.ndarray) -> np.ndarray:
@@ -558,11 +540,9 @@ def entropy_profile(d: DistributionSpec, s_grid: Sequence[float]) -> EntropyProf
     monotonicity flags (delta nonincreasing, nabla nondecreasing).  Each
     entropy is one evaluation over the whole grid, and every point equals
     ``delta_value``/``nabla_value`` at its order."""
-    grid = [float(s) for s in s_grid]
+    grid = [as_order(s).s for s in s_grid]
     if any(not a < b for a, b in zip(grid, grid[1:])):
         raise DomainError("s grid must be strictly increasing")
-    if any(not (s > -1.0 and math.isfinite(s)) for s in grid):
-        raise DomainError("s grid entries must be finite and exceed -1")
     orders = np.asarray(grid, dtype=float)
     rows = tuple(ProfilePoint(*point) for point in zip(
         grid, _entropy_values(d, _evaluate(d, "delta", orders)),

@@ -17,7 +17,8 @@ The module also evaluates the gamma-function gap
 phi(s) = Gamma(s+2)^2/Gamma(2s+1) - 1 - 2s + s^2 (nonnegative from its
 unique negative root onward, with equality exactly at s = 0 and 1), and
 the cumulative entropy of the standard normal (the normal law itself is
-``distributions.normal_spec``).
+``distributions.normal_spec``).  The s-Logistic runs no integral of its own:
+its variance is a moment of ``distributions``, and its record reads (u, v).
 """
 
 from __future__ import annotations
@@ -26,12 +27,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import tanhsinh
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import zeta
 
 from .distributions import (
     DistributionSpec,
+    _quantile_moment,
     affine,
     from_quantile,
     make_exponential,
@@ -41,8 +42,8 @@ from .distributions import (
     negate,
     normal_spec,
 )
-from .entropy import delta_quantile
-from .errors import DomainError, NonIntegrableError, NotBracketedError
+from .entropy import as_order, delta_quantile
+from .errors import DomainError, NotBracketedError
 from .specfun import lgamma
 
 SYM_BOUND_0 = math.pi / (2.0 * math.sqrt(3.0))
@@ -70,9 +71,7 @@ class RangeBound:
 def bound_positive(s) -> RangeBound:
     """Entropy over the mean on positive laws: range [0, 1], supremum not
     attained (approached by U^(1/beta) as beta -> 0)."""
-    sv = float(s)
-    if not sv > -1.0:
-        raise DomainError("order must exceed -1")
+    sv = as_order(s).s
     return RangeBound("positive", sv, 1.0, None, False)
 
 
@@ -115,12 +114,14 @@ def make_s_logistic(s: float, beta: float) -> DistributionSpec:
     """The symmetric maximizer family: the law of eps |X_1|^{1/beta} with
     X_1 = (1-U)^s - U^s and an independent sign eps.
 
-    Bounded on [-1,1] for s > 0; unbounded with heavy tails for
-    s in (-1/2, 0), where both tails fall like |x|^(-beta/|s|), so that the
-    entropy is finite exactly above the order |s|/beta - 1 and the
-    variance is infinite for beta <= 2|s|.  Built by
-    :func:`from_quantile` with the analytic quantile density; the CDF is
-    its bisection inverse of the quantile."""
+    Bounded on [-1,1] for s > 0; unbounded for s in (-1/2, 0), where both
+    tails fall like |x|^(-beta/|s|): for beta > |s| the entropy is finite
+    exactly above the order |s|/beta - 1, for beta <= |s| the tails have no
+    mean and both entropies are infinite at every order, and the variance
+    is infinite for beta <= 2|s|.  Built by :func:`from_quantile` with the
+    analytic quantile density (the CDF is its bisection inverse); the
+    record's ``quantile(u, v)`` reads v, and a finite variance is the
+    integral of q(u, v)^2 over both halves (``_quantile_moment``)."""
     if not ((-0.5 < s < 0.0) or s > 0.0):
         raise DomainError("s must lie in (-1/2, 0) or (0, inf)")
     if not 0.0 < beta <= 1.0:
@@ -132,12 +133,12 @@ def make_s_logistic(s: float, beta: float) -> DistributionSpec:
         with np.errstate(divide="ignore", over="ignore"):
             return sgn * (np.power(u, s) - np.power(v, s))
 
-    def quantile(u):
+    def quantile(u, v=None):
         u = np.asarray(u, dtype=float)
-        base = q_one(u, 1.0 - u)
+        base = q_one(u, 1.0 - u if v is None else v)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             out = np.sign(base) * np.power(np.abs(base), 1.0 / beta)
-        return np.where(base == 0.0, 0.0, out)
+        return np.where(base == 0.0, 0.0, out)[()]
 
     def qdensity(u, v):
         # |X_1|^(1/beta - 1)/beta times X_1' = |s| (u^(s-1) + v^(s-1))
@@ -146,21 +147,14 @@ def make_s_logistic(s: float, beta: float) -> DistributionSpec:
             return slope * np.power(np.abs(q_one(u, v)), 1.0 / beta - 1.0) / beta
 
     hi = 1.0 if s > 0.0 else math.inf
-    if s < 0.0 and beta <= -2.0 * s:
-        var = math.inf  # tails like |x|^(-beta/|s|) leave no second moment
-    else:
-        # in quantile space: the law is odd about u = 1/2, so the variance is
-        # twice the integral of q(u)^2 over (0, 1/2), where u is exact
-        r = tanhsinh(lambda u: quantile(u) ** 2, 0.0, 0.5, rtol=1e-13)
-        if r.status != 0:
-            raise NonIntegrableError(
-                f"the variance of s_logistic(s={s:g}, beta={beta:g}) does not converge "
-                f"(tanh-sinh status {r.status} after {r.nfev} evaluations)")
-        var = 2.0 * float(r.integral)
-    d = from_quantile("s_logistic", quantile, (-hi, hi), mean=0.0, variance=var,
-                      params={"s": float(s), "beta": float(beta)}, qdensity=qdensity)
     threshold = -s / beta - 1.0 if s < 0.0 else None
-    return replace(d, finiteness_threshold=threshold, neg_finiteness_threshold=threshold)
+    d = replace(from_quantile("s_logistic", quantile, (-hi, hi), mean=0.0,
+                              params={"s": float(s), "beta": float(beta)}, qdensity=qdensity),
+                quantile=quantile, finiteness_threshold=threshold,
+                neg_finiteness_threshold=threshold)
+    if s < 0.0 and beta <= -2.0 * s:  # tails like |x|^(-beta/|s|): no second moment
+        return replace(d, variance=math.inf)
+    return replace(d, variance=_quantile_moment(d, lambda x: x ** 2, "variance"))
 
 
 def bound_symmetric(s) -> RangeBound:

@@ -13,9 +13,10 @@ Fbar(x) = v with no sf call.  A unit that ages from x survives to its
 residual survival w = v V, V another such uniform, so the second unit is
 q(1 - w, w) and the n-th failure time T_n of the relevation process is
 q at the product of n uniform survivals: one quantile call per chunk.  A
-law built by :func:`from_quantile` reads only u, which rounds to 1 below
-a survival of 2^-53; a trial that uses such a draw raises
-:class:`NonIntegrableError`.
+law built by :func:`from_quantile` reads only u, which rounds to 1 below a
+survival of 2^-53, unless its record carries its own q(u, v), as the
+s-Logistic's and ``risk._quantile_mixture``'s do; a trial that uses such a
+draw raises :class:`NonIntegrableError`.
 
 Trials are partitioned into fixed-size chunks, each driven by a generator
 stream spawned deterministically from (seed, chunk index); merging is by
@@ -35,7 +36,7 @@ import numpy as np
 from .distributions import DistributionSpec, negate
 from .entropy import delta_value
 from .errors import DomainError, NonIntegrableError
-from .risk import make_distortion, relevation_risk
+from .risk import _check_nonneg_support, make_distortion, relevation_risk
 from .series import pochhammer_ratio_coeffs
 
 _CHUNK = 1 << 17
@@ -68,6 +69,8 @@ def _chunk_streams(seed: int, n: int):
 def _run_chunks(fn, seed: int, n: int):
     """Map fn(rng, size) over deterministic chunk streams; reduce in chunk
     order so the worker count never changes the result."""
+    if n < 1:
+        raise DomainError(f"need at least one trial, got {n}")
     chunks = _chunk_streams(seed, n)
     workers = min(_worker_count(), len(chunks))
     if workers == 1:
@@ -75,11 +78,6 @@ def _run_chunks(fn, seed: int, n: int):
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, np.random.default_rng(c), m) for c, m in chunks]
         return [f.result() for f in futures]
-
-
-def _check_nonneg_support(d: DistributionSpec) -> None:
-    if d.support[0] < -1e-12:
-        raise DomainError("relevation lifetimes need nonnegative support")
 
 
 def _survivals(rng, m: int) -> np.ndarray:

@@ -21,27 +21,28 @@ K(1 - p, p) - p below it.  A side whose integrand decays like z^-a with
 power substitution z = y^-m - 1, m = 1/(a - 1), with a measured from two
 far probes.  A side that tanh-sinh refuses, a non-finite integrand, value
 or error, or a tail lost to an underflowed probability, raises
-:class:`NonIntegrableError`.  The result is cross-checked, unchanged,
-against mean + entropy-of-the-mirrored-law from the entropy module.
+:class:`NonIntegrableError`.  An order where ``entropy._divergent`` finds the
+mirrored entropy infinite raises :class:`DivergentEntropy` before it; the
+result is cross-checked, unchanged, against mean + entropy-of-the-mirrored-law.
 ``relevation_risk``, the expected n-th failure time, is the same integral
 of the relevation partial-sum distortion H_tilde_{n-1}.  The
 mean-residual-life form, ``mrl_representation``, is integral_0^1 q(u) D'(1-u)
-du against the distortion's derivative, on the entropy's quantile splitter.
+du against the distortion's derivative, on ``distributions._both_halves``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 from scipy.integrate import tanhsinh
 
-from .distributions import DistributionSpec, affine, dist_mean, from_quantile, negate
+from .distributions import DistributionSpec, _both_halves, affine, dist_mean, from_quantile, negate
 from .entropy import (
     _TINY,
-    _both_halves,
+    _divergent,
     _dual_pair,
     _frame,
     _g_core,
@@ -110,8 +111,7 @@ def K_series(s: float, t: float) -> float:
     the kernel refuses the order (s above ~32.6 for t < 1/2), this raises
     :class:`NonIntegrableError`.
     """
-    if not -1.0 < s:
-        raise DomainError(f"series order must exceed -1, got {s}")
+    s = as_order(s).s
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"t must lie in [0,1], got {t}")
     if t == 0.0 or s == 0.0:
@@ -149,9 +149,7 @@ def make_distortion(label: str, s_or_n: float) -> DistortionFunction:
     """
     s = float(s_or_n)
     if label == "h_s":
-        if not s > -1.0:
-            raise DomainError("h_s needs s > -1")
-
+        as_order(s)  # refuses s <= -1, inf and NaN
         ev = _distortion(_log_pair(_g_core, s))
 
         def d1(t):
@@ -163,9 +161,7 @@ def make_distortion(label: str, s_or_n: float) -> DistortionFunction:
         return DistortionFunction("h_s", s, ev, d1, d2)
 
     if label == "k_s":
-        if not s > -1.0:
-            raise DomainError("k_s needs s > -1")
-
+        as_order(s)
         ev = _distortion(_dual_pair(s))
 
         def d1(t):
@@ -353,9 +349,16 @@ def _wang(d: DistributionSpec, pair: tuple, what: str) -> tuple:
 
 def _checked_risk(d: DistributionSpec, sv: float, pair: tuple, label: str,
                   mirrored: Callable, name: str, family: str) -> RiskValue:
-    # the distortion integral of ``pair``, checked against mean + the mirrored entropy
+    # the distortion integral of ``pair``, checked against mean + the mirrored
+    # entropy; an order where the stored thresholds make that infinite is refused
+    nd = negate(d)
+    if _divergent(nd, family, np.array([sv]), probe=False)[0]:
+        raise DivergentEntropy(
+            f"risk measure diverges: the mirrored {name} of {d.label()} is infinite at s={sv:g} "
+            f"(finiteness threshold {nd.finiteness_threshold}, "
+            f"mirrored {nd.neg_finiteness_threshold})")
     val, err = _wang(d, pair, label)
-    ref = mirrored(negate(d), sv)
+    ref = mirrored(nd, sv)
     if not ref.is_finite:
         raise DivergentEntropy(f"mirrored {name} is infinite at this order")
     ref_total = dist_mean(d) + ref.value
@@ -371,10 +374,6 @@ def risk_delta(d: DistributionSpec, s) -> RiskValue:
     """The entropy-family risk measure: distortion integral of h_s over the
     survival function, cross-checked against mean + delta of the mirror."""
     sv = as_order(s).s
-    if d.neg_finiteness_threshold is not None and sv <= d.neg_finiteness_threshold:
-        raise DivergentEntropy(
-            f"risk measure diverges: order s={sv:g} at or below the mirrored "
-            f"finiteness threshold {d.neg_finiteness_threshold:g}")
     return _checked_risk(d, sv, _log_pair(_g_core, sv), "h_s", delta_value, "entropy", "delta")
 
 
@@ -391,7 +390,7 @@ def mrl_representation(d: DistributionSpec, s, which: str = "delta") -> RiskValu
     resp. u^s/(1-u), it is (s+1) integral_0^1 w PM du; (s+1) integral_0^t w is
     the distortion's derivative D'(1-t), h_s'(1-t) = (s+1)(1 - (1-t)^s)/s resp.
     k_s'(1-t) = (s+1) J(1-t), so the exchanged integrals are integral_0^1 q(u)
-    D'(1-u) du: one tanh-sinh call over both halves (:func:`entropy._both_halves`)
+    D'(1-u) du: one tanh-sinh call over both halves (:func:`distributions._both_halves`)
     against q(u, v) and D'(v).  The bound adds 1e-7 * max(1, |value|) to both
     halves' error estimate, which can run optimistic; a half that does not
     converge raises :class:`NonIntegrableError`."""
@@ -417,10 +416,14 @@ def _quantile_mixture(d1: DistributionSpec, d2: DistributionSpec,
     hi = lam * d1.support[1] + (1 - lam) * d2.support[1]
     qd = None if p1 is None or p2 is None else (
         lambda u, v: lam * p1(u, v) + (1 - lam) * p2(u, v))
-    return from_quantile(
-        "quantile_mixture",
-        lambda u: lam * np.asarray(q1(u), dtype=float) + (1 - lam) * np.asarray(q2(u), dtype=float),
-        (lo, hi), qdensity=qd)
+
+    def quantile(u, v=None):
+        # the parts' q(u) or, given v, their q(u, v)
+        at = (u,) if v is None else (u, v)
+        return lam * np.asarray(q1(*at), dtype=float) + (1 - lam) * np.asarray(q2(*at), dtype=float)
+
+    return replace(from_quantile("quantile_mixture", quantile, (lo, hi), qdensity=qd),
+                   quantile=quantile)
 
 
 def risk_axioms_check(d1: DistributionSpec, d2: DistributionSpec, s,
@@ -481,12 +484,16 @@ def risk_axioms_check(d1: DistributionSpec, d2: DistributionSpec, s,
     return report
 
 
+def _check_nonneg_support(d: DistributionSpec) -> None:
+    if d.support[0] < -1e-12:
+        raise DomainError("relevation lifetimes need nonnegative support")
+
+
 def relevation_risk(d: DistributionSpec, n: int) -> RiskValue:
     """Expected n-th failure time of the relevation process: E[T_n] is the
     Wang risk of X under H_tilde_{n-1}(t) = t sum_{k<n} (-log t)^k / k!."""
     if n < 1 or n != int(n):
         raise DomainError(f"unit count must be a positive integer, got {n}")
-    if d.support[0] < -1e-12:
-        raise DomainError("relevation lifetimes need nonnegative support")
+    _check_nonneg_support(d)
     val, err = _wang(d, _log_pair(_h_tilde_core, int(n) - 1), "H_tilde_n")
     return RiskValue(val, err + 1e-10 * max(1.0, val), "relevation_n")

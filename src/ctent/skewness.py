@@ -55,21 +55,18 @@ def diamond(d: DistributionSpec, s, kind: str = "diamond") -> float:
     diverges, 0 when the denominator does.  A denominator that underflows to
     0 raises :class:`NonIntegrableError`."""
     sv = as_order(s).s
-    nd = negate(d)
-    if kind == "diamond":
-        num = nabla_value(d, sv)
-        den = delta_value(nd, sv)
-    elif kind == "diamond_bar":
-        num = nabla_value(nd, sv)
-        den = delta_value(d, sv)
-    else:
+    if kind not in ("diamond", "diamond_bar"):
         raise DomainError(f"kind must be 'diamond' or 'diamond_bar', got {kind!r}")
+    if kind == "diamond_bar":  # diamond_bar(X) = diamond(-X)
+        d = negate(d)
+    num = nabla_value(d, sv)
+    den = delta_value(negate(d), sv)
     if not num.is_finite:
         return math.inf
     if not den.is_finite:
         return 0.0
     if den.value == 0.0:
-        raise NonIntegrableError(f"the {kind} denominator of {d.label()} at s={sv:g} is 0")
+        raise NonIntegrableError(f"the diamond denominator of {d.label()} at s={sv:g} is 0")
     return num.value / den.value
 
 
@@ -82,7 +79,8 @@ def rho(d: DistributionSpec, kind: str = "rho", tol: float = 1e-8) -> float:
     """
     if kind not in ("rho", "rho_bar"):
         raise DomainError(f"kind must be 'rho' or 'rho_bar', got {kind!r}")
-    ratio_kind = "diamond" if kind == "rho" else "diamond_bar"
+    if kind == "rho_bar":  # rho_bar(X) = rho(-X)
+        d = negate(d)
     d0 = delta_value(d, 0.0)
     d0m = delta_value(negate(d), 0.0)
     if d0.is_finite and d0m.is_finite:
@@ -92,7 +90,7 @@ def rho(d: DistributionSpec, kind: str = "rho", tol: float = 1e-8) -> float:
 
     def excess(s: float) -> float:
         # clamped, so that an infinite ratio stays out of the interpolation
-        return min(diamond(d, s, ratio_kind), 2.0) - 1.0
+        return min(diamond(d, s), 2.0) - 1.0
 
     lo = -1.0 + 1e-9
     if excess(lo) > 0.0:

@@ -379,3 +379,56 @@ def test_every_argv_maps_to_an_exit_code(argv):
     assert code in (0, 1, 2, 3)
     if code == 0:
         assert not re.search(r"\b(nan|inf)\b", out.getvalue()), (argv, out.getvalue())
+
+
+def test_grid_errors_name_their_option(capsys):
+    code, _, err = run(capsys, "simulate", "--dist", "exponential", "--mode", "survival",
+                       "--t-grid", "1:2", "--trials", "100")
+    assert code == 2 and "--t-grid" in err and "--s-grid" not in err
+    code, _, err = run(capsys, "profile", "--dist", "exponential", "--s-grid", "0:1")
+    assert code == 2 and "--s-grid" in err
+
+
+@pytest.mark.parametrize("argv", [["bounds", "--regime", "cubic"],
+                                  ["simulate", "--dist", "exponential", "--mode", "xs"]])
+def test_choices_are_refused_by_the_parser(capsys, argv):
+    assert run(capsys, *argv)[0] == 1
+
+
+_GRIDS = st.tuples(_ORDERS, _ORDERS, st.integers(-1, 4)).map(
+    lambda g: f"{min(g[:2])!r}:{max(g[:2])!r}:{g[2]}")
+
+
+@st.composite
+def _other_argv(draw):
+    verb = draw(st.sampled_from(["profile", "simulate", "bounds", "gammagap"]))
+    argv = [verb]
+    if verb in ("profile", "simulate"):
+        name = draw(st.sampled_from(dist.available_distributions()))
+        argv += ["--dist", name]
+        for param in dist._REGISTRY[name][1]:
+            argv += ["--param", f"{param}={draw(_SHAPES)!r}"]
+    if verb == "profile":
+        return argv + [f"--s-grid={draw(_GRIDS)}"]
+    if verb == "simulate":
+        mode = draw(st.sampled_from(["ys", "survival", "tn", "ns"]))
+        argv += ["--mode", mode, "--trials", str(draw(st.integers(0, 300))),
+                 "--seed", str(draw(st.integers(0, 9))), "--units", str(draw(st.integers(0, 4)))]
+        if mode == "survival" and draw(st.booleans()):
+            argv += [f"--t-grid={draw(_GRIDS)}"]
+    if verb == "bounds":
+        argv += ["--regime", draw(st.sampled_from(["positive", "l2", "symmetric"]))]
+    if verb != "profile" and draw(st.booleans()):
+        argv.append(f"--s={draw(st.floats(-2.0, 1.0) | _ORDERS)!r}")
+    return argv
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(_other_argv())
+def test_every_other_verb_argv_maps_to_an_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    if code == 0:
+        assert not re.search(r"\b(nan|inf)\b", out.getvalue()), (argv, out.getvalue())

@@ -1,14 +1,18 @@
+import importlib
 import math
+import pkgutil
 import warnings
 from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.integrate import quad
 from scipy.special import ndtri
 
 from conftest import catalog_members, finite_order
+import ctent
 from ctent import (
     DivergentEntropy,
     DomainError,
@@ -639,3 +643,58 @@ def test_one_argument_quantile_is_unchanged(d, isf, head):
                   5e-324, 1e-300, 0.3, 0.5, 0.9])
     with np.errstate(all="ignore"):
         assert np.asarray(d.quantile(u)).tobytes() == np.asarray(head(u)).tobytes()
+
+
+@pytest.mark.parametrize("d,isf", [
+    (make_s_logistic(-0.3, 0.8), lambda v: (v ** -0.3 - (1 - v) ** -0.3) ** (1 / mp.mpf(0.8))),
+    (make_s_logistic(1.25, 0.5), lambda v: ((1 - v) ** 1.25 - v ** 1.25) ** 2),
+    (_quantile_mixture(make_power_uniform(1.0), affine(make_exponential(), 1.5, 0.0), 0.3),
+     lambda v: 0.3 * (1 - v) + 0.7 * 1.5 * -mp.log(v)),
+], ids=["s_logistic(-0.3, 0.8)", "s_logistic(1.25, 0.5)", "quantile_mixture"])
+def test_quantile_records_read_the_small_side(d, isf):
+    # the s-Logistic's and the quantile mixture's records take (u, v), so that
+    # the upper tail keeps its digits below v = 2^-53
+    with mp.workdps(40):
+        for v in (1e-300, 1e-20, 2.0 ** -60, 2.0 ** -53, 0.3, 0.5):
+            got = d.quantile(1.0 - v, v)
+            assert isinstance(got, float), (v, type(got))
+            want = isf(mp.mpf(v))
+            assert abs(mp.mpf(got) - want) <= 1e-13 * abs(want), (v, got, want)
+
+
+@pytest.mark.parametrize("shape", [(-0.3, 0.8), (1.25, 0.5)])
+def test_s_logistic_one_argument_quantile_is_the_pair_at_one_minus_u(shape):
+    d = make_s_logistic(*shape)
+    u = np.array([2.0 ** -53, 1e-300, 0.1, 0.3, 0.5, 0.77, 0.99, 1.0 - 2.0 ** -53])
+    assert np.asarray(d.quantile(u)).tobytes() == np.asarray(d.quantile(u, 1.0 - u)).tobytes()
+
+
+def test_moments_of_a_quantile_record_integrate_arrays_over_both_halves():
+    # no scalar callback: every quantile call takes an array, and the
+    # variance reads the Lomax tail through q(u, v)
+    dims = []
+    lomax = make_lomax(3.0)
+
+    def quantile(u, v=None):
+        dims.append(np.ndim(u))
+        return lomax.quantile(u) if v is None else lomax.quantile(u, v)
+
+    d = replace(from_quantile("lomax3", quantile, (0.0, math.inf)), quantile=quantile)
+    assert dist_mean(d) == pytest.approx(0.5, rel=1e-12)
+    assert dist_std(d) == pytest.approx(math.sqrt(0.75), rel=1e-12)
+    assert dims and min(dims) >= 1
+
+
+def test_one_quantile_space_integrator():
+    # quadrature is bound in one module for each of its roles: QUADPACK only
+    # in the x-space oracle, tanh-sinh in the quantile-space splitter, the
+    # Wang integrals and the series tail
+    binders = {"quad": set(), "tanhsinh": set()}
+    modules = [ctent] + [importlib.import_module(f"ctent.{m.name}")
+                         for m in pkgutil.iter_modules(ctent.__path__)]
+    for mod in modules:
+        for name in binders:
+            if any(v is getattr(scipy.integrate, name) for v in vars(mod).values()):
+                binders[name].add(mod.__name__)
+    assert binders == {"quad": {"ctent.entropy"},
+                       "tanhsinh": {"ctent.distributions", "ctent.risk", "ctent.series"}}

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import mpmath as mp
@@ -28,6 +29,12 @@ from ctent import (
 from ctent import duality
 from ctent.series import pochhammer_ratio_tail
 from ctent.specfun import EULER_GAMMA, psi, psi1
+
+
+@pytest.mark.parametrize("s", [-1.0, math.inf, math.nan])
+def test_series_transform_checks_its_order(s):
+    with pytest.raises(DomainError, match="exceed -1"):
+        SeriesTransform.build(s, 10)
 
 
 def test_series_transform_invariants():

@@ -12,6 +12,7 @@ from ctent import (
     bound_l2,
     bound_positive,
     bound_symmetric,
+    delta_from_nabla_series,
     delta_quantile,
     delta_value,
     gamma_gap,
@@ -21,6 +22,7 @@ from ctent import (
     make_logistic,
     make_power_uniform,
     make_s_logistic,
+    nabla_value,
     negate,
     normal_spec,
 )
@@ -126,6 +128,17 @@ def test_s_logistic_variance_refusal_raises():
     # normal double
     with pytest.raises(NonIntegrableError, match="variance"):
         make_s_logistic(-0.45, 0.9001)
+
+
+@pytest.mark.parametrize("shape, s", [((-0.4, 0.3), 0.5), ((-0.4, 0.3), 1.0),
+                                      ((-0.4, 0.3), 5.0), ((-0.3, 0.2), 5.0)])
+def test_s_logistic_without_a_mean_is_divergent_at_every_order(shape, s):
+    # beta <= |s|: tails like |x|^(-beta/|s|) have no mean, so both entropies
+    # are infinite at every order, without an integral
+    d = make_s_logistic(*shape)
+    assert d.finiteness_threshold >= 0.0
+    assert delta_value(d, s).divergent and nabla_value(d, s).divergent
+    assert delta_from_nabla_series(d, s).divergent
 
 
 def test_s_logistic_cdf_quantile_roundtrip():

@@ -141,6 +141,15 @@ def test_domain_guards():
             simulate(1)
 
 
+def test_no_trial_is_refused():
+    # the chunked runners once reached ThreadPoolExecutor(0) here
+    for simulate in (lambda n: sample_Ns(-0.5, n, 1),
+                     lambda n: simulate_total_lifetime_survival(make_exponential(), 1.0, [1.0], n, 1)):
+        for n in (0, -3):
+            with pytest.raises(DomainError, match="at least one trial"):
+                simulate(n)
+
+
 class _Draws:
     """A generator stand-in whose random(m) returns the given rows in turn."""
 

@@ -187,6 +187,47 @@ def test_mrl_representation_reports_tanh_sinh_failures(beta, s):
         mrl_representation(make_lomax(beta), s, "delta")
 
 
+def test_mrl_reads_the_tail_of_quantile_records():
+    # both records read v: the s-Logistic's upper half and the mixture's
+    # exponential tail no longer stop tanh-sinh at status -2
+    d = make_s_logistic(1.25, 0.5)
+    got, want = mrl_representation(d, -0.4, "delta"), risk_delta(d, -0.4)
+    assert got.value == pytest.approx(want.value, abs=got.abs_error_bound + want.abs_error_bound)
+    mix = risk_module._quantile_mixture(make_power_uniform(1.0),
+                                        affine(make_exponential(), 1.5, 0.0), 0.3)
+    got = mrl_representation(mix, -0.4, "delta")
+    # comonotone additivity: 0.3 (1/2 + 1/(2 (s + 2))) + 0.7 * 1.5 (1 + 1/(s + 1))
+    assert got.value == pytest.approx(3.04375, abs=got.abs_error_bound)
+
+
+@pytest.mark.parametrize("shape, s", [((-0.4, 0.3), 0.5), ((-0.4, 0.3), 1.0),
+                                      ((-0.4, 0.3), 5.0), ((-0.3, 0.2), 5.0)])
+def test_risk_of_a_tail_without_a_mean_diverges(shape, s):
+    # beta <= |s|: a stored threshold >= 0, so both mirrored entropies are
+    # infinite at every order, and the risk is refused before any integral
+    d = make_s_logistic(*shape)
+    for risk in (risk_delta, risk_nabla):
+        with pytest.raises(DivergentEntropy, match="threshold"):
+            risk(d, s)
+
+
+@pytest.mark.parametrize("s", [-1.0, math.inf, math.nan])
+def test_distortion_and_series_orders_are_checked(s):
+    for label in ("h_s", "k_s"):
+        with pytest.raises(DomainError, match="exceed -1"):
+            make_distortion(label, s)
+    with pytest.raises(DomainError, match="exceed -1"):
+        K_series(s, 0.5)
+
+
+def test_relevation_support_check_is_shared():
+    from ctent import relevation
+    assert relevation._check_nonneg_support is risk_module._check_nonneg_support
+    for f in (lambda d: relevation_risk(d, 2), lambda d: relevation.simulate_Tn(d, 2, 10, 1)):
+        with pytest.raises(DomainError, match="nonnegative support"):
+            f(make_logistic())
+
+
 def test_mrl_representation_makes_no_quadpack_call(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the mean-residual-life form reached QUADPACK")

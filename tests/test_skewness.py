@@ -16,8 +16,10 @@ from ctent import (
     make_negative_lomax,
     make_power_uniform,
     make_reflected_power,
+    make_s_logistic,
     nabla_quadrature,
     negate,
+    normal_spec,
     rho,
     rho_curve_negative_lomax,
     rho_curve_power_uniform,
@@ -172,3 +174,11 @@ def test_range_proposition_bracket(d, case):
     rep = rho_range_proposition_check(d)
     assert rep["case"] == case
     assert rep["bracket_ok"]
+
+
+@pytest.mark.parametrize("d", [make_exponential(), make_lomax(3.0), make_s_logistic(1.25, 0.5),
+                               normal_spec()], ids=lambda d: d.label())
+@pytest.mark.parametrize("s", [-0.3, 0.5, 2.0])
+def test_bar_map_is_the_map_of_the_mirror(d, s):
+    # diamond_bar(X) = diamond(-X), bit for bit
+    assert diamond(d, s, "diamond_bar") == diamond(negate(d), s)
