@@ -18,10 +18,10 @@ are ``negate`` of their partners, renamed, with their own quantile (the
 partners' q(u, v) reads v alone: ``negate``'s -q(v, u) loses v below ~1e-16).
 All CDF/survival/quantile callables take scalars or arrays and are overflow-safe.
 
-Every quantile-space integral of ctent, the entropies, the mean-residual-life
-form and the moments a law does not store (:func:`dist_mean`,
-:func:`dist_std`), is one tanh-sinh call over both halves, u and v = 1 - u
-each on (0, 1/2) (``_both_halves``), against the record's q(u, v).
+Every quantile-space integral of ctent, the entropies, the risk measures
+and the moments a law does not store (:func:`dist_mean`, :func:`dist_std`),
+is one tanh-sinh call over both halves, u and v = 1 - u each on (0, 1/2)
+(``_both_halves``, heavy ends included), against the record's q(u, v).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import tanhsinh
-from scipy.special import betaln, gammaln, ndtr, ndtri, poch, zeta
+from scipy.special import betaln, gammaincc, gammaln, ndtr, ndtri, poch, zeta
 from scipy.special import psi as digamma
 
 from .errors import DivergentEntropy, DomainError, NonIntegrableError
@@ -766,14 +766,60 @@ def from_quantile(name: str, quantile: Callable, support: tuple,
     )
 
 
-def _both_halves(f: Callable, args: tuple = (), **tolerances):
-    """integral_0^1 f(k, u, v, *args) du, v = 1 - u, as one tanh-sinh call over
-    both halves, side k = 0 in u and side 1 in v, each on (0, 1/2) (in u alone
-    the nodes with 1 - u below ~1e-16, and the tail mass, are lost).  A row of
-    nodes is one element of the side column broadcast against ``args``.
-    Returns scipy's result, side 0 first."""
+# the probe's ladder of t: two decades apart down to 1e-18, ten decades apart
+# from 1e-20 down to 1e-300, and the least subnormal
+_LADDER = np.concatenate([10.0 ** -np.arange(2.0, 19.0, 2.0), 10.0 ** -np.arange(20.0, 301.0, 10.0),
+                          [2.0 ** -1074]])
+_X = -np.log(_LADDER)
+_STEPS = _LADDER[:-1] * np.diff(_X)  # t dx: the probe's sum of t |f| in log t
+_CAP = 200.0  # the largest power m of the substitution t = y^m
+LOST_END = -10  # the status of a half whose end lies beyond the substitution's reach
 
-    def g(t, side, *rest):
+
+def _end_mass(x, y, end):
+    # the mass below t = e^-end of the fit C t^a (-log t)^b through three
+    # points (x, y) = (-log t, log|f|): C Gamma(b+1, (a+1) end)/(a+1)^(b+1),
+    # by the upper incomplete gamma, which needs b > -1
+    lx = np.log(x)
+    p, r, dy = np.diff(x), np.diff(lx), np.diff(y)
+    det = p[..., 1] * r[..., 0] - p[..., 0] * r[..., 1]
+    a = (dy[..., 0] * r[..., 1] - r[..., 0] * dy[..., 1]) / det
+    b = (p[..., 1] * dy[..., 0] - p[..., 0] * dy[..., 1]) / det
+    log_c = y[..., 2] + a * x[..., 2] - b * lx[..., 2]
+    mass = np.exp(log_c + gammaln(b + 1.0) + np.log(gammaincc(b + 1.0, (a + 1.0) * end))
+                  - (b + 1.0) * np.log(a + 1.0))
+    return np.where(b > -1.0, mass, np.nan)
+
+
+def _both_halves(f: Callable, args: tuple = (), name: str | None = None, **tolerances):
+    """integral_0^1 f(k, u, v, *args) du, v = 1 - u, as one tanh-sinh call over
+    both halves, side k = 0 in u and side 1 in v, each on (0, 1/2) in t (in u
+    alone the nodes with 1 - u below ~1e-16, and the tail mass, are lost).
+    A row of nodes is one element of the side column broadcast against ``args``.
+
+    A vectorised probe first evaluates every half on ``_LADDER``.  A NaN or
+    infinite value (a record read past its precision, an overflow) ends the
+    leading finite run at t_L; the last two finite points give the end
+    exponent a of f ~ t^a.  Where the mass below t_L, t_L |f(t_L)|/(a+1),
+    exceeds the call's tolerance, max(atol, rtol E) with E the probe's sum of
+    t |f| in log t, the half runs from t_L under t = y^m, m = 1/(a+1) in
+    [1, 200], plus the mass below t_L: the fit C t^a (-log t)^b through the
+    last three finite points in closed form, its error the difference from
+    the fit through the three before.  Elsewhere the half runs from 0, where
+    scipy replaces a non-finite node by its nearest finite neighbour, moving
+    the value by less than the tolerance.  A half with such a mass but no
+    finite point, no fit, or a + 1 < 1/400 (steeper than y^-1/2 under
+    m = 200) has the status ``LOST_END`` and a NaN integral.
+
+    Returns scipy's result, side 0 first.  Given a ``name`` (then ``args`` is
+    empty), a half with a nonzero status raises :class:`NonIntegrableError`."""
+
+    def g(t, side, power, *rest):
+        # on a substituted row t is y, and the integrand f(y^m) m y^(m - 1)
+        sub = power[..., 0] > 1.0
+        if sub.any():
+            y, m, t = t[sub], power[sub], t.copy()
+            t[sub] = y ** m
         out = np.empty_like(t)
         upper = side[..., 0] == 1
         for k, rows in enumerate((~upper, upper)):
@@ -781,20 +827,62 @@ def _both_halves(f: Callable, args: tuple = (), **tolerances):
                 x = t[rows]
                 u, v = (x, 1.0 - x) if k == 0 else (1.0 - x, x)
                 out[rows] = f(k, u, v, *(a[rows] for a in rest))
+        if sub.any():
+            out[sub] *= m * y ** (m - 1.0)
         return out
 
+    side = np.arange(2)[:, None]
+    shape = np.broadcast_shapes(side.shape, *(np.shape(a) for a in args))
+    col = [np.broadcast_to(a, shape).reshape(-1, 1) for a in (side, *args)]
     with np.errstate(all="ignore"):
-        return tanhsinh(g, 0.0, 0.5, args=(np.arange(2)[:, None],) + args, **tolerances)
+        probe = g(np.broadcast_to(_LADDER, (col[0].size, _LADDER.size)), col[0],
+                  np.ones(col[0].shape), *col[1:]).reshape(shape + _LADDER.shape)
+        run = np.cumprod(np.isfinite(probe), axis=-1, dtype=bool)
+        n = run.sum(axis=-1)
+        at = n[..., None] - np.arange(4, 0, -1)  # the last four finite points
+        xs, fs = _X[at], np.take_along_axis(probe, at, axis=-1)
+        ys = np.log(np.abs(fs))
+        a = (ys[..., 2] - ys[..., 3]) / (xs[..., 3] - xs[..., 2])
+        tf = np.exp(ys[..., 3] - xs[..., 3])
+        mass = np.where(n < 2, np.nan, np.where(tf == 0.0, 0.0, tf / np.maximum(a + 1.0, 0.0)))
+        scale = np.sum(np.where(run, np.abs(probe), 0.0)[..., :-1] * _STEPS, axis=-1)
+        # the call's tolerance, with scipy's defaults where it sets none
+        tol = np.maximum(tolerances.get("atol", 0.0), tolerances.get("rtol", _EPS ** 0.75) * scale)
+        fire = ~(mass <= tol)
+        lost = sub = np.zeros(fire.shape, dtype=bool)
+        lo, hi, m = 0.0, 0.5, np.ones((1, 1))
+        if fire.any():
+            closed = _end_mass(xs[..., 1:], ys[..., 1:], xs[..., 3])
+            other = _end_mass(xs[..., :3], ys[..., :3], xs[..., 3])
+            ok = (n >= 4) & (a + 1.0 >= 0.5 / _CAP) & np.isfinite(closed - other) \
+                & (np.abs(np.sign(fs).sum(axis=-1)) == 4)
+            lost, sub = fire & ~ok, fire & ok
+            m = np.where(sub, np.clip(1.0 / (a + 1.0), 1.0, _CAP), 1.0)
+            lo = np.where(sub, np.exp(-xs[..., 3] / m), np.where(lost, 0.5, 0.0))
+            hi = np.where(sub, 0.5 ** (1.0 / m), 0.5)
+        r = tanhsinh(g, lo, hi, args=(side, m) + args, **tolerances)
+        if sub.any():
+            r.integral = np.where(sub, r.integral + np.sign(fs[..., 3]) * closed, r.integral)
+            r.error = np.where(sub, r.error + np.abs(closed - other), r.error)
+    r.integral[lost], r.status[lost] = np.nan, LOST_END
+    for k in np.flatnonzero(r.status != 0) if name is not None else ():
+        where = f"{name} does not converge where u {('< 1/2', '> 1/2')[k]}"
+        if r.status.flat[k] == LOST_END:
+            end = _LADDER[max(n.flat[k] - 1, 0)]
+            raise NonIntegrableError(
+                f"{where}: it lost its tail, ~{mass.flat[k]:.3g} below t = {end:.3g}, where the "
+                f"integrand, ~t^{a.flat[k]:.4g} or not finite, is beyond t = y^m, m <= 200")
+        raise NonIntegrableError(f"{where} (tanh-sinh status {int(r.status.flat[k])} after "
+                                 f"{int(r.nfev.flat[k])} evaluations)")
+    return r
 
 
 def _quantile_moment(d: DistributionSpec, f: Callable, what: str) -> float:
     # integral_0^1 f(q(u, v)) du over both halves, for a law that stores no
-    # such moment; a half that does not converge raises
-    r = _both_halves(lambda k, u, v: f(d.quantile(u, v)), rtol=1e-13)
-    for k in np.flatnonzero(r.status != 0):
-        raise NonIntegrableError(
-            f"the {what} of {d.label()} does not converge where u {('< 1/2', '> 1/2')[k]} "
-            f"(tanh-sinh status {int(r.status.flat[k])} after {int(r.nfev.flat[k])} evaluations)")
+    # such moment; a half that does not converge raises.  The atol lets an
+    # integral of exactly 0 converge
+    r = _both_halves(lambda k, u, v: f(d.quantile(u, v)), name=f"the {what} of {d.label()}",
+                     atol=np.finfo(float).tiny, rtol=1e-13)
     return float(np.sum(r.integral))
 
 

@@ -35,13 +35,13 @@ order and a profile raise :class:`NonIntegrableError`.  Plug-in estimators
 apply the kernels to order-statistic spacings; near-zero orders use
 expm1/log1p forms, (1-x^0)/0 = -log x.
 
-Every x-space integral, this module's oracle and the risk module's Wang
-integrals alike, sits in one frame (``_frame``): about the median in units
-of the interquartile width, one integral over z >= 0 on each side, reading
-the survival function above the median and the cdf below it.  The oracle
-runs one QUADPACK call over both sides.  A non-finite integrand value
-raises, and so does a side whose probability underflowed to 0 inside the
-support while the integrand at p = 2^-1074 still exceeds the bound floor.
+The x-space oracle, the one integral of ctent that reads a cdf and sf, sits
+with ``_divergent``'s tail probes in one frame (``_frame``): about the median
+in units of the interquartile width, reading the survival function above
+the median and the cdf below it, in one QUADPACK call over both sides.  A
+non-finite integrand value raises, and so does a side whose probability
+underflowed to 0 inside the support while the integrand at p = 2^-1074
+still exceeds the bound floor.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import psi
 
-from .distributions import CLOSED_BOUND, NEAR_ZERO, DistributionSpec, EmpiricalSample, _both_halves
+from .distributions import CLOSED_BOUND, LOST_END, NEAR_ZERO, DistributionSpec, EmpiricalSample
+from .distributions import _both_halves
 from .errors import DomainError, NonIntegrableError
 
 
@@ -197,21 +198,30 @@ def _j_lower(u: np.ndarray, c: np.ndarray, j0) -> np.ndarray:
     return j0 - np.log(u) - u * _horner(c, u)
 
 
+def _dual_tail(s: float) -> Callable:
+    # J on one order's coefficient tables, built once
+    c, j0, w = _dual_coefficients(np.array([float(s)]))
+
+    def tail(u):
+        arr = np.atleast_1d(np.asarray(u, dtype=float))
+        out = np.empty_like(arr)
+        hi = arr >= 0.5
+        uh = arr[hi]
+        vh = 1.0 - uh
+        # v v^s, not v^(s+1): a rounded s + 1 costs |log v| times its rounding
+        vs = vh * np.power(vh, s, out=np.zeros_like(vh), where=vh != 0.0)
+        out[hi] = vs * (1.0 - uh * vh * _horner(w[:, 0], vh)) / (uh * (s + 1.0))
+        out[~hi] = _j_lower(arr[~hi], c[:, 0], j0[0])
+        return out if np.ndim(u) else float(out[0])
+
+    return tail
+
+
 def dual_tail_integral(u, s: float):
     """J(u) = integral_u^1 (1-t)^s / t dt, elementwise, to ~1e-15: about u = 0
     below 1/2, and from G_s's v-series above it, where u (s+1) J(u) =
     v^(s+1) (1 - u v sum w[k] v^k)."""
-    arr = np.atleast_1d(np.asarray(u, dtype=float))
-    c, j0, w = _dual_coefficients(np.array([float(s)]))
-    out = np.empty_like(arr)
-    hi = arr >= 0.5
-    uh = arr[hi]
-    vh = 1.0 - uh
-    # v v^s, not v^(s+1): a rounded s + 1 costs |log v| times its rounding
-    vs = vh * np.power(vh, s, out=np.zeros_like(vh), where=vh != 0.0)
-    out[hi] = vs * (1.0 - uh * vh * _horner(w[:, 0], vh)) / (uh * (s + 1.0))
-    out[~hi] = _j_lower(arr[~hi], c[:, 0], j0[0])
-    return out if np.ndim(u) else float(out[0])
+    return _dual_tail(s)(u)
 
 
 def _dual_lower(t, s, c, j0):
@@ -271,14 +281,12 @@ _TINY = 2.0 ** -1074  # the least subnormal: the last probability before 0
 
 
 def _frame(d: DistributionSpec) -> tuple:
-    """Where every x-space integral of ``d`` sits: about the median m, in
-    units of the interquartile width w (unit steps where the quartiles
-    coincide in floating point).  Each side is an integral over z in
-    (0, end), x = m + sign w z, with sign +1 above the median and -1 below
-    it, and end where the support ends.  A side reads the law's small-side
-    probability, sf above the median and cdf below it, whose digits hold out
-    to the tail.  Returns m, w and, per side (above, below), the signs, the
-    ends (numpy arrays) and the probability functions."""
+    """Where the x-space integrals of ``d`` sit: about the median m, in units
+    of the interquartile width w (unit steps where the quartiles coincide in
+    floating point), at x = m + sign w z, z in (0, end) on each side, sign +1
+    above the median and -1 below it.  A side reads the law's small-side
+    probability, sf above the median and cdf below it.  Returns m, w and, per
+    side (above, below), the signs, the ends and the probability functions."""
     with np.errstate(all="ignore"):  # a quantile at an extreme shape
         m, q1, q3 = (float(q) for q in d.quantile(np.array([0.5, 0.25, 0.75])))
     if not math.isfinite(m):
@@ -286,15 +294,6 @@ def _frame(d: DistributionSpec) -> tuple:
     w = q3 - q1 if 0.0 < q3 - q1 < math.inf else 1.0
     lo, hi = d.support
     return m, w, np.array([1.0, -1.0]), np.array([hi - m, m - lo]) / w, (d.sf, d.cdf)
-
-
-def _refuse_lost_tail(what: str, lost: float, value: float) -> None:
-    # a side whose probability underflowed to 0 inside the support lost its
-    # tail; w times the integrand at p = 2^-1074, ``lost``, tracks that mass
-    if lost > 1e-9 * max(1.0, abs(value)):
-        raise NonIntegrableError(
-            f"{what} lost its tail: the probability underflowed to 0 inside the "
-            f"support, where the integrand still carries {lost:.3g}")
 
 
 _PROBES = np.array([1e4, 1e6, 1e8, 1e10])  # z of a tail probe in the frame
@@ -372,8 +371,13 @@ def _x_space(d: DistributionSpec, s: float) -> tuple:
 
     v, e, ok = _quad(integrand, -ends[1], ends[0])
     val, err = w * v, w * e
+    # a side whose probability underflowed to 0 inside the support lost its
+    # tail; w times the integrand at p = 2^-1074, ``lost``, tracks that mass
     lost = sum(w * _g_small(_TINY, k == 0, s) for k in (0, 1) if underflowed[k])
-    _refuse_lost_tail(f"the x-space integral of {d.label()} at s={s:g}", lost, val)
+    if lost > 1e-9 * max(1.0, abs(val)):
+        raise NonIntegrableError(
+            f"the x-space integral of {d.label()} at s={s:g} lost its tail: the probability "
+            f"underflowed to 0 inside the support, where the integrand still carries {lost:.3g}")
     # QUADPACK's estimate can run optimistic: a floor of 1e-9 * max(1, value),
     # 1e-7 where it reports failure
     bound = max(err, (1e-9 if ok else 1e-7) * max(1.0, abs(val)))
@@ -469,9 +473,11 @@ def _entropy_values(d: DistributionSpec, col: _Column) -> list:
             b = float(col.bound[i]) if q else CLOSED_BOUND * max(1.0, abs(v))
             out.append(EntropyValue(v, b, method))
         else:
+            why = ("its end lies beyond the reach of the power substitution: it lost its tail"
+                   if col.status[i] == LOST_END else
+                   f"tanh-sinh status {int(col.status[i])}, {int(col.nfev[i])} evaluations")
             raise NonIntegrableError(
-                f"quantile-space integral of {d.label()} did not converge "
-                f"(tanh-sinh status {int(col.status[i])}, {int(col.nfev[i])} evaluations)")
+                f"quantile-space integral of {d.label()} did not converge ({why})")
     return out
 
 

@@ -11,23 +11,18 @@ s in (0,1) and concavity for s > 1; the diagnostics here exhibit both.
 
 Each distortion is t plus a kernel held as a pair of halves (see
 ``entropy._halves``): g_s for h_s, G_s for k_s, u(-log u)^s/Gamma(s+1) and
-u sum_{k=1..n} (-log u)^k/k! for the other two.  The risk is the Wang
-distortion integral in the entropy module's x-space frame: the median plus
-the interquartile width times one tanh-sinh call over arrays that
-integrates both sides of the median, at each side's small-side probability
-p, p + K(p, 1 - p) above the median and, through the reversed pair,
-K(1 - p, p) - p below it.  A side whose integrand decays like z^-a with
-1 < a < 2 (heavy tails such as lomax(1.05)) runs in that call under the
-power substitution z = y^-m - 1, m = 1/(a - 1), with a measured from two
-far probes.  A side that tanh-sinh refuses, a non-finite integrand, value
-or error, or a tail lost to an underflowed probability, raises
-:class:`NonIntegrableError`.  An order where ``entropy._divergent`` finds the
-mirrored entropy infinite raises :class:`DivergentEntropy` before it; the
-result is cross-checked, unchanged, against mean + entropy-of-the-mirrored-law.
-``relevation_risk``, the expected n-th failure time, is the same integral
-of the relevation partial-sum distortion H_tilde_{n-1}.  The
-mean-residual-life form, ``mrl_representation``, is integral_0^1 q(u) D'(1-u)
-du against the distortion's derivative, on ``distributions._both_halves``.
+u sum_{k=1..n} (-log u)^k/k! for the other two.  As the paper presents both
+families as perturbations of the mean residual life, every risk here is one
+quantile-space integral, integral_0^1 q(u) D'(1-u) du against the record's
+q(u, v) and the distortion's derivative, on ``distributions._both_halves``,
+which adds the mass of a heavy end in closed form: ``risk_delta`` and
+``risk_nabla`` under h_s and k_s, ``mrl_representation`` under either, and
+``relevation_risk``, the expected n-th failure time, under H_tilde_{n-1}.
+No risk reads a cdf or sf.  A half that does not converge, or whose end
+lies beyond reach, raises :class:`NonIntegrableError`.  An order where
+``entropy._divergent`` finds the mirrored entropy infinite raises
+:class:`DivergentEntropy` first, and both risks are cross-checked against
+mean + entropy-of-the-mirrored-law.
 """
 
 from __future__ import annotations
@@ -37,22 +32,19 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import tanhsinh
+from scipy.special import xlogy
 
 from .distributions import DistributionSpec, _both_halves, affine, dist_mean, from_quantile, negate
 from .entropy import (
-    _TINY,
     _divergent,
     _dual_pair,
-    _frame,
+    _dual_tail,
     _g_core,
     _halves,
     _log_pair,
-    _refuse_lost_tail,
     as_order,
     delta_value,
     dual_kernel,
-    dual_tail_integral,
     nabla_value,
 )
 from .errors import (
@@ -163,12 +155,13 @@ def make_distortion(label: str, s_or_n: float) -> DistortionFunction:
     if label == "k_s":
         as_order(s)
         ev = _distortion(_dual_pair(s))
+        tail = _dual_tail(s)  # its tables built once, not at every call of k'
 
         def d1(t):
             # k' = k/t - w_s reduces exactly to (s+1) * J(t) with
             # J(t) = integral_t^1 (1-v)^s / v dv: manifestly positive and
             # free of the 1 - 1 cancellation near t = 1
-            return (s + 1.0) * np.asarray(dual_tail_integral(t, s), dtype=float)
+            return (s + 1.0) * np.asarray(tail(t), dtype=float)
 
         def d2(t):
             t = np.asarray(t, dtype=float)
@@ -202,19 +195,17 @@ def make_distortion(label: str, s_or_n: float) -> DistortionFunction:
         n = int(s_or_n)
         if n < 0 or n != s_or_n:
             raise DomainError("H_tilde_n needs an integer n >= 0")
-        fact = math.factorial(n)
-
+        lg = lgamma(n + 1.0)  # log n!, which overflows a float past n = 170
         ev = _distortion(_log_pair(_h_tilde_core, n))
 
         def d1(t):
-            return np.power(-np.log(t), n) / fact
+            return np.exp(xlogy(n, -np.log(t)) - lg)
 
         def d2(t):
             t = np.asarray(t, dtype=float)
             if n == 0:
                 return np.zeros_like(t)
-            ln = -np.log(t)
-            return -n * np.power(ln, n - 1.0) / (t * fact)
+            return -n * np.exp(xlogy(n - 1.0, -np.log(t)) - lg) / t
 
         return DistortionFunction("H_tilde_n", float(n), ev, d1, d2)
 
@@ -253,103 +244,21 @@ def coherence_diagnostics(f: DistortionFunction) -> dict:
 # ---------------------------------------------------------------------------
 # the risk measures
 
-_FAR = np.array([1e30, 1e60])  # z of the two probes that set the power m
-_TOP = 1e300  # the farthest w z at which a substituted side is evaluated
+def _distortion_integral(d: DistributionSpec, d1: Callable, name: str) -> tuple:
+    """(value, error) of integral_0^1 q(u) D'(1 - u) du against the record's
+    q(u, v) and D'(v), over both halves; ``name`` heads a refusal.  The error
+    estimate is first trusted at level 3, as Bailey advises: at level 2 it
+    read 7e-14 for the dual family of negated Gumbel at s = 5, where the
+    value was 1.2e-8 off."""
+    q = d.quantile
+    r = _both_halves(lambda k, u, v: q(u, v) * d1(v), name=name, atol=1e-12, rtol=1e-11,
+                     minlevel=3)
+    return float(np.sum(r.integral)), float(np.sum(r.error))
 
 
-def _decay(f1, f2, z1: float, z2: float):
-    # the exponent a of a decay like z^-a through f1 at z1 and f2 at z2
-    return np.log(np.abs(f1 / f2)) / math.log(z2 / z1)
-
-
-def _wang(d: DistributionSpec, pair: tuple, what: str) -> tuple:
-    """The Wang risk of ``d`` under the distortion t + K(t, 1 - t) of the
-    kernel ``pair`` (see :func:`entropy._halves`), in the frame of
-    :func:`entropy._frame`: m + w times the integral of the distorted
-    survival above the median less that of one minus it below.
-    Both sides are one tanh-sinh call over arrays, and a side that it
-    refuses raises :class:`NonIntegrableError`.  scipy maps an infinite end
-    itself, except where the integrand decays like z^-a with 1 < a < 2
-    (lomax(1.05) under k_s), a measured from the integrand at z = 1e30 and
-    1e60: tanh-sinh does not finish such a side on (0, inf), so it runs over
-    y with z = y^-m - 1, m = 1/(a - 1) up to 200, which leaves the integrand
-    bounded at y = 0.  y stops at z = Z = 1e300/max(w, 1), where x is still
-    finite; the tail past Z is Z f(Z)/(a - 1), with a measured just below Z,
-    and its error is the difference from the same tail with a from the far
-    probes.
-
-    The error estimate is first trusted at level 3, as Bailey advises: at
-    level 2 it read 7e-14 for the dual family of negated Gumbel at s = 5,
-    where the value was 1.2e-8 off.  tanh-sinh zeroes a non-finite integrand
-    value past its first node, so the integrand raises on one itself."""
-    m, w, signs, ends, probs = _frame(d)
-    lo, hi = d.support
-    name = f"the {what} distortion integral of {d.label()}"
-    underflowed = np.zeros(2, dtype=bool)  # per side, p = 0 inside the support
-
-    def signed(p, side: int):
-        # at a side's small-side probability p: the distortion p + K(p, 1 - p)
-        # above the median; below it, the distortion of 1 - p less one, K(1 - p, p) - p
-        return p + _halves(pair, p) if side == 0 else _halves(pair[::-1], p) - p
-
-    def distorted(z, side):
-        # side: 0 above the median, 1 below it; both broadcast against z
-        z, side = np.broadcast_arrays(z, side)
-        x, p, out = m + signs[side] * w * z, np.empty(z.shape), np.empty(z.shape)
-        for k, rows in enumerate((side == 0, side == 1)):
-            p[rows] = probs[k](x[rows])
-            out[rows] = signed(p[rows], k)
-        return x, p, out
-
-    def f(t, side, power):
-        # t is z on a side with power 1, else y
-        t, side, power = np.broadcast_arrays(t, side, power)
-        sub = power > 1.0
-        yp = np.where(sub, t, 1.0) ** -power
-        x, p, out = distorted(np.where(sub, yp - 1.0, t), side)
-        out = np.where(sub, out * yp / t * power, out)
-        if not np.isfinite(out).all():
-            raise NonIntegrableError(f"{name} meets a non-finite integrand")
-        if not p.all():
-            underflowed[side[(p == 0.0) & (lo < x) & (x < hi)]] = True
-        return out
-
-    with np.errstate(all="ignore"):
-        start, power, past, slack = np.zeros(2), np.ones(2), 0.0, 0.0
-        far = np.flatnonzero(np.isinf(ends))
-        if far.size:
-            top = _TOP / max(w, 1.0)
-            # through distorted, not f: a probe sets no lost-tail flag
-            probe = distorted(np.append(_FAR, [top * 1e-30, top]), far[:, None])[2]
-            a = _decay(probe[:, 0], probe[:, 1], _FAR[0], _FAR[1])
-            heavy = (a > 1.0) & (a < 2.0)
-            a, probe, sides = a[heavy], probe[heavy], far[heavy]
-            power[sides] = np.minimum(1.0 / (a - 1.0), 200.0)
-            start[sides] = (1.0 + top) ** (-1.0 / power[sides])
-            zf = top * probe[:, 3]  # the tail past Z is Z f(Z)/(a - 1)
-            near = np.where(zf == 0.0, np.inf,
-                            _decay(probe[:, 2], probe[:, 3], top * 1e-30, top))
-            tails = zf / np.maximum(near - 1.0, 0.0)
-            past = float(np.sum(tails))
-            slack = float(np.sum(np.abs(tails - zf / (a - 1.0))))
-        r = tanhsinh(f, start, np.where(power > 1.0, 1.0, ends), args=(np.arange(2), power),
-                     atol=1e-12, rtol=1e-11, minlevel=3)
-        lost = w * sum(abs(float(signed(_TINY, k))) for k in np.flatnonzero(underflowed))
-    total = m + w * (float(np.sum(r.integral)) + past)
-    error = w * (float(np.sum(r.error)) + slack)
-    if not (math.isfinite(total) and math.isfinite(error)):
-        raise NonIntegrableError(f"{name} gives {total} with error {error}")
-    _refuse_lost_tail(name, lost, total)
-    for k in np.flatnonzero(r.status != 0):
-        raise NonIntegrableError(
-            f"{name} does not converge {('above', 'below')[k]} the median (tanh-sinh "
-            f"status {r.status[k]} after {r.nfev[k]} evaluations)")
-    return total, error
-
-
-def _checked_risk(d: DistributionSpec, sv: float, pair: tuple, label: str,
+def _checked_risk(d: DistributionSpec, sv: float, label: str,
                   mirrored: Callable, name: str, family: str) -> RiskValue:
-    # the distortion integral of ``pair``, checked against mean + the mirrored
+    # the distortion integral of ``label``, checked against mean + the mirrored
     # entropy; an order where the stored thresholds make that infinite is refused
     nd = negate(d)
     if _divergent(nd, family, np.array([sv]), probe=False)[0]:
@@ -357,7 +266,8 @@ def _checked_risk(d: DistributionSpec, sv: float, pair: tuple, label: str,
             f"risk measure diverges: the mirrored {name} of {d.label()} is infinite at s={sv:g} "
             f"(finiteness threshold {nd.finiteness_threshold}, "
             f"mirrored {nd.neg_finiteness_threshold})")
-    val, err = _wang(d, pair, label)
+    val, err = _distortion_integral(d, make_distortion(label, sv).deriv1,
+                                    f"the {label} distortion integral of {d.label()} at s={sv:g}")
     ref = mirrored(nd, sv)
     if not ref.is_finite:
         raise DivergentEntropy(f"mirrored {name} is infinite at this order")
@@ -374,13 +284,13 @@ def risk_delta(d: DistributionSpec, s) -> RiskValue:
     """The entropy-family risk measure: distortion integral of h_s over the
     survival function, cross-checked against mean + delta of the mirror."""
     sv = as_order(s).s
-    return _checked_risk(d, sv, _log_pair(_g_core, sv), "h_s", delta_value, "entropy", "delta")
+    return _checked_risk(d, sv, "h_s", delta_value, "entropy", "delta")
 
 
 def risk_nabla(d: DistributionSpec, s) -> RiskValue:
     """The dual-family risk measure via the k_s distortion."""
     sv = as_order(s).s
-    return _checked_risk(d, sv, _dual_pair(sv), "k_s", nabla_value, "dual entropy", "nabla")
+    return _checked_risk(d, sv, "k_s", nabla_value, "dual entropy", "nabla")
 
 
 def mrl_representation(d: DistributionSpec, s, which: str = "delta") -> RiskValue:
@@ -390,22 +300,16 @@ def mrl_representation(d: DistributionSpec, s, which: str = "delta") -> RiskValu
     resp. u^s/(1-u), it is (s+1) integral_0^1 w PM du; (s+1) integral_0^t w is
     the distortion's derivative D'(1-t), h_s'(1-t) = (s+1)(1 - (1-t)^s)/s resp.
     k_s'(1-t) = (s+1) J(1-t), so the exchanged integrals are integral_0^1 q(u)
-    D'(1-u) du: one tanh-sinh call over both halves (:func:`distributions._both_halves`)
-    against q(u, v) and D'(v).  The bound adds 1e-7 * max(1, |value|) to both
-    halves' error estimate, which can run optimistic; a half that does not
-    converge raises :class:`NonIntegrableError`."""
+    D'(1-u) du, the risk's own integral (:func:`_distortion_integral`).  The
+    bound adds 1e-7 * max(1, |value|) to its error estimate, which can run
+    optimistic; a half that does not converge raises :class:`NonIntegrableError`."""
     sv = as_order(s).s
     if which not in ("delta", "nabla"):
         raise DomainError("which must be 'delta' or 'nabla'")
-    q, d1 = d.quantile, make_distortion("h_s" if which == "delta" else "k_s", sv).deriv1
-    r = _both_halves(lambda k, u, v: q(u, v) * d1(v), atol=1e-12, rtol=1e-11, minlevel=3)
-    for k in np.flatnonzero(r.status != 0):
-        raise NonIntegrableError(
-            f"the mean-residual-life integral of {d.label()} at s={sv:g} ({which}) does not "
-            f"converge where u {('< 1/2', '> 1/2')[k]} (tanh-sinh status "
-            f"{int(r.status.flat[k])} after {int(r.nfev.flat[k])} evaluations)")
-    total = float(np.sum(r.integral))
-    return RiskValue(total, float(np.sum(r.error)) + 1e-7 * max(1.0, abs(total)), which)
+    total, error = _distortion_integral(
+        d, make_distortion("h_s" if which == "delta" else "k_s", sv).deriv1,
+        f"the mean-residual-life integral of {d.label()} at s={sv:g} ({which})")
+    return RiskValue(total, error + 1e-7 * max(1.0, abs(total)), which)
 
 
 def _quantile_mixture(d1: DistributionSpec, d2: DistributionSpec,
@@ -495,5 +399,6 @@ def relevation_risk(d: DistributionSpec, n: int) -> RiskValue:
     if n < 1 or n != int(n):
         raise DomainError(f"unit count must be a positive integer, got {n}")
     _check_nonneg_support(d)
-    val, err = _wang(d, _log_pair(_h_tilde_core, int(n) - 1), "H_tilde_n")
+    val, err = _distortion_integral(d, make_distortion("H_tilde_n", int(n) - 1).deriv1,
+                                    f"the H_tilde_{int(n) - 1} distortion integral of {d.label()}")
     return RiskValue(val, err + 1e-10 * max(1.0, val), "relevation_n")

@@ -16,6 +16,16 @@ from ctent import (
     make_reverse_weibull,
 )
 
+with warnings.catch_warnings():
+    # hypothesis imports libcst to report a failing example, and libcst's
+    # import warns: under pyproject's error::DeprecationWarning that import
+    # would end the session in an INTERNALERROR, so it is made here, once
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import libcst  # noqa: F401
+    except ImportError:
+        pass
+
 
 @pytest.fixture(autouse=True)
 def _silence_quadrature_warnings():

@@ -432,3 +432,12 @@ def test_every_other_verb_argv_maps_to_an_exit_code(argv):
     assert code in (0, 1, 2, 3), (argv, err.getvalue())
     if code == 0:
         assert not re.search(r"\b(nan|inf)\b", out.getvalue()), (argv, out.getvalue())
+
+
+@pytest.mark.parametrize("s", ["1e-200", "-0.49"])
+def test_symmetric_bound_forms_its_maximizer(capsys, s):
+    # at 1e-200 the maximizer's quantile is 0 everywhere, and at -0.49 its
+    # variance integrand grows like u^-0.98: both once exited 3
+    code, out, err = run(capsys, "bounds", "--regime", "symmetric", f"--s={s}")
+    assert code == 0 and err == ""
+    assert json.loads(out)["maximizer"] == f"s_logistic(beta=1, s={float(s):g})"

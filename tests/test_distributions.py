@@ -687,8 +687,8 @@ def test_moments_of_a_quantile_record_integrate_arrays_over_both_halves():
 
 def test_one_quantile_space_integrator():
     # quadrature is bound in one module for each of its roles: QUADPACK only
-    # in the x-space oracle, tanh-sinh in the quantile-space splitter, the
-    # Wang integrals and the series tail
+    # in the x-space oracle, tanh-sinh in the quantile-space splitter and the
+    # series tail
     binders = {"quad": set(), "tanhsinh": set()}
     modules = [ctent] + [importlib.import_module(f"ctent.{m.name}")
                          for m in pkgutil.iter_modules(ctent.__path__)]
@@ -697,4 +697,4 @@ def test_one_quantile_space_integrator():
             if any(v is getattr(scipy.integrate, name) for v in vars(mod).values()):
                 binders[name].add(mod.__name__)
     assert binders == {"quad": {"ctent.entropy"},
-                       "tanhsinh": {"ctent.distributions", "ctent.risk", "ctent.series"}}
+                       "tanhsinh": {"ctent.distributions", "ctent.series"}}

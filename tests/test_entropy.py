@@ -4,7 +4,7 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, tanhsinh
 
 from conftest import TABLE_ORDERS, catalog_members, finite_order
 from ctent import (
@@ -38,7 +38,8 @@ from ctent import (
     normal_spec,
     sample,
 )
-from ctent import entropy
+from ctent import distributions, entropy
+from ctent.distributions import LOST_END
 from ctent.entropy import _quad, dual_kernel, dual_kernel_np, dual_tail_integral, g_kernel_np
 from ctent.risk import _h_tilde_core, _quantile_mixture, make_distortion
 
@@ -353,17 +354,18 @@ def test_quantile_route_reports_non_convergence():
 
 def test_fused_quantile_integral_treats_each_order_on_its_own():
     # both halves of every order share one tanh-sinh call; an order that
-    # does not converge leaves the others as their single-order calls
+    # does not converge leaves the others as their single-order calls.  At
+    # -0.3749 the end is ~ u^-0.9999, beyond the reach of the substitution
     d = negate(make_frechet(1.6))
-    orders = np.array([-0.3426, -0.3058, 0.5])
+    orders = np.array([-0.3749, -0.3058, 0.5])
     col = entropy._evaluate(d, "delta", orders, "quantile")
-    assert math.isnan(col.value[0]) and col.status[0] == -2
+    assert math.isnan(col.value[0]) and col.status[0] == LOST_END
     for k in (1, 2):
         one = entropy._evaluate(d, "delta", orders[k:k + 1], "quantile")
         got = [float(a[k]) for a in (col.value, col.bound, col.status, col.nfev)]
         assert got == [float(a[0]) for a in (one.value, one.bound, one.status, one.nfev)]
-    with pytest.raises(NonIntegrableError, match="tanh-sinh status -2, 16387 evaluations"):
-        delta_quantile(d, -0.3426)
+    with pytest.raises(NonIntegrableError, match="did not converge .*lost its tail"):
+        delta_quantile(d, -0.3749)
 
 
 def test_dual_kernel_cancellation_free_near_one():
@@ -609,3 +611,43 @@ def test_the_reversed_pair_is_the_mirrored_kernel():
         assert np.array_equal(entropy._halves(pair[::-1], u), entropy._halves(pair, 1.0 - u))
         # the tie goes to the upper half
         assert entropy._halves(pair, 0.5) == pair[1](np.array([0.5]))[0]
+
+
+@pytest.mark.parametrize("d, s, want", [
+    (make_lomax(1.05), 0.5, 19.233136164072373),
+    (make_s_logistic(-0.3, 1.0), -0.69, 43.2323187654315),
+    (negate(make_frechet(1.6)), -0.3426, 51.575702595476454),
+    (negate(make_frechet(1.6)), -0.37, 333.4714490051743),
+], ids=lambda x: x.label() if hasattr(x, "label") else str(x))
+def test_quantile_route_answers_heavy_ends(d, s, want):
+    # the integrand ends like t^a with a + 1 between 0.005 and 0.05: tanh-sinh
+    # stopped at status -2 on (0, 1/2), and the power substitution answers;
+    # the references are the closed form and mpmath.  Only the Lomax has a
+    # closed form, which delta_value would take
+    got = (delta_quantile if d.closed_delta else delta_value)(d, s)
+    assert got.value == pytest.approx(want, abs=got.abs_error_bound)
+
+
+@pytest.mark.parametrize("d", [make_lomax(1.05), negate(make_frechet(1.6))],
+                         ids=lambda d: d.label())
+def test_entropy_profile_over_a_dense_grid_of_a_heavy_law(d):
+    grid = tuple(float(s) for s in np.linspace(-0.49, 5.0, 150))
+    profile = entropy_profile(d, grid)
+    assert profile.delta_nonincreasing and profile.nabla_nondecreasing
+
+
+def test_no_substitution_fires_on_the_table_laws(monkeypatch):
+    # every half of the table laws at the table orders runs on (0, 1/2) as
+    # it did before the probe, so its values keep their bits
+    starts = []
+
+    def spy(f, a, b, **kwargs):
+        starts.append(np.asarray(a))
+        return tanhsinh(f, a, b, **kwargs)
+
+    monkeypatch.setattr(distributions, "tanhsinh", spy)
+    orders = np.array(TABLE_ORDERS)
+    for d in catalog_members() + [normal_spec()]:
+        for which in ("delta", "nabla"):
+            entropy._quantile_integral(d.qdensity, which, orders)
+    assert len(starts) == 36 and not any(np.any(a != 0.0) for a in starts)

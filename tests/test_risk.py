@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -344,8 +345,8 @@ def test_relevation_risk_examples():
 
 @pytest.mark.parametrize("c", [0.65, 0.85, 1.275, 1.725])
 def test_risk_nabla_rescaled_exponential(c):
-    # sf(x) reaches subnormal values inside the distortion integral; the
-    # dual kernel must stay finite there
+    # sf(x) reached subnormal values inside the x-space distortion integral,
+    # where the dual kernel gave inf; the quantile form has no sf to read
     r = risk_nabla(affine(make_exponential(), c, 0.0), 0.5)
     assert r.value == pytest.approx(c * (1.0 + psi(2.5) + EULER_GAMMA), abs=1e-7)
     assert math.isfinite(r.abs_error_bound)
@@ -400,10 +401,10 @@ def test_relevation_risk_at_many_units():
 @pytest.mark.parametrize("label,s", [("k_s", -0.3), ("k_s", 0.5), ("k_s", 2.0),
                                      ("h_s", 0.5), ("h_s", 2.0)])
 def test_heavy_tail_risk_converges_on_tanh_sinh(monkeypatch, label, s):
-    # lomax(1.05)'s integrand decays like z^-1.05, which tanh-sinh does not
-    # finish on (0, inf); the power substitution answers it, never QUADPACK
+    # lomax(1.05)'s quantile grows like v^-0.95, which tanh-sinh does not
+    # finish on (0, 1/2); the power substitution answers it, never QUADPACK
     def refuse(*args, **kwargs):
-        raise AssertionError("the Wang integral reached QUADPACK")
+        raise AssertionError("the distortion integral reached QUADPACK")
 
     monkeypatch.setattr(entropy_module, "quad", refuse)
     d = make_lomax(1.05)
@@ -426,12 +427,12 @@ def test_relevation_risk_of_heavy_lomax(beta, n):
         assert r.abs_error_bound < 1e-9 * want
 
 
-# Every Wang integral of the test suite that tanh-sinh refused on (0, inf),
-# with how it ends: the exception, or None for a value within its bound of
-# mean + the mirrored entropy; and the exit code of ``ctent risk``, which
-# forms risk_delta and then risk_nabla.  lomax(1.00002) raised OracleMismatch
-# while a QUADPACK fallback integrated the side: its value was 19 034 for a
-# risk of 1.3e9, most of whose mass lies past the largest double
+# Every x-space distortion integral of the test suite that tanh-sinh refused
+# on (0, inf), with how it ends now: the exception, or None for a value within
+# its bound of mean + the mirrored entropy; and the exit code of ``ctent
+# risk``, which forms risk_delta and then risk_nabla.  lomax(1.00002) raised
+# OracleMismatch while a QUADPACK fallback integrated the side: its value was
+# 19 034 for a risk of 1.3e9, most of whose mass lies past the largest double
 _REFUSED_SIDES = [
     ("exponential", {}, "h_s", -0.999999, NonIntegrableError, 3),
     ("logistic", {}, "h_s", -0.999999, NonIntegrableError, 3),
@@ -481,3 +482,46 @@ def test_risk_non_finite_integral_raises():
     # the dual kernel's series overflows at this order, so the integrand is NaN
     with pytest.raises(NonIntegrableError):
         risk_nabla(make_exponential(), 1e6)
+
+
+@pytest.mark.parametrize("n, want", [(2, 1.625), (3, 2.6875), (30, 95890.02961644212)])
+def test_relevation_risk_of_a_comonotone_mixture(n, want):
+    # E[T_n] is additive over the comonotone mixture: half the exponential's
+    # n plus half lomax(3)'s; an sf of 1 - a bisection cdf once missed the
+    # bound at n = 2 and 3 and refused n = 30
+    mix = risk_module._quantile_mixture(make_exponential(), make_lomax(3.0), 0.5)
+    r = relevation_risk(mix, n)
+    assert r.value == pytest.approx(want, abs=r.abs_error_bound)
+
+
+@pytest.mark.parametrize("shape, s", [((-0.4, 0.6), 0.5), ((-0.45, 0.5), 2.0),
+                                      ((-0.3, 0.35), -0.02)])
+def test_heavy_s_logistic_risk_passes_its_oracle(shape, s):
+    # its sf, 1 - a bisection cdf, has no upper tail past ~1e10, and the
+    # x-space risk refused these; the quantile form reads q(u, v)
+    d = make_s_logistic(*shape)
+    for risk, mirrored in ((risk_delta, delta_value), (risk_nabla, nabla_value)):
+        r = risk(d, s)
+        assert r.value == pytest.approx(dist_mean(d) + mirrored(negate(d), s).value,
+                                        abs=r.abs_error_bound)
+
+
+def test_risk_reads_no_cdf_or_sf():
+    def refuse(x):
+        raise AssertionError("a risk read the cdf or sf")
+
+    d = make_lomax(3.0)
+    blind = replace(d, cdf=refuse, sf=refuse)
+    for f in (lambda x: risk_delta(x, 0.5), lambda x: risk_nabla(x, 2.0),
+              lambda x: relevation_risk(x, 2), lambda x: mrl_representation(x, 0.5, "nabla")):
+        assert f(blind) == f(d)
+
+
+@pytest.mark.parametrize("s", [0.5, 2.0])
+def test_risk_of_a_record_read_past_its_precision(s):
+    # q(u, v) is NaN below v = 2^-53: the mass below the last finite probe
+    # point is bounded in closed form, not lost to tanh-sinh's NaN nodes
+    lomax3 = make_lomax(3.0)
+    d = from_quantile("lomax3", lomax3.quantile, (0.0, math.inf), qdensity=lomax3.qdensity)
+    r = risk_nabla(d, s)
+    assert r.value == pytest.approx(risk_nabla(lomax3, s).value, abs=r.abs_error_bound)
