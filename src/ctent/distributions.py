@@ -777,9 +777,8 @@ LOST_END = -10  # the status of a half whose end lies beyond the substitution's 
 
 
 def _end_mass(x, y, end):
-    # the mass below t = e^-end of the fit C t^a (-log t)^b through three
-    # points (x, y) = (-log t, log|f|): C Gamma(b+1, (a+1) end)/(a+1)^(b+1),
-    # by the upper incomplete gamma, which needs b > -1
+    # the mass below t = e^-end of the fit C t^a (-log t)^b through three points (x, y) =
+    # (-log t, log|f|): C Gamma(b+1, (a+1) end)/(a+1)^(b+1), which needs b > -1
     lx = np.log(x)
     p, r, dy = np.diff(x), np.diff(lx), np.diff(y)
     det = p[..., 1] * r[..., 0] - p[..., 0] * r[..., 1]
@@ -791,99 +790,114 @@ def _end_mass(x, y, end):
     return np.where(b > -1.0, mass, np.nan)
 
 
-def _both_halves(f: Callable, args: tuple = (), name: str | None = None, **tolerances):
+def _refusal(what: str, status: int, nfev: int, end: tuple = ()) -> NonIntegrableError:
+    # a quantile-space integral's refusal; ``end``: a lost end's fitted mass and t_L
+    if status != LOST_END:
+        return NonIntegrableError(f"{what} (tanh-sinh status {status}, {nfev} evaluations)")
+    mass = f"~{end[0]:.3g}" if end and math.isfinite(end[0]) else "not finite"
+    below = f", {mass} below t = {end[1]:.3g}" if end else ""
+    return NonIntegrableError(f"{what} (it lost its tail{below}, beyond t = y^m, m <= {_CAP:g})")
+
+
+def _probe(p: np.ndarray, tolerances: dict) -> dict:
+    # each half's end from its values p on the ladder, one row per element
+    # (see _both_halves): which halves fire, and how each of them runs
+    run = np.logical_and.accumulate(np.isfinite(p), axis=-1)
+    n = run.sum(axis=-1)
+    at = n[:, None] - np.arange(4, 0, -1)  # the last four finite points
+    xs, fs = _X[at], p[np.arange(len(p))[:, None], at]
+    ys = np.log(np.abs(fs))
+    a = np.where(n < 2, np.nan, (ys[:, 2] - ys[:, 3]) / (xs[:, 3] - xs[:, 2]))
+    tf = np.exp(ys[:, 3] - xs[:, 3])
+    mass = np.where(tf == 0.0, 0.0, tf / np.maximum(a + 1.0, 0.0))
+    # scipy's default tolerances where unset; a half finite nowhere is tanh-sinh's to report
+    tol = np.maximum(tolerances.get("atol", 0.0), tolerances.get("rtol", _EPS ** 0.75)
+                     * (np.where(run, np.abs(p), 0.0)[:, :-1] @ _STEPS))
+    fire = (n > 0) & ~(mass <= tol)
+    if not fire.any():
+        return {"fire": fire}
+    closed = np.where(n >= 4, _end_mass(xs[:, 1:], ys[:, 1:], xs[:, 3]), np.nan)
+    other = _end_mass(xs[:, :3], ys[:, :3], xs[:, 3])
+    ok = (a + 1.0 >= 0.5 / _CAP) & np.isfinite(closed - other) & (abs(np.sign(fs).sum(-1)) == 4)
+    m = np.clip(1.0 / (a + 1.0), 1.0, _CAP)
+    return {"fire": fire, "sub": fire & ok, "lost": fire & ~ok, "m": m, "hi": 0.5 ** (1.0 / m),
+            "lo": np.exp(-xs[:, 3] / m), "mass": np.sign(fs[:, 3]) * closed,
+            "error": np.abs(closed - other) * xs[:, 3] / (xs[:, 3] - xs[:, 2]),
+            "end": (closed, _LADDER[n - 1])}
+
+
+def _both_halves(f: Callable, args: tuple = (), **tolerances):
     """integral_0^1 f(k, u, v, *args) du, v = 1 - u, as one tanh-sinh call over
     both halves, side k = 0 in u and side 1 in v, each on (0, 1/2) in t (in u
     alone the nodes with 1 - u below ~1e-16, and the tail mass, are lost).
     A row of nodes is one element of the side column broadcast against ``args``.
 
-    A vectorised probe first evaluates every half on ``_LADDER``.  A NaN or
-    infinite value (a record read past its precision, an overflow) ends the
-    leading finite run at t_L; the last two finite points give the end
-    exponent a of f ~ t^a.  Where the mass below t_L, t_L |f(t_L)|/(a+1),
-    exceeds the call's tolerance, max(atol, rtol E) with E the probe's sum of
-    t |f| in log t, the half runs from t_L under t = y^m, m = 1/(a+1) in
-    [1, 200], plus the mass below t_L: the fit C t^a (-log t)^b through the
-    last three finite points in closed form, its error the difference from
-    the fit through the three before.  Elsewhere the half runs from 0, where
-    scipy replaces a non-finite node by its nearest finite neighbour, moving
-    the value by less than the tolerance.  A half with such a mass but no
-    finite point, no fit, or a + 1 < 1/400 (steeper than y^-1/2 under
-    m = 200) has the status ``LOST_END`` and a NaN integral.
+    scipy's first call, one midpoint per element, also evaluates each half on
+    ``_LADDER``: its finite run ends at t_L, where the last two points give
+    f ~ t^a.  Where the mass below t_L, t_L |f(t_L)|/(a+1), exceeds max(atol,
+    rtol E), E the probe's sum of t |f| in log t, the half reads NaN at its
+    midpoint, which ends it, and runs again from t_L under t = y^m, m =
+    1/(a+1) in [1, 200], plus the mass below t_L: the fit C t^a (-log t)^b
+    through the last three finite points, in closed form, its error the
+    difference from the fit through the three before times x/dx (x = -log
+    t_L, dx the step between the fits' last points).  Other halves, those
+    finite at no probe point too, keep the run from 0, where scipy replaces a
+    non-finite node by its nearest finite neighbour.  One that fires with no
+    fit (under four finite points, b <= -1, mixed signs) or a + 1 < 1/400
+    (steeper than y^-1/2 at m = 200) gets the status ``LOST_END``, a NaN
+    integral and its figures in ``end``.  Returns scipy's result, side 0 first."""
 
-    Returns scipy's result, side 0 first.  Given a ``name`` (then ``args`` is
-    empty), a half with a nonzero status raises :class:`NonIntegrableError`."""
-
-    def g(t, side, power, *rest):
-        # on a substituted row t is y, and the integrand f(y^m) m y^(m - 1)
-        sub = power[..., 0] > 1.0
-        if sub.any():
-            y, m, t = t[sub], power[sub], t.copy()
-            t[sub] = y ** m
-        out = np.empty_like(t)
-        upper = side[..., 0] == 1
+    def g(t, side, *rest):
+        out, upper = np.empty_like(t), side[..., 0] == 1
         for k, rows in enumerate((~upper, upper)):
             if rows.any():
                 x = t[rows]
                 u, v = (x, 1.0 - x) if k == 0 else (1.0 - x, x)
                 out[rows] = f(k, u, v, *(a[rows] for a in rest))
-        if sub.any():
-            out[sub] *= m * y ** (m - 1.0)
         return out
 
-    side = np.arange(2)[:, None]
-    shape = np.broadcast_shapes(side.shape, *(np.shape(a) for a in args))
-    col = [np.broadcast_to(a, shape).reshape(-1, 1) for a in (side, *args)]
+    def first(t, *rest):
+        if probe:
+            return g(t, *rest)
+        # the midpoint call: one row per element, its midpoint and the ladder
+        cols = [np.reshape(a, (-1, 1)) for a in rest]
+        out = g(np.column_stack([t.ravel(), np.tile(_LADDER, (t.size, 1))]), *cols)
+        probe.update(_probe(out[:, 1:], tolerances), cols=cols)
+        return np.where(probe["fire"], np.nan, out[:, 0]).reshape(t.shape)
+
+    probe = {}
     with np.errstate(all="ignore"):
-        probe = g(np.broadcast_to(_LADDER, (col[0].size, _LADDER.size)), col[0],
-                  np.ones(col[0].shape), *col[1:]).reshape(shape + _LADDER.shape)
-        run = np.cumprod(np.isfinite(probe), axis=-1, dtype=bool)
-        n = run.sum(axis=-1)
-        at = n[..., None] - np.arange(4, 0, -1)  # the last four finite points
-        xs, fs = _X[at], np.take_along_axis(probe, at, axis=-1)
-        ys = np.log(np.abs(fs))
-        a = (ys[..., 2] - ys[..., 3]) / (xs[..., 3] - xs[..., 2])
-        tf = np.exp(ys[..., 3] - xs[..., 3])
-        mass = np.where(n < 2, np.nan, np.where(tf == 0.0, 0.0, tf / np.maximum(a + 1.0, 0.0)))
-        scale = np.sum(np.where(run, np.abs(probe), 0.0)[..., :-1] * _STEPS, axis=-1)
-        # the call's tolerance, with scipy's defaults where it sets none
-        tol = np.maximum(tolerances.get("atol", 0.0), tolerances.get("rtol", _EPS ** 0.75) * scale)
-        fire = ~(mass <= tol)
-        lost = sub = np.zeros(fire.shape, dtype=bool)
-        lo, hi, m = 0.0, 0.5, np.ones((1, 1))
-        if fire.any():
-            closed = _end_mass(xs[..., 1:], ys[..., 1:], xs[..., 3])
-            other = _end_mass(xs[..., :3], ys[..., :3], xs[..., 3])
-            ok = (n >= 4) & (a + 1.0 >= 0.5 / _CAP) & np.isfinite(closed - other) \
-                & (np.abs(np.sign(fs).sum(axis=-1)) == 4)
-            lost, sub = fire & ~ok, fire & ok
-            m = np.where(sub, np.clip(1.0 / (a + 1.0), 1.0, _CAP), 1.0)
-            lo = np.where(sub, np.exp(-xs[..., 3] / m), np.where(lost, 0.5, 0.0))
-            hi = np.where(sub, 0.5 ** (1.0 / m), 0.5)
-        r = tanhsinh(g, lo, hi, args=(side, m) + args, **tolerances)
-        if sub.any():
-            r.integral = np.where(sub, r.integral + np.sign(fs[..., 3]) * closed, r.integral)
-            r.error = np.where(sub, r.error + np.abs(closed - other), r.error)
-    r.integral[lost], r.status[lost] = np.nan, LOST_END
-    for k in np.flatnonzero(r.status != 0) if name is not None else ():
-        where = f"{name} does not converge where u {('< 1/2', '> 1/2')[k]}"
-        if r.status.flat[k] == LOST_END:
-            end = _LADDER[max(n.flat[k] - 1, 0)]
-            raise NonIntegrableError(
-                f"{where}: it lost its tail, ~{mass.flat[k]:.3g} below t = {end:.3g}, where the "
-                f"integrand, ~t^{a.flat[k]:.4g} or not finite, is beyond t = y^m, m <= 200")
-        raise NonIntegrableError(f"{where} (tanh-sinh status {int(r.status.flat[k])} after "
-                                 f"{int(r.nfev.flat[k])} evaluations)")
+        r = tanhsinh(first, 0.0, 0.5, args=(np.arange(2)[:, None],) + args, **tolerances)
+        sub = probe.get("sub", ())
+        if np.any(sub):  # the halves that fire run again, one row each: f(y^m) m y^(m-1)
+            side, *cols = [c[sub] for c in probe["cols"]]
+            again = tanhsinh(lambda y, k, m, *rest: g(y ** m, k, *rest) * (m * y ** (m - 1.0)),
+                             probe["lo"][sub, None], probe["hi"][sub, None],
+                             args=(side, probe["m"][sub, None], *cols), **tolerances)
+            at = np.flatnonzero(sub)
+            r.integral.flat[at] = again.integral[:, 0] + probe["mass"][sub]
+            r.error.flat[at] = again.error[:, 0] + probe["error"][sub]
+            r.status.flat[at], r.nfev.flat[at] = again.status[:, 0], again.nfev[:, 0]
+    at, r.end = np.flatnonzero(probe.get("lost", ())), probe.get("end")
+    r.integral.flat[at], r.status.flat[at] = np.nan, LOST_END
     return r
 
 
+def _halves_integral(f: Callable, what: str, **tolerances) -> tuple:
+    # (value, error) of _both_halves; a nonzero status raises, headed by ``what``
+    r = _both_halves(f, **tolerances)
+    for k in np.flatnonzero(r.status != 0):
+        end = tuple(float(x.flat[k]) for x in r.end) if r.status.flat[k] == LOST_END else ()
+        raise _refusal(f"{what} does not converge where u {('< 1/2', '> 1/2')[k]}",
+                       int(r.status.flat[k]), int(r.nfev.flat[k]), end)
+    return float(np.sum(r.integral)), float(np.sum(r.error))
+
+
 def _quantile_moment(d: DistributionSpec, f: Callable, what: str) -> float:
-    # integral_0^1 f(q(u, v)) du over both halves, for a law that stores no
-    # such moment; a half that does not converge raises.  The atol lets an
-    # integral of exactly 0 converge
-    r = _both_halves(lambda k, u, v: f(d.quantile(u, v)), name=f"the {what} of {d.label()}",
-                     atol=np.finfo(float).tiny, rtol=1e-13)
-    return float(np.sum(r.integral))
+    # integral_0^1 f(q(u, v)) du over both halves, for a law that stores no such
+    # moment; a half that does not converge raises.  The atol lets 0 converge
+    return _halves_integral(lambda k, u, v: f(d.quantile(u, v)), f"the {what} of {d.label()}",
+                            atol=np.finfo(float).tiny, rtol=1e-13)[0]
 
 
 def dist_mean(d: DistributionSpec) -> float:

@@ -55,8 +55,8 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import psi
 
-from .distributions import CLOSED_BOUND, LOST_END, NEAR_ZERO, DistributionSpec, EmpiricalSample
-from .distributions import _both_halves
+from .distributions import CLOSED_BOUND, NEAR_ZERO, DistributionSpec, EmpiricalSample, _both_halves
+from .distributions import _refusal
 from .errors import DomainError, NonIntegrableError
 
 
@@ -198,30 +198,21 @@ def _j_lower(u: np.ndarray, c: np.ndarray, j0) -> np.ndarray:
     return j0 - np.log(u) - u * _horner(c, u)
 
 
-def _dual_tail(s: float) -> Callable:
-    # J on one order's coefficient tables, built once
-    c, j0, w = _dual_coefficients(np.array([float(s)]))
-
-    def tail(u):
-        arr = np.atleast_1d(np.asarray(u, dtype=float))
-        out = np.empty_like(arr)
-        hi = arr >= 0.5
-        uh = arr[hi]
-        vh = 1.0 - uh
-        # v v^s, not v^(s+1): a rounded s + 1 costs |log v| times its rounding
-        vs = vh * np.power(vh, s, out=np.zeros_like(vh), where=vh != 0.0)
-        out[hi] = vs * (1.0 - uh * vh * _horner(w[:, 0], vh)) / (uh * (s + 1.0))
-        out[~hi] = _j_lower(arr[~hi], c[:, 0], j0[0])
-        return out if np.ndim(u) else float(out[0])
-
-    return tail
-
-
-def dual_tail_integral(u, s: float):
+def dual_tail_integral(u, s: float, tables: tuple = ()):
     """J(u) = integral_u^1 (1-t)^s / t dt, elementwise, to ~1e-15: about u = 0
-    below 1/2, and from G_s's v-series above it, where u (s+1) J(u) =
-    v^(s+1) (1 - u v sum w[k] v^k)."""
-    return _dual_tail(s)(u)
+    below 1/2, and from G_s's v-series above it, where u (s+1) J(u) = v^(s+1)
+    (1 - u v sum w[k] v^k); ``tables`` (``_dual_coefficients``) are reused."""
+    c, j0, w = tables or _dual_coefficients(np.array([float(s)]))
+    arr = np.atleast_1d(np.asarray(u, dtype=float))
+    out = np.empty_like(arr)
+    hi = arr >= 0.5
+    uh = arr[hi]
+    vh = 1.0 - uh
+    # v v^s, not v^(s+1): a rounded s + 1 costs |log v| times its rounding
+    vs = vh * np.power(vh, s, out=np.zeros_like(vh), where=vh != 0.0)
+    out[hi] = vs * (1.0 - uh * vh * _horner(w[:, 0], vh)) / (uh * (s + 1.0))
+    out[~hi] = _j_lower(arr[~hi], c[:, 0], j0[0])
+    return out if np.ndim(u) else float(out[0])
 
 
 def _dual_lower(t, s, c, j0):
@@ -473,11 +464,8 @@ def _entropy_values(d: DistributionSpec, col: _Column) -> list:
             b = float(col.bound[i]) if q else CLOSED_BOUND * max(1.0, abs(v))
             out.append(EntropyValue(v, b, method))
         else:
-            why = ("its end lies beyond the reach of the power substitution: it lost its tail"
-                   if col.status[i] == LOST_END else
-                   f"tanh-sinh status {int(col.status[i])}, {int(col.nfev[i])} evaluations")
-            raise NonIntegrableError(
-                f"quantile-space integral of {d.label()} did not converge ({why})")
+            raise _refusal(f"quantile-space integral of {d.label()} did not converge",
+                           int(col.status[i]), int(col.nfev[i]))
     return out
 
 

@@ -14,15 +14,13 @@ Each distortion is t plus a kernel held as a pair of halves (see
 u sum_{k=1..n} (-log u)^k/k! for the other two.  As the paper presents both
 families as perturbations of the mean residual life, every risk here is one
 quantile-space integral, integral_0^1 q(u) D'(1-u) du against the record's
-q(u, v) and the distortion's derivative, on ``distributions._both_halves``,
-which adds the mass of a heavy end in closed form: ``risk_delta`` and
-``risk_nabla`` under h_s and k_s, ``mrl_representation`` under either, and
-``relevation_risk``, the expected n-th failure time, under H_tilde_{n-1}.
-No risk reads a cdf or sf.  A half that does not converge, or whose end
-lies beyond reach, raises :class:`NonIntegrableError`.  An order where
-``entropy._divergent`` finds the mirrored entropy infinite raises
-:class:`DivergentEntropy` first, and both risks are cross-checked against
-mean + entropy-of-the-mirrored-law.
+q(u, v) and the distortion's derivative, on ``distributions._both_halves``
+(heavy ends included): ``risk_delta`` and ``risk_nabla`` under h_s and k_s,
+``mrl_representation`` under either, ``relevation_risk`` (the expected n-th
+failure time) under H_tilde_{n-1}.  No risk reads a cdf or sf.  A half that
+does not converge raises :class:`NonIntegrableError`; an order where the
+mirrored entropy is infinite raises :class:`DivergentEntropy` first, and
+both risks are cross-checked against mean + the mirrored law's entropy.
 """
 
 from __future__ import annotations
@@ -34,17 +32,19 @@ from typing import Callable
 import numpy as np
 from scipy.special import xlogy
 
-from .distributions import DistributionSpec, _both_halves, affine, dist_mean, from_quantile, negate
+from .distributions import DistributionSpec, affine, dist_mean, from_quantile, negate
+from .distributions import _halves_integral
 from .entropy import (
     _divergent,
+    _dual_coefficients,
     _dual_pair,
-    _dual_tail,
     _g_core,
     _halves,
     _log_pair,
     as_order,
     delta_value,
     dual_kernel,
+    dual_tail_integral,
     nabla_value,
 )
 from .errors import (
@@ -155,13 +155,13 @@ def make_distortion(label: str, s_or_n: float) -> DistortionFunction:
     if label == "k_s":
         as_order(s)
         ev = _distortion(_dual_pair(s))
-        tail = _dual_tail(s)  # its tables built once, not at every call of k'
+        tables = _dual_coefficients(np.array([s]))  # built once, not at every call of k'
 
         def d1(t):
             # k' = k/t - w_s reduces exactly to (s+1) * J(t) with
             # J(t) = integral_t^1 (1-v)^s / v dv: manifestly positive and
             # free of the 1 - 1 cancellation near t = 1
-            return (s + 1.0) * np.asarray(tail(t), dtype=float)
+            return (s + 1.0) * np.asarray(dual_tail_integral(t, s, tables), dtype=float)
 
         def d2(t):
             t = np.asarray(t, dtype=float)
@@ -245,15 +245,13 @@ def coherence_diagnostics(f: DistortionFunction) -> dict:
 # the risk measures
 
 def _distortion_integral(d: DistributionSpec, d1: Callable, name: str) -> tuple:
-    """(value, error) of integral_0^1 q(u) D'(1 - u) du against the record's
-    q(u, v) and D'(v), over both halves; ``name`` heads a refusal.  The error
-    estimate is first trusted at level 3, as Bailey advises: at level 2 it
-    read 7e-14 for the dual family of negated Gumbel at s = 5, where the
-    value was 1.2e-8 off."""
+    """(value, error) of integral_0^1 q(u) D'(1 - u) du against q(u, v) and
+    D'(v), over both halves; ``name`` heads a refusal.  The error estimate is
+    first trusted at level 3, as Bailey advises: at level 2 it read 7e-14 for
+    the dual family of negated Gumbel at s = 5, where the value was 1.2e-8 off."""
     q = d.quantile
-    r = _both_halves(lambda k, u, v: q(u, v) * d1(v), name=name, atol=1e-12, rtol=1e-11,
-                     minlevel=3)
-    return float(np.sum(r.integral)), float(np.sum(r.error))
+    return _halves_integral(lambda k, u, v: q(u, v) * d1(v), name, atol=1e-12, rtol=1e-11,
+                            minlevel=3)
 
 
 def _checked_risk(d: DistributionSpec, sv: float, label: str,

@@ -354,16 +354,30 @@ def test_quantile_route_reports_non_convergence():
 
 def test_fused_quantile_integral_treats_each_order_on_its_own():
     # both halves of every order share one tanh-sinh call; an order that
-    # does not converge leaves the others as their single-order calls.  At
-    # -0.3749 the end is ~ u^-0.9999, beyond the reach of the substitution
-    d = negate(make_frechet(1.6))
-    orders = np.array([-0.3749, -0.3058, 0.5])
+    # does not converge leaves the others as their single-order calls.  Here
+    # q' wobbles by sin(1/u)/2 on 1e-29 < u < 1e-21, between two points of the
+    # probe's ladder, so no substitution fires there: at -0.3058, where the
+    # kernel keeps that band's mass, tanh-sinh runs to its last level, while
+    # 0 and 0.5 converge at once.  At -0.3749 the end is ~ u^-0.9999, beyond
+    # the reach of the substitution
+    base = negate(make_frechet(1.6))
+
+    def qdensity(u, v):
+        with np.errstate(all="ignore"):
+            band = (u > 1e-29) & (u < 1e-21)
+            return base.qdensity(u, v) * (1.0 + np.where(band, 0.5 * np.sin(1.0 / u), 0.0))
+
+    d = replace(base, qdensity=qdensity)
+    orders = np.array([-0.3749, -0.3058, 0.0, 0.5])
     col = entropy._evaluate(d, "delta", orders, "quantile")
     assert math.isnan(col.value[0]) and col.status[0] == LOST_END
-    for k in (1, 2):
+    assert math.isnan(col.value[1]) and col.status[1] == -2
+    for k in (2, 3):
         one = entropy._evaluate(d, "delta", orders[k:k + 1], "quantile")
         got = [float(a[k]) for a in (col.value, col.bound, col.status, col.nfev)]
         assert got == [float(a[0]) for a in (one.value, one.bound, one.status, one.nfev)]
+    with pytest.raises(NonIntegrableError, match="tanh-sinh status -2, 16387 evaluations"):
+        delta_quantile(d, -0.3058)
     with pytest.raises(NonIntegrableError, match="did not converge .*lost its tail"):
         delta_quantile(d, -0.3749)
 
@@ -628,6 +642,20 @@ def test_quantile_route_answers_heavy_ends(d, s, want):
     assert got.value == pytest.approx(want, abs=got.abs_error_bound)
 
 
+@pytest.mark.parametrize("s,exact", [(-0.97, 6.9571606437314548), (-0.98, 8.6058505623586390),
+                                     (-0.99, 12.315322276296189), (-0.999, 39.522700511968377)])
+def test_quantile_route_bounds_the_normal_end(s, exact):
+    # mpmath at 40 digits.  The lower end goes like t^s (-log t)^(-1/2) with
+    # log-log corrections, which the closed end mass fits only in part: at
+    # -0.99 that fit is 1.7e-8 off, and the bound must cover it
+    try:
+        ev = delta_quantile(normal_spec(), s)
+    except NonIntegrableError as exc:
+        assert "lost its tail" in str(exc)
+    else:
+        assert abs(ev.value - exact) <= ev.abs_error_bound
+
+
 @pytest.mark.parametrize("d", [make_lomax(1.05), negate(make_frechet(1.6))],
                          ids=lambda d: d.label())
 def test_entropy_profile_over_a_dense_grid_of_a_heavy_law(d):
@@ -651,3 +679,13 @@ def test_no_substitution_fires_on_the_table_laws(monkeypatch):
         for which in ("delta", "nabla"):
             entropy._quantile_integral(d.qdensity, which, orders)
     assert len(starts) == 36 and not any(np.any(a != 0.0) for a in starts)
+
+
+def test_a_kernel_refused_everywhere_is_no_lost_end():
+    # the dual kernel is NaN at these orders, at every probe point: tanh-sinh
+    # reports the non-finite integrand (status -3) after its first call, as
+    # it did before the probe, and no end is fitted
+    col = entropy._evaluate(make_exponential(), "nabla", np.array([33.0, 40.0]), "quantile")
+    assert col.status.tolist() == [-3, -3] and col.nfev.tolist() == [1, 1]
+    with pytest.raises(NonIntegrableError, match="tanh-sinh status -3, 1 evaluations"):
+        nabla_quadrature(make_exponential(), 40.0)

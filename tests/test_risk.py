@@ -378,7 +378,9 @@ def test_risk_of_shifted_laws_matches_mean_plus_mirror(base, scale, shift):
 
 
 def test_risk_refuses_a_tail_lost_to_underflow():
-    # sf underflows near x = 745 while h_s(sf) ~ sf^(1+s) is still of order one
+    # in quantile space the upper half's integrand q(v) h_s'(v) goes like
+    # 1e-6 v^-0.999999 (-log v): a mass of about 1e6 below v = 1e-300, beyond
+    # the reach of t = y^m with m <= 200
     with pytest.raises(NonIntegrableError, match="lost its tail"):
         risk_delta(make_exponential(), -0.999999)
 
@@ -494,15 +496,44 @@ def test_relevation_risk_of_a_comonotone_mixture(n, want):
     assert r.value == pytest.approx(want, abs=r.abs_error_bound)
 
 
+def _mp_s_logistic_risk(shape: float, beta: float, s: float, family: str) -> float:
+    # integral_0^1 q(u) D'(1 - u) du in mpmath at 30 digits, each half on its
+    # own, its end under t = w^20, which leaves the integrand bounded: D'(v)
+    # is (s+1)(1 - v^s)/s for h_s; for k_s it is (s+1) J(v), u^(s+1)
+    # 2F1(s+1, 1; s+2; u) for u <= 1/2 and, above, -log v - psi(s+1) - gamma
+    # + s v 3F2(1-s, 1, 1; 2, 2; v) times s+1
+    with mp.workdps(30):
+        sh, b, s = mp.mpf(shape), mp.mpf(beta), mp.mpf(s)
+
+        def integrand(u, v):
+            base = v ** sh - u ** sh
+            q = mp.sign(base) * abs(base) ** (1 / b)
+            if family == "delta":
+                return q * -(s + 1) * mp.expm1(s * mp.log(v)) / s
+            if u <= v:
+                return q * u ** (s + 1) * mp.hyp2f1(s + 1, 1, s + 2, u)
+            return q * (s + 1) * (-mp.log(v) - mp.digamma(s + 1) - mp.euler
+                                  + s * v * mp.hyp3f2(1 - s, 1, 1, 2, 2, v))
+
+        def half(side):
+            def f(w):
+                t = w ** 20
+                return integrand(*((t, 1 - t) if side == 0 else (1 - t, t))) * 20 * w ** 19
+            return mp.quad(f, [0, mp.mpf(0.5) ** (mp.mpf(1) / 20)])
+
+        return float(half(0) + half(1))
+
+
 @pytest.mark.parametrize("shape, s", [((-0.4, 0.6), 0.5), ((-0.45, 0.5), 2.0),
                                       ((-0.3, 0.35), -0.02)])
 def test_heavy_s_logistic_risk_passes_its_oracle(shape, s):
     # its sf, 1 - a bisection cdf, has no upper tail past ~1e10, and the
-    # x-space risk refused these; the quantile form reads q(u, v)
+    # x-space risk refused these; the quantile form reads q(u, v), passes the
+    # check against mean + the mirrored entropy, and meets mpmath
     d = make_s_logistic(*shape)
-    for risk, mirrored in ((risk_delta, delta_value), (risk_nabla, nabla_value)):
+    for risk, family in ((risk_delta, "delta"), (risk_nabla, "nabla")):
         r = risk(d, s)
-        assert r.value == pytest.approx(dist_mean(d) + mirrored(negate(d), s).value,
+        assert r.value == pytest.approx(_mp_s_logistic_risk(*shape, s, family),
                                         abs=r.abs_error_bound)
 
 
