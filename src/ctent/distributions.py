@@ -37,7 +37,7 @@ from scipy.special import betaln, gammaincc, gammaln, ndtr, ndtri, poch, zeta
 from scipy.special import psi as digamma
 
 from .errors import DivergentEntropy, DomainError, NonIntegrableError
-from .series import pochhammer_ratio_tail, sign_fix_index
+from .series import coefficient_density, pochhammer_ratio_tail, sign_fix_index
 from .specfun import EULER_GAMMA, lgamma
 
 NEAR_ZERO = 1e-4  # |s| below this switches closed forms to their limit branch
@@ -262,23 +262,25 @@ def _nabla_negative_exponential(s):
     return digamma(s + 2.0) + EULER_GAMMA
 
 
-_SERIES_HEAD = 20000
-# orders summed together, so that one (orders x head) temporary is 2 MiB
+_SERIES_HEAD = 1000
+# orders summed together, so that one (orders x head) temporary is at most 2 MiB
 _SERIES_ROWS = max(1, (1 << 18) // _SERIES_HEAD)
 
 
 def _dual_series(s: np.ndarray, g: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """1 + sum_{n>=1} (-s)_n/(n+1)! g(n) for each order of s, summed exactly
-    to a large head and completed with a tail integral of the continuous
-    coefficient function.
+    """1 + sum_{n>=1} (-s)_n/(n+1)! g(n) for each order of s: a head of
+    N = ``_SERIES_HEAD`` terms, then the tail integral of the coefficient
+    density f (``series.coefficient_density``) from x0 = N + 1/2 with its
+    Euler-Maclaurin corrections f'(x0)/24 - 7 f'''(x0)/5760, whose derivatives
+    are central differences at x0 +- h, x0 +- 2h, h = x0/20.
 
-    The head is formed in blocks of orders.  Its alternating terms, those
-    below ``sign_fix_index(s)``, are summed by ``math.fsum``; the rest keep
-    one sign.  For large s the head alternates with terms as large as
-    ~C(s, s/2), each carrying a rounding error of a few eps of its
-    magnitude; an order where that exceeds the closed-form bound, or whose
-    head overflows, is refused before its tail is formed: it is NaN in an
-    array, and a single order raises :class:`NonIntegrableError`.
+    The head's alternating terms, those below ``sign_fix_index(s)``, are
+    summed by ``math.fsum``; the rest keep one sign.  For large s they reach
+    ~C(s, s/2), each carrying a rounding error of a few eps of its magnitude;
+    an order where that exceeds the closed-form bound, or whose head
+    overflows, is refused before its tail is formed: it is NaN in an array,
+    and a single order raises :class:`NonIntegrableError`.  That rule refuses
+    every order whose terms still alternate past N: the head is never extended.
     """
     orders = np.atleast_1d(s)
     # integer orders s >= 0 terminate: their head is the whole series
@@ -289,11 +291,7 @@ def _dual_series(s: np.ndarray, g: Callable[[np.ndarray], np.ndarray]) -> np.nda
     gn = g(n)
     for lo in range(0, orders.size, _SERIES_ROWS):
         blk = orders[lo:lo + _SERIES_ROWS]
-        width = _SERIES_HEAD
-        if terminating[lo:lo + _SERIES_ROWS].all():
-            width = min(int(blk.max()), _SERIES_HEAD)
-        terms = np.cumprod((n[:width] - 1.0 - blk[:, None]) / (n[:width] + 1.0), axis=1)
-        terms *= gn[:width]
+        terms = np.cumprod((n - 1.0 - blk[:, None]) / (n + 1.0), axis=1) * gn
         size[lo:lo + blk.size] = 1.0 + np.sum(np.abs(terms), axis=1)
         for i, (row, order) in enumerate(zip(terms, blk.tolist()), start=lo):
             k = sign_fix_index(order) - 1  # an overflowing head is refused below
@@ -306,7 +304,11 @@ def _dual_series(s: np.ndarray, g: Callable[[np.ndarray], np.ndarray]) -> np.nda
             f"of total size {size[0]:.3g}: its rounding exceeds the closed-form bound")
     tailed = ~refused & ~terminating
     if tailed.any():
-        total[tailed] += pochhammer_ratio_tail(orders[tailed], _SERIES_HEAD, g)
+        o, x0, h = orders[tailed], _SERIES_HEAD + 0.5, 0.05 * (_SERIES_HEAD + 0.5)
+        f = coefficient_density(x0 + h * np.array([[-2.0], [-1.0], [1.0], [2.0]]), o, g)
+        d1 = (8.0 * (f[2] - f[1]) - (f[3] - f[0])) / (12.0 * h)
+        d3 = (f[3] - 2.0 * f[2] + 2.0 * f[1] - f[0]) / (2.0 * h ** 3)
+        total[tailed] += pochhammer_ratio_tail(o, _SERIES_HEAD, g) + d1 / 24.0 - 7.0 * d3 / 5760.0
     total[refused] = np.nan
     return total.reshape(np.shape(s))
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from numbers import Real
 
 import numpy as np
 
@@ -60,10 +60,17 @@ class SeriesTransform:
     @classmethod
     def build(cls, s: float, truncation_n: int) -> "SeriesTransform":
         s = as_order(s).s
-        c = (1.0 + s) * pochhammer_ratio_coeffs(s, truncation_n)
+        c = (1.0 + s) * pochhammer_ratio_coeffs(s, _count(truncation_n, 0, "truncation_n"))
         # sum_n c_n = 1: the unaccounted mass bounds the coefficient tail
         tail = abs(1.0 - float(np.sum(c)))
         return cls(s, c, truncation_n, tail)
+
+
+def _count(n, least: int, what: str) -> int:
+    """n as an int; :class:`DomainError` unless n is an integer >= least."""
+    if not (isinstance(n, Real) and math.isfinite(n) and n >= least and n == int(n)):
+        raise DomainError(f"{what} must be an integer >= {least}, got {n!r}")
+    return int(n)
 
 
 def duality_coefficient(s: float, n: int) -> float:
@@ -130,8 +137,9 @@ def _signed_series(s: float, values, tol: float, monotone_bound: bool):
         stop = np.flatnonzero((n >= fix) & (tail < tol))
         if stop.size:
             k = int(stop[0])
-            blocks.append(terms[:k + 1])
-            total = math.fsum(chain.from_iterable(b.tolist() for b in blocks))
+            # fsum the alternating head, n < fix; the rest keeps one sign
+            terms = np.concatenate([*blocks, terms[:k + 1]])
+            total = math.fsum([*terms[:fix].tolist(), float(np.sum(terms[fix:]))])
             return total, float(tail[k]), n0 + k
         blocks.append(terms)
         c = float(coef[-1] * ratio[-1])
@@ -179,9 +187,7 @@ def bnb_pmf(s: float, n: int) -> float:
     binomial law mixing a geometric through Beta(-s, 1+s)."""
     if not (-1.0 < s < 0.0):
         raise DomainError(f"the randomisation pmf requires s in (-1, 0), got {s}")
-    if n < 0 or n != int(n):
-        raise DomainError(f"pmf index must be a nonnegative integer, got {n}")
-    return duality_coefficient(s, int(n))
+    return duality_coefficient(s, _count(n, 0, "pmf index"))
 
 
 def bnb_partial_sum(s: float, n_terms: int) -> tuple:
@@ -192,7 +198,7 @@ def bnb_partial_sum(s: float, n_terms: int) -> tuple:
     midpoint rule, accurate to O(n_terms^{-(3+s)})."""
     if not (-1.0 < s < 0.0):
         raise DomainError(f"requires s in (-1, 0), got {s}")
-    c = (1.0 + s) * pochhammer_ratio_coeffs(s, n_terms - 1)
+    c = (1.0 + s) * pochhammer_ratio_coeffs(s, _count(n_terms, 1, "n_terms") - 1)
     partial = float(np.sum(c))
     p = 2.0 + s
     n0 = n_terms - 0.5  # midpoint rule for sum_{n >= n_terms}

@@ -493,19 +493,22 @@ def nabla_quadrature(d: DistributionSpec, s) -> EntropyValue:
 # the order-statistic weights sit at i/n so the s=1 case reproduces the
 # exact step integral of F(1-F))
 
-def _plugin(x: EmpiricalSample, s, kernel: Callable) -> EntropyValue:
-    val = float(kernel(np.arange(1, x.n) / x.n, as_order(s).s) @ np.diff(x.values))
+def _plugin(x: EmpiricalSample, s, pair: Callable) -> EntropyValue:
+    # i/n is sorted: pair(s)'s halves take its two slices, with _halves' bits
+    s, u = as_order(s).s, np.arange(1, x.n) / x.n
+    (lower, upper), h = pair(s), int(np.searchsorted(u, 0.5))
+    val = float(np.concatenate((lower(u[:h]), upper(1.0 - u[h:]))) @ np.diff(x.values))
     if not math.isfinite(val):  # the dual kernel refuses the order
-        raise NonIntegrableError(f"the plug-in estimate at s={as_order(s).s:g} gives {val}")
+        raise NonIntegrableError(f"the plug-in estimate at s={s:g} gives {val}")
     return EntropyValue(max(val, 0.0), 1e-13 * math.sqrt(x.n) * max(1.0, abs(val)), "plugin")
 
 
 def delta_plugin(x: EmpiricalSample, s) -> EntropyValue:
-    return _plugin(x, s, g_kernel_np)
+    return _plugin(x, s, lambda s: _log_pair(_g_core, s))
 
 
 def nabla_plugin(x: EmpiricalSample, s) -> EntropyValue:
-    return _plugin(x, s, dual_kernel_np)
+    return _plugin(x, s, _dual_pair)
 
 
 # ---------------------------------------------------------------------------

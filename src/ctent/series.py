@@ -1,13 +1,13 @@
 """Internal helpers for the Pochhammer-ratio series used throughout.
 
 The coefficient family is a_n = (-s)_n / (n+1)!, n >= 0, which decays like
-n^{-(2+s)} / Gamma(-s).  Slowly convergent head-sums are completed with a
-midpoint-rule tail integral of the continuous coefficient function
-Gamma(x-s) / (Gamma(-s) Gamma(x+2)); the midpoint correction error is
-O(f'(N)) ~ f(N)/N, far below the tolerances used here.  The tail integral
-is vectorised over orders: one tanh-sinh rule in y = (N + 1/2)/x integrates
-every order of an array at once, and an order whose integral does not
-converge raises :class:`NonIntegrableError`.
+n^{-(2+s)} / Gamma(-s).  A head-sum over n <= N is completed by the integral
+from x0 = N + 1/2 of the coefficient density f (:func:`coefficient_density`):
+the tail sum is that midpoint-rule integral plus the Euler-Maclaurin terms
+f'(x0)/24 - 7 f'''(x0)/5760 + ..., which a caller adds for more digits.  The
+integral is vectorised over orders: one tanh-sinh rule in y = x0/x integrates
+every order at once, and an order whose integral does not converge raises
+:class:`NonIntegrableError`.
 """
 
 from __future__ import annotations
@@ -49,6 +49,12 @@ def sign_fix_index(s: float) -> int:
     return max(1, int(math.ceil(max(s, 0.0))) + 1)
 
 
+def coefficient_density(x, s, g: Callable[[np.ndarray], np.ndarray] | None = None):
+    """f(x) = Gamma(x-s)/(Gamma(-s) Gamma(x+2)) g(x) elementwise; g defaults to 1."""
+    f = poch(x + 2.0, -s - 2.0) * rgamma(-s)
+    return f if g is None else f * g(x)
+
+
 def pochhammer_ratio_tail(s, n_from: int,
                           g: Callable[[np.ndarray], np.ndarray] | None = None):
     """Approximate sum_{n > n_from} (-s)_n/(n+1)! * g(n) by a tail integral,
@@ -62,12 +68,10 @@ def pochhammer_ratio_tail(s, n_from: int,
     x0 = n_from + 0.5
 
     def integrand(y, s):
-        # integral_{x0}^inf Gamma(x-s)/(Gamma(-s) Gamma(x+2)) g(x) dx with
-        # x = x0/y, dx = x^2/x0 dy; the factors are applied in an order that
-        # does not overflow as y -> 0
+        # integral_{x0}^inf f(x) dx with x = x0/y, dx = x^2/x0 dy; the factors
+        # are applied in an order that does not overflow as y -> 0
         x = x0 / np.maximum(y, _Y_FLOOR)
-        f = poch(x + 2.0, -s - 2.0) * x * (x / x0) * rgamma(-s)
-        return f if g is None else f * g(x)
+        return coefficient_density(x, s, g) * x * (x / x0)
 
     with np.errstate(all="ignore"):
         r = tanhsinh(integrand, 0.0, 1.0, args=(orders,), atol=1e-15, rtol=1e-12)

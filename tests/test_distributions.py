@@ -11,7 +11,7 @@ import scipy.integrate
 from scipy.integrate import quad
 from scipy.special import ndtri
 
-from conftest import catalog_members, finite_order
+from conftest import TABLE_ORDERS, catalog_members, finite_order
 import ctent
 from ctent import (
     DivergentEntropy,
@@ -41,6 +41,7 @@ from ctent import (
 )
 from ctent.distributions import _REGISTRY, dist_mean, dist_std
 from ctent.risk import _quantile_mixture
+from ctent.series import pochhammer_ratio_tail, sign_fix_index
 
 PI2_6 = math.pi ** 2 / 6.0
 _EPS = 2.0 ** -52
@@ -454,11 +455,46 @@ def test_closed_delta_near_zero_branch_meets_bound(d, oracle):
 def test_dual_series_refuses_cancelled_orders():
     # the Gumbel value is the duality series summed in mpmath
     assert make_gumbel().closed_nabla(10.5) == pytest.approx(1.9047191070356115, rel=1e-10)
+    # 25.5 is past the last order the bound accepts; 999.5 to 2000.5 sit
+    # around the 1 000-term head, which is never extended
     for d in (make_gumbel(), make_frechet(1.6), make_reverse_weibull(2.5)):
-        with pytest.raises(NonIntegrableError):
-            d.closed_nabla(30.5)
-        with pytest.raises(NonIntegrableError):
-            d.closed_nabla(180.5)
+        for s in (25.5, 30.5, 180.5, 999.5, 1000.5, 2000.5):
+            with pytest.raises(NonIntegrableError):
+                d.closed_nabla(s)
+
+
+def _dual_reference(d, orders):
+    # (s+1) c (1 + sum_n (-s)_n/(n+1)! g(n)) with a 200 000-term head and
+    # the bare tail integral, whose midpoint error is ~1e-15 relative there
+    beta = d.params.get("beta")
+    if d.name == "gumbel":
+        c, g = 1.0, lambda n: np.log1p(n) / n
+    elif d.name == "frechet":
+        c, g = math.gamma(1 - 1 / beta) / beta, lambda n: beta * np.expm1(np.log1p(n) / beta) / n
+    else:
+        c, g = math.gamma(1 + 1 / beta) / beta, lambda n: -beta * np.expm1(-np.log1p(n) / beta) / n
+    n = np.arange(1, 200_001, dtype=float)
+    gn = g(n)
+    heads = []
+    for s in orders:
+        terms = np.cumprod((n - 1.0 - s) / (n + 1.0)) * gn
+        k = sign_fix_index(s) - 1
+        heads.append(math.fsum([1.0, *terms[:k].tolist(), float(np.sum(terms[k:]))]))
+    tails = pochhammer_ratio_tail(orders, 200_000, g)
+    return (orders + 1.0) * c * (np.array(heads) + tails)  # an integer order's tail is 0
+
+
+@pytest.mark.parametrize("d", [make_gumbel(), make_frechet(1.6), make_frechet(3.0),
+                               make_reverse_weibull(0.8), make_reverse_weibull(2.5)],
+                         ids=lambda d: d.label())
+def test_dual_series_meets_a_long_head(d):
+    # the 1 000-term head with the tail's Euler-Maclaurin corrections
+    bench = np.concatenate([np.linspace(-0.49, 5.0, 150), TABLE_ORDERS])
+    low = np.linspace(-0.99, -0.5, 50)
+    for grid, rel in ((bench, 1e-12), (low, 1e-11)):
+        want = _dual_reference(d, grid)
+        got = d.closed_nabla(grid)
+        assert np.all(np.abs(got - want) <= rel * np.abs(want)), grid[np.argmax(np.abs(got / want - 1))]
 
 
 # near-zero orders (|s| < 1e-4), integer orders and a spread of others

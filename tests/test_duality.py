@@ -48,6 +48,20 @@ def test_series_transform_invariants():
         1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: bnb_partial_sum(-0.5, 0),
+    lambda: bnb_partial_sum(-0.5, 10.5),
+    lambda: bnb_partial_sum(-0.5, math.inf),
+    lambda: SeriesTransform.build(-0.5, -1),
+    lambda: SeriesTransform.build(-0.5, 2.5),
+    lambda: bnb_pmf(-0.5, math.nan),
+])
+def test_term_counts_are_checked(call):
+    # each was a bare ValueError or TypeError from the coefficient array
+    with pytest.raises(DomainError, match="must be an integer"):
+        call()
+
+
 def test_nabla_from_delta_examples():
     got = nabla_from_delta_series(make_exponential(), 0.5, tol=1e-9)
     assert got.value == pytest.approx(1.5 * psi1(2.5), abs=5e-9)

@@ -261,6 +261,17 @@ def test_plugin_values_pinned():
         assert nabla_plugin(x, s).value == pytest.approx(n, rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("n", [2, 3, 1000, 1001])
+@pytest.mark.parametrize("s", [-0.3, 0.0, 0.5, 2.0])
+def test_plugin_weights_are_the_public_kernels_bit_for_bit(n, s):
+    # the plug-ins fill the two halves of the sorted grid i/n directly; the
+    # public kernels mask, gather and scatter it
+    x = EmpiricalSample(np.random.default_rng(n).standard_exponential(n))
+    grid, diff = np.arange(1, n) / n, np.diff(x.values)
+    assert delta_plugin(x, s).value == max(float(g_kernel_np(grid, s) @ diff), 0.0)
+    assert nabla_plugin(x, s).value == max(float(dual_kernel_np(grid, s) @ diff), 0.0)
+
+
 def test_plugin_consistency_experiment():
     d = make_exponential()
     est = delta_plugin(sample(d, 10 ** 5, 123), 0.0).value
