@@ -233,7 +233,7 @@ def _cmd_gammagap(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    d = _resolve_dist(args)
+    d = None if args.mode == "ns" else _resolve_dist(args)  # ns draws no law
     n = args.trials
     if args.mode == "ys":
         r = relevation.simulate_Ys(d, args.s if args.s is not None else 1.0,

@@ -6,9 +6,12 @@ moments and, where they exist, closed forms for the cumulative Tsallis
 entropy ``delta(s)`` and its dual ``nabla(s)``.  The catalog covers the
 analytic families with known closed forms: powers of a uniform, the
 exponential pair, the Lomax pair, Frechet, reverse Weibull, Gumbel and
-logistic, plus the standard normal (no closed forms).  ``affine`` and
-``negate`` produce derived specs; ``negate`` carries closed forms across
-whenever the mirrored law is itself (a translate of) a catalog member.
+logistic, plus the standard normal (no closed forms).  Frechet and reverse
+Weibull are one maker, ``_extreme``: as the powers sign W^(-sign/beta) of a
+unit exponential W, sign +1 and -1, they share their cdf, quantile density,
+moments and closed forms.  ``affine`` and ``negate`` produce derived specs;
+``negate`` carries closed forms across whenever the mirrored law is itself
+(a translate of) a catalog member.
 
 A catalog law states one log-probability t(x), its log-cdf or log-survival,
 and :func:`_cdf_sf` forms exp(t) on that side and -expm1(t) on the other, so
@@ -38,7 +41,7 @@ from scipy.special import psi as digamma
 
 from .errors import DivergentEntropy, DomainError, NonIntegrableError
 from .series import coefficient_density, pochhammer_ratio_tail, sign_fix_index
-from .specfun import EULER_GAMMA, lgamma
+from .specfun import EULER_GAMMA, _count, _real, lgamma
 
 NEAR_ZERO = 1e-4  # |s| below this switches closed forms to their limit branch
 # relative accuracy the closed forms promise: 1e-10 * max(1, |value|)
@@ -128,13 +131,6 @@ class EmpiricalSample:
 
 # ---------------------------------------------------------------------------
 # closed forms (shared between a member and its mirrored partner)
-
-def _check_beta(beta: float, low: float) -> float:
-    beta = float(beta)
-    if not (beta > low and math.isfinite(beta)):
-        raise DomainError(f"beta must be finite and exceed {low}, got {beta}")
-    return beta
-
 
 def _over_orders(f):
     """Let a closed form written over a numpy array of orders (its last
@@ -267,6 +263,18 @@ _SERIES_HEAD = 1000
 _SERIES_ROWS = max(1, (1 << 18) // _SERIES_HEAD)
 
 
+def _tails(orders: np.ndarray, g: Callable) -> np.ndarray:
+    # pochhammer_ratio_tail over the orders, NaN at an order whose integral
+    # does not converge: a refused call is split in halves
+    try:
+        return pochhammer_ratio_tail(orders, _SERIES_HEAD, g)
+    except NonIntegrableError:
+        if orders.size == 1:
+            return np.array([math.nan])
+        h = orders.size // 2
+        return np.concatenate([_tails(orders[:h], g), _tails(orders[h:], g)])
+
+
 def _dual_series(s: np.ndarray, g: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """1 + sum_{n>=1} (-s)_n/(n+1)! g(n) for each order of s: a head of
     N = ``_SERIES_HEAD`` terms, then the tail integral of the coefficient
@@ -278,9 +286,10 @@ def _dual_series(s: np.ndarray, g: Callable[[np.ndarray], np.ndarray]) -> np.nda
     summed by ``math.fsum``; the rest keep one sign.  For large s they reach
     ~C(s, s/2), each carrying a rounding error of a few eps of its magnitude;
     an order where that exceeds the closed-form bound, or whose head
-    overflows, is refused before its tail is formed: it is NaN in an array,
-    and a single order raises :class:`NonIntegrableError`.  That rule refuses
-    every order whose terms still alternate past N: the head is never extended.
+    overflows, is refused before its tail is formed, and so is an order whose
+    tail integral does not converge: it is NaN in an array, and a single order
+    raises :class:`NonIntegrableError`.  That rule refuses every order whose
+    terms still alternate past N: the head is never extended.
     """
     orders = np.atleast_1d(s)
     # integer orders s >= 0 terminate: their head is the whole series
@@ -308,34 +317,23 @@ def _dual_series(s: np.ndarray, g: Callable[[np.ndarray], np.ndarray]) -> np.nda
         f = coefficient_density(x0 + h * np.array([[-2.0], [-1.0], [1.0], [2.0]]), o, g)
         d1 = (8.0 * (f[2] - f[1]) - (f[3] - f[0])) / (12.0 * h)
         d3 = (f[3] - 2.0 * f[2] + 2.0 * f[1] - f[0]) / (2.0 * h ** 3)
-        total[tailed] += pochhammer_ratio_tail(o, _SERIES_HEAD, g) + d1 / 24.0 - 7.0 * d3 / 5760.0
+        tail = pochhammer_ratio_tail(o, _SERIES_HEAD, g) if np.ndim(s) == 0 else _tails(o, g)
+        total[tailed] += tail + d1 / 24.0 - 7.0 * d3 / 5760.0
     total[refused] = np.nan
     return total.reshape(np.shape(s))
 
 
 @_over_orders
-def _delta_frechet(beta: float, s):
-    g = math.exp(lgamma(1.0 - 1.0 / beta))
-    return np.where(s == 0.0, g / beta, g * np.expm1(np.log1p(s) / beta) / s)
+def _delta_extreme(beta: float, sign: float, s):
+    # X = sign W^(-sign/beta), W a unit exponential: Frechet (+1), reverse Weibull (-1)
+    g = np.exp(lgamma(1.0 - sign / beta))  # inf where Gamma overflows
+    return np.where(s == 0.0, g / beta, sign * g * np.expm1(sign * np.log1p(s) / beta) / s)
 
 
 @_over_orders
-def _nabla_frechet(beta: float, s):
-    g = math.exp(lgamma(1.0 - 1.0 / beta))
-    series = _dual_series(s, lambda n: beta * np.expm1(np.log1p(n) / beta) / n)
-    return (s + 1.0) * g / beta * series
-
-
-@_over_orders
-def _delta_reverse_weibull(beta: float, s):
-    g = np.exp(lgamma(1.0 + 1.0 / beta))  # inf where Gamma overflows
-    return np.where(s == 0.0, g / beta, -g * np.expm1(-np.log1p(s) / beta) / s)
-
-
-@_over_orders
-def _nabla_reverse_weibull(beta: float, s):
-    g = np.exp(lgamma(1.0 + 1.0 / beta))  # inf where Gamma overflows
-    series = _dual_series(s, lambda n: -beta * np.expm1(-np.log1p(n) / beta) / n)
+def _nabla_extreme(beta: float, sign: float, s):
+    g = np.exp(lgamma(1.0 - sign / beta))  # inf where Gamma overflows
+    series = _dual_series(s, lambda n: sign * beta * np.expm1(sign * np.log1p(n) / beta) / n)
     return (s + 1.0) * g / beta * series
 
 
@@ -426,7 +424,7 @@ _BELOW_ONE = 1.0 - 2.0 ** -53  # the largest float below 1: log1p(-x) stays fini
 
 def make_power_uniform(beta: float) -> DistributionSpec:
     """Law of U^(1/beta) on (0,1): cdf x^beta."""
-    b = _check_beta(beta, 0.0)
+    b = _real(beta, 0.0, "beta")
     cdf, sf = _cdf_sf((0.0, 1.0), log_cdf=lambda x: b * np.log(np.clip(x, 1e-300, 1.0)))
     return DistributionSpec(
         name="power_uniform", params={"beta": b},
@@ -443,7 +441,7 @@ def make_power_uniform(beta: float) -> DistributionSpec:
 
 def make_reflected_power(beta: float) -> DistributionSpec:
     """Law of 1 - U^(1/beta) on (0,1): cdf 1-(1-x)^beta."""
-    b = _check_beta(beta, 0.0)
+    b = _real(beta, 0.0, "beta")
     cdf, sf = _cdf_sf((0.0, 1.0), log_sf=lambda x: b * np.log1p(-np.clip(x, 0.0, _BELOW_ONE)))
     return DistributionSpec(
         name="reflected_power", params={"beta": b},
@@ -476,7 +474,7 @@ def make_exponential() -> DistributionSpec:
 
 def make_lomax(beta: float) -> DistributionSpec:
     """Lomax (Pareto II) on (0, inf): cdf 1-(1+x)^(-beta), beta > 1."""
-    b = _check_beta(beta, 1.0)
+    b = _real(beta, 1.0, "beta")
     cdf, sf = _cdf_sf((0.0, math.inf), log_sf=lambda x: -b * np.log1p(np.maximum(x, 0.0)))
     return DistributionSpec(
         name="lomax", params={"beta": b},
@@ -497,7 +495,7 @@ def make_negative_lomax(beta: float) -> DistributionSpec:
 
     The entropy delta(s) is infinite at or below s = 1/beta - 1.
     """
-    b = _check_beta(beta, 1.0)
+    b = _real(beta, 1.0, "beta")
     # negate's support would end at -0.0
     return replace(negate(make_lomax(b)), name="negative_lomax", support=(-math.inf, 0.0),
                    quantile=lambda u, v=None: -np.expm1(
@@ -511,54 +509,45 @@ def make_negative_exponential() -> DistributionSpec:
                    quantile=lambda u, v=None: np.log(u) if v is None else -_neg_log(u, v))
 
 
-def make_frechet(beta: float) -> DistributionSpec:
-    """Frechet on (0, inf): cdf exp(-x^(-beta)), beta > 1 for a finite mean."""
-    b = _check_beta(beta, 1.0)
+def _extreme(name: str, b: float, sign: float) -> DistributionSpec:
+    """The law of X = sign W^(-sign/b), W = -log U a unit exponential: cdf
+    exp(-(sign x)^(-sign b)) where sign x > 0.  Frechet is sign +1, on (0, inf),
+    reverse Weibull sign -1, on (-inf, 0).  Gumbel, -log W, is their limit as
+    1/b -> 0 after centring and scaling, and has a maker of its own."""
 
     def log_cdf(x):
         with np.errstate(over="ignore", divide="ignore"):
-            return -np.power(np.maximum(x, 0.0), -b)
+            return -np.power(np.maximum(sign * x, 0.0), -sign * b)
 
-    cdf, sf = _cdf_sf((0.0, math.inf), log_cdf=log_cdf)
-    mean = math.exp(lgamma(1.0 - 1.0 / b))
-    var = math.exp(lgamma(1.0 - 2.0 / b)) - mean ** 2 if b > 2.0 else math.inf
+    support = (0.0, math.inf) if sign > 0.0 else (-math.inf, 0.0)
+    cdf, sf = _cdf_sf(support, log_cdf=log_cdf)
+    # the quantile's last step stays per law: a NaN keeps its sign bit
+    last = (lambda y: np.exp(-y / b)) if sign > 0.0 else (lambda y: -np.exp(y / b))
+    lg, var_arg = lgamma(1.0 - sign / b), 1.0 - 2.0 * sign / b
+    with np.errstate(over="ignore"):  # an overflowing moment is infinite
+        g = float(np.exp(lg))
+        var = (float(g * g * np.expm1(lgamma(var_arg) - 2.0 * lg))
+               if var_arg > 0.0 and g < math.inf else math.inf)
     return DistributionSpec(
-        name="frechet", params={"beta": b},
-        cdf=cdf, sf=sf,
-        quantile=lambda u, v=None: np.exp(-np.log(-np.log(u) if v is None else _neg_log(u, v)) / b),
-        support=(0.0, math.inf),
-        qdensity=lambda u, v: np.power(_neg_log(u, v), -1.0 / b - 1.0) / (b * u),
-        mean=mean, variance=var,
-        closed_delta=lambda s: _delta_frechet(b, s),
-        closed_nabla=lambda s: _nabla_frechet(b, s),
-        neg_finiteness_threshold=1.0 / b - 1.0,
+        name=name, params={"beta": b},
+        cdf=cdf, sf=sf, support=support,
+        quantile=lambda u, v=None: last(np.log(-np.log(u) if v is None else _neg_log(u, v))),
+        qdensity=lambda u, v: np.power(_neg_log(u, v), -sign / b - 1.0) / (b * u),
+        mean=sign * g, variance=var,
+        closed_delta=lambda s: _delta_extreme(b, sign, s),
+        closed_nabla=lambda s: _nabla_extreme(b, sign, s),
+        neg_finiteness_threshold=1.0 / b - 1.0 if sign > 0.0 else None,
     )
+
+
+def make_frechet(beta: float) -> DistributionSpec:
+    """Frechet on (0, inf): cdf exp(-x^(-beta)), beta > 1 for a finite mean."""
+    return _extreme("frechet", _real(beta, 1.0, "beta"), 1.0)
 
 
 def make_reverse_weibull(beta: float) -> DistributionSpec:
     """Reverse Weibull on (-inf, 0): cdf exp(-(-x)^beta), beta > 0."""
-    b = _check_beta(beta, 0.0)
-
-    def log_cdf(x):
-        with np.errstate(over="ignore"):
-            return -np.power(np.maximum(-x, 0.0), b)
-
-    cdf, sf = _cdf_sf((-math.inf, 0.0), log_cdf=log_cdf)
-    lg = lgamma(1.0 + 1.0 / b)
-    with np.errstate(over="ignore"):  # an overflowing moment is infinite
-        g = float(np.exp(lg))
-        var = float(g * g * np.expm1(lgamma(1.0 + 2.0 / b) - 2.0 * lg)) if g < math.inf else g
-    mean = -g
-    return DistributionSpec(
-        name="reverse_weibull", params={"beta": b},
-        cdf=cdf, sf=sf,
-        quantile=lambda u, v=None: -np.exp(np.log(-np.log(u) if v is None else _neg_log(u, v)) / b),
-        support=(-math.inf, 0.0),
-        qdensity=lambda u, v: np.power(_neg_log(u, v), 1.0 / b - 1.0) / (b * u),
-        mean=mean, variance=var,
-        closed_delta=lambda s: _delta_reverse_weibull(b, s),
-        closed_nabla=lambda s: _nabla_reverse_weibull(b, s),
-    )
+    return _extreme("reverse_weibull", _real(beta, 0.0, "beta"), -1.0)
 
 
 def make_gumbel() -> DistributionSpec:
@@ -629,12 +618,9 @@ def normal_spec() -> DistributionSpec:
 
 def make_uniform(a: float = 0.0, length: float = 1.0) -> DistributionSpec:
     """Uniform on (a, a+length)."""
-    if not math.isfinite(a):
-        raise DomainError(f"uniform a must be finite, got {a}")
-    if not (length > 0.0 and math.isfinite(length)):
-        raise DomainError(f"uniform length must be finite and positive, got {length}")
-    d = affine(make_power_uniform(1.0), float(length), float(a))
-    return replace(d, name="uniform", params={"a": float(a), "length": float(length)})
+    a, length = _real(a, -math.inf, "uniform a"), _real(length, 0.0, "uniform length")
+    d = affine(make_power_uniform(1.0), length, a)
+    return replace(d, name="uniform", params={"a": a, "length": length})
 
 
 # ---------------------------------------------------------------------------
@@ -713,10 +699,10 @@ def from_quantile(name: str, quantile: Callable, support: tuple,
                   qdensity: Callable | None = None) -> DistributionSpec:
     """Build a spec from a strictly increasing quantile function.
 
-    The CDF is 80 steps of monotone bisection on (0,1).  An array of points
-    is bisected at once, one quantile call over the array per step, with the
-    midpoints of each point's scalar call and so with its bits; ``quantile``
-    takes u alone and must accept numpy arrays.  The record's
+    The CDF is 80 steps of monotone bisection on (0,1), NaN at NaN.  An array
+    of points is bisected at once, one quantile call over the array per step,
+    with the midpoints of each point's scalar call and so with its bits;
+    ``quantile`` takes u alone and must accept numpy arrays.  The record's
     ``quantile(u, v)`` calls it at u, which has rounded to 1 where the given
     v is below 2^-53: there it gives NaN.  ``qdensity(u, v)``
     is the quantile's derivative at u, given v = 1 - u exactly (see
@@ -746,7 +732,7 @@ def from_quantile(name: str, quantile: Callable, support: tuple,
                     a = m
                 else:
                     b = m
-        return 0.5 * (a + b)
+        return 0.5 * (a + b) if x == x else math.nan
 
     def cdf(x):
         arr = np.asarray(x, dtype=float)
@@ -759,7 +745,8 @@ def from_quantile(name: str, quantile: Callable, support: tuple,
                 below = np.asarray(quantile(m), dtype=float) <= arr
                 a = np.where(below, m, a)
                 b = np.where(below, b, m)
-        return np.where(arr <= lo, 0.0, np.where(arr >= hi, 1.0, 0.5 * (a + b)))
+        mid = np.where(np.isnan(arr), math.nan, 0.5 * (a + b))
+        return np.where(arr <= lo, 0.0, np.where(arr >= hi, 1.0, mid))
 
     return DistributionSpec(
         name=name, params=params or {},
@@ -928,10 +915,9 @@ def sample(d: DistributionSpec, n: int, seed: int) -> EmpiricalSample:
     U is clipped away from {0,1} by one ulp so that unbounded quantiles
     never produce infinities.
     """
-    if n < 2:
-        raise DomainError(f"sample size must be >= 2, got {n}")
+    n = _count(n, 2, "sample size")
     rng = np.random.default_rng(seed)
-    u = np.clip(rng.random(int(n)), _U_CLIP, 1.0 - _U_CLIP)
+    u = np.clip(rng.random(n), _U_CLIP, 1.0 - _U_CLIP)
     return EmpiricalSample(np.asarray(d.quantile(u), dtype=float))
 
 

@@ -22,16 +22,15 @@ sum and the per-n tail test are array operations in the order of a
 term-by-term loop, so the series stops at the same n.  The blocks start
 short, double, and end before a value that is not finite.  A series that
 does not reach its tolerance within ``_MAX_TERMS`` terms raises
-:class:`TruncationNotConverged`; a closed dual whose vectorised tail
-integral (``series.pochhammer_ratio_tail``) does not converge raises
-:class:`NonIntegrableError` instead of returning a silenced estimate.
+:class:`TruncationNotConverged`.  A closed dual refuses an order whose tail
+integral (``series.pochhammer_ratio_tail``) does not converge, as any order
+it cannot sum: NaN in an array, :class:`NonIntegrableError` at one order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from .distributions import DistributionSpec, dist_mean
 from .entropy import EntropyValue, _divergent, _entropy_values, _evaluate, as_order, delta_value
 from .errors import DivergentEntropy, DomainError, TruncationNotConverged
 from .series import pochhammer_ratio_coeffs, sign_fix_index
-from .specfun import gamma_negative, lgamma
+from .specfun import _count, gamma_negative, lgamma
 
 _MAX_TERMS = 1_000_000
 # the first block is short, so that a series that stops after a few terms
@@ -66,15 +65,9 @@ class SeriesTransform:
         return cls(s, c, truncation_n, tail)
 
 
-def _count(n, least: int, what: str) -> int:
-    """n as an int; :class:`DomainError` unless n is an integer >= least."""
-    if not (isinstance(n, Real) and math.isfinite(n) and n >= least and n == int(n)):
-        raise DomainError(f"{what} must be an integer >= {least}, got {n!r}")
-    return int(n)
-
-
 def duality_coefficient(s: float, n: int) -> float:
     """c_n = (1+s)(-s)_n/(n+1)! for a single n (log-space for large n)."""
+    s, n = as_order(s).s, _count(n, 0, "n")
     if n < 60:
         return float((1.0 + s) * pochhammer_ratio_coeffs(s, n)[n])
     if s >= 0.0 and s == math.floor(s):
@@ -187,7 +180,7 @@ def bnb_pmf(s: float, n: int) -> float:
     binomial law mixing a geometric through Beta(-s, 1+s)."""
     if not (-1.0 < s < 0.0):
         raise DomainError(f"the randomisation pmf requires s in (-1, 0), got {s}")
-    return duality_coefficient(s, _count(n, 0, "pmf index"))
+    return duality_coefficient(s, n)
 
 
 def bnb_partial_sum(s: float, n_terms: int) -> tuple:

@@ -58,6 +58,7 @@ from scipy.special import psi
 from .distributions import CLOSED_BOUND, NEAR_ZERO, DistributionSpec, EmpiricalSample, _both_halves
 from .distributions import _refusal
 from .errors import DomainError, NonIntegrableError
+from .specfun import _real
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,7 @@ class EntropyOrder:
     s: float
 
     def __post_init__(self):
-        if not (self.s > -1.0 and math.isfinite(self.s)):
-            raise DomainError(f"entropy order must be finite and exceed -1, got {self.s}")
+        _real(self.s, -1.0, "entropy order")
 
     @property
     def near_zero(self) -> bool:

@@ -21,7 +21,9 @@ class DivergentEntropy(CtentError, ArithmeticError):
 
 
 class NonIntegrableError(CtentError, ArithmeticError):
-    """Tail probes indicate an infinite mean (or a divergent moment integral)."""
+    """A value could not be computed to its bound: an integral or series did
+    not converge (tail probes of an infinite mean included), or a closed form
+    refused an order it cannot sum."""
 
 
 class TruncationNotConverged(CtentError, ArithmeticError):

@@ -44,7 +44,7 @@ from .distributions import (
 )
 from .entropy import as_order, delta_quantile
 from .errors import DomainError, NotBracketedError
-from .specfun import lgamma
+from .specfun import _real, lgamma
 
 SYM_BOUND_0 = math.pi / (2.0 * math.sqrt(3.0))
 
@@ -79,9 +79,7 @@ def bound_l2(s) -> RangeBound:
     """Entropy over the standard deviation: sharp bound 1/sqrt(2s+1) for
     s > -1/2, attained by the stated power/negative-Lomax/exponential
     maximizers."""
-    sv = float(s)
-    if not sv > -0.5:
-        raise DomainError("the L2 range needs s > -1/2")
+    sv = _real(s, -0.5, "the L2 range's s")
     upper = 1.0 / math.sqrt(2.0 * sv + 1.0)
     if sv > 0.0:
         maximizer = make_power_uniform(1.0 / sv)
@@ -95,8 +93,7 @@ def bound_l2(s) -> RangeBound:
 def symmetric_upper(s: float) -> float:
     """The symmetric-regime bound; continuous through s = 0 where it equals
     pi/(2 sqrt(3))."""
-    if not s > -0.5:
-        raise DomainError("the symmetric range needs s > -1/2")
+    s = _real(s, -0.5, "the symmetric range's s")
     if abs(s) < _SYM_SERIES_EDGE:
         w = 0.0
         for a in reversed(_SYM_SERIES):
@@ -122,7 +119,8 @@ def make_s_logistic(s: float, beta: float) -> DistributionSpec:
     analytic quantile density (the CDF is its bisection inverse); the
     record's ``quantile(u, v)`` reads v, and a finite variance is the
     integral of q(u, v)^2 over both halves (``_quantile_moment``)."""
-    if not ((-0.5 < s < 0.0) or s > 0.0):
+    s = _real(s, -0.5, "s")
+    if s == 0.0:
         raise DomainError("s must lie in (-1/2, 0) or (0, inf)")
     if not 0.0 < beta <= 1.0:
         raise DomainError("beta must lie in (0, 1]")
@@ -181,8 +179,7 @@ def gamma_gap(s: float) -> float:
     A reciprocal-gamma (reflection) formulation keeps the evaluation smooth
     across the poles of Gamma(2s+1) at nonpositive half-integers.
     """
-    if not s > -2.0:
-        raise DomainError("gamma_gap needs s > -2")
+    s = _real(s, -2.0, "gamma_gap's s")
     poly = 1.0 + 2.0 * s - s * s
     z = 2.0 * s + 1.0
     if z > 1e-8:

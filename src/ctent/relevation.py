@@ -38,8 +38,12 @@ from .entropy import delta_value
 from .errors import DomainError, NonIntegrableError
 from .risk import _check_nonneg_support, make_distortion, relevation_risk
 from .series import pochhammer_ratio_coeffs
+from .specfun import _count, _real
 
 _CHUNK = 1 << 17
+# how a refusal names the trial count n: a mean with a standard error needs two
+_TRIALS = "need at least one trial: n"
+_SE_TRIALS = "need at least 2 trials for a standard error: n"
 
 
 @dataclass(frozen=True)
@@ -69,8 +73,6 @@ def _chunk_streams(seed: int, n: int):
 def _run_chunks(fn, seed: int, n: int):
     """Map fn(rng, size) over deterministic chunk streams; reduce in chunk
     order so the worker count never changes the result."""
-    if n < 1:
-        raise DomainError(f"need at least one trial, got {n}")
     chunks = _chunk_streams(seed, n)
     workers = min(_worker_count(), len(chunks))
     if workers == 1:
@@ -99,8 +101,6 @@ def _used(d: DistributionSpec, t: np.ndarray, what: str) -> np.ndarray:
 def _mean_se(draw, seed: int, n: int) -> tuple:
     """Mean and standard error of the values draw(rng, size) returns over n
     trials, from per-chunk sums merged in chunk order."""
-    if n < 2:
-        raise DomainError("need at least 2 trials")
 
     def sums(rng, m):
         y = draw(rng, m)
@@ -131,10 +131,9 @@ def _draw_ys(d: DistributionSpec, s: float, rng, m: int):
 
 def simulate_Ys(d: DistributionSpec, s: float, n: int, seed: int) -> SimulationResult:
     """Estimate E[Y_s] and compare with the entropy of the mirrored law."""
-    if not s > 0.0:
-        raise DomainError("the prior-failure model needs s > 0")
+    s = _real(s, 0.0, "the prior-failure model's s")
     _check_nonneg_support(d)
-    n = int(n)
+    n = _count(n, 2, _SE_TRIALS)
     mean, se = _mean_se(lambda rng, m: _draw_ys(d, s, rng, m)[1], seed, n)
     ev = delta_value(negate(d), s)
     target = ev.value if ev.is_finite else None
@@ -146,10 +145,9 @@ def simulate_total_lifetime_survival(d: DistributionSpec, s: float,
                                      t_grid, n: int, seed: int) -> dict:
     """Empirical survival of X + Y_s on a grid against the analytic curve
     h_s(Fbar(t)) = Fbar(t)(1 + (1-Fbar(t)^s)/s), with binomial errors."""
-    if not s > 0.0:
-        raise DomainError("the prior-failure model needs s > 0")
+    s = _real(s, 0.0, "the prior-failure model's s")
     _check_nonneg_support(d)
-    n = int(n)
+    n = _count(n, 1, _TRIALS)
     t = np.asarray(list(t_grid), dtype=float)
 
     def one(rng, m):
@@ -176,15 +174,14 @@ def simulate_Tn(d: DistributionSpec, n_units: int, n: int, seed: int) -> Simulat
     """Expected n-th failure time of the classical relevation process, drawn
     at the product of the units' survivals; target from the
     generalized-CRE sum."""
-    if n_units < 1:
-        raise DomainError("need at least one unit")
+    n_units = _count(n_units, 1, "n_units")
     _check_nonneg_support(d)
-    n = int(n)
+    n = _count(n, 2, _SE_TRIALS)
 
     def one(rng, m):
         # Fbar(T_n) is the product of the n units' uniform survivals
         v = _survivals(rng, m)
-        for _ in range(1, int(n_units)):
+        for _ in range(1, n_units):
             v *= _survivals(rng, m)
         if not v.all():
             raise NonIntegrableError(
@@ -192,7 +189,7 @@ def simulate_Tn(d: DistributionSpec, n_units: int, n: int, seed: int) -> Simulat
         return _used(d, np.asarray(d.quantile(1.0 - v, v), dtype=float), f"unit {n_units}")
 
     mean, se = _mean_se(one, seed, n)
-    target = relevation_risk(d, int(n_units)).value
+    target = relevation_risk(d, n_units).value
     z = (mean - target) / se if se > 0.0 else None
     return SimulationResult(n, mean, se, target, z)
 
@@ -209,7 +206,7 @@ def sample_Ns(s: float, n: int, seed: int) -> dict:
     aggregated into a single tail bucket."""
     if not (-1.0 < s < 0.0):
         raise DomainError("the randomisation law needs s in (-1, 0)")
-    n = int(n)
+    n = _count(n, 1, _TRIALS)
     u = -s
 
     def one(rng, m):

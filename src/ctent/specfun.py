@@ -11,12 +11,18 @@ absolute error bound.  The bare-float helpers ``lgamma`` and ``psi`` are
 what the rest of the package calls; ``psi1``, ``psi2`` and ``psi3`` are
 public, domain-checked wrappers of scipy's zeta that no other module
 calls (the near-zero order branches call ``zeta`` directly).
+
+The package checks its arguments here, one helper per kind: ``_count`` for
+a count (terms, units, trials, draws), ``_real`` for a finite real above a
+floor (an order, a shape).  Each raises :class:`DomainError` naming the
+argument.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 from scipy.special import poch
 from scipy.special import psi as _digamma
@@ -27,6 +33,21 @@ from .errors import DomainError
 EULER_GAMMA = 0.5772156649015328606
 
 _EPS = 2.220446049250313e-16
+
+
+def _count(n, least: int, what: str) -> int:
+    """n as an int; :class:`DomainError` unless n is an integer >= least."""
+    if not (isinstance(n, Real) and math.isfinite(n) and n >= least and n == int(n)):
+        raise DomainError(f"{what} must be an integer >= {least}, got {n!r}")
+    return int(n)
+
+
+def _real(x, low: float, what: str) -> float:
+    """x as a float; :class:`DomainError` unless it is finite and exceeds low."""
+    x = float(x)
+    if not (x > low and math.isfinite(x)):
+        raise DomainError(f"{what} must be finite and exceed {low:g}, got {x}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -122,6 +143,4 @@ def pochhammer(x: float, n: int) -> float:
 
     A zero factor gives exactly 0.
     """
-    if n < 0 or n != int(n):
-        raise DomainError(f"pochhammer requires a nonnegative integer n, got {n}")
-    return float(poch(x, int(n)))
+    return float(poch(x, _count(n, 0, "pochhammer's n")))

@@ -186,6 +186,30 @@ def test_simulate_survival_csv(capsys):
     assert len(lines) == 5
 
 
+def test_simulate_ns_needs_no_dist(capsys):
+    # the randomisation count draws no law; --dist was once required here
+    code, out, err = run(capsys, "simulate", "--mode", "ns", "--s", "-0.5",
+                         "--trials", "2000", "--seed", "3")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["mode"] == "ns" and payload["n_trials"] == 2000
+    assert sum(payload["count"]) + payload["tail_count"] == 2000
+
+
+@pytest.mark.parametrize("argv", [
+    ("gammagap", "--s", "inf"),
+    ("gammagap", "--s", "nan"),
+    ("bounds", "--regime", "symmetric", "--s", "inf"),
+    ("bounds", "--regime", "l2", "--s", "inf"),
+])
+def test_an_order_that_is_not_finite_exits_domain(capsys, argv):
+    # gammagap once printed "phi": "nan" with exit 0, and the symmetric bound
+    # exited 3 from the s-Logistic's variance
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "must be finite" in err
+
+
 def test_out_file(capsys, tmp_path):
     target = tmp_path / "res.json"
     code, out, _ = run(capsys, "entropy", "--dist", "gumbel", "--s", "1",

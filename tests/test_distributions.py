@@ -177,7 +177,10 @@ def _registered():
         yield from_name(name, {k: shapes[k] for k in _REGISTRY[name][1]})
 
 
-@pytest.mark.parametrize("d", list(_registered()), ids=lambda d: d.name)
+@pytest.mark.parametrize("d", list(_registered()) + [
+    make_s_logistic(-0.3, 0.8),
+    _quantile_mixture(make_power_uniform(1.0), affine(make_exponential(), 1.5, 0.0), 0.3),
+], ids=lambda d: d.name)
 def test_cdf_and_sf_are_nan_at_nan(d):
     for x in (math.nan, np.array([math.nan, 0.5])):
         assert np.isnan(np.asarray(d.cdf(x))).flat[0]
@@ -419,6 +422,27 @@ def test_moments_that_overflow_are_infinite():
         rw = make_reverse_weibull(b)
         assert (rw.mean, rw.variance) == (-math.inf, math.inf)
     assert make_reverse_weibull(2.0).variance == pytest.approx(1.0 - math.pi / 4.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("beta", [2.05, 2.5, 3.0, 5.0, 7.0, 20.0, 50.0])
+def test_frechet_variance_against_mpmath(beta):
+    # g^2 expm1(lgamma(1 - 2/b) - 2 lgamma(1 - 1/b)), the reverse Weibull's form
+    with mp.workdps(50):
+        b = mp.mpf(beta)
+        want = mp.gamma(1 - 2 / b) - mp.gamma(1 - 1 / b) ** 2
+        assert abs(make_frechet(beta).variance - want) <= 2e-12 * want
+    assert make_frechet(2.0).variance == make_frechet(1.5).variance == math.inf
+
+
+def test_a_closed_dual_refuses_only_the_order_it_cannot_sum():
+    # the tail integral of Frechet(1.01)'s series does not converge at -0.99:
+    # that order alone is NaN in an array and raises on its own
+    d = make_frechet(1.01)
+    got = d.closed_nabla(np.array([0.5, -0.99, 2.0]))
+    assert got[0] == d.closed_nabla(0.5) and got[2] == d.closed_nabla(2.0)
+    assert math.isnan(got[1])
+    with pytest.raises(NonIntegrableError, match="did not converge"):
+        d.closed_nabla(-0.99)
 
 
 def test_affine_far_outside_the_support_is_silent():

@@ -326,6 +326,17 @@ def test_entropy_profile():
         entropy_profile(make_exponential(), [-2.0, 0.0])
 
 
+def test_profile_integrates_the_order_a_closed_dual_refuses():
+    # Frechet(1.01)'s series tail does not converge at -0.99: that order alone
+    # goes to quadrature, and every point equals nabla_value at its order
+    d = make_frechet(1.01)
+    prof = entropy_profile(d, [-0.99, -0.5, 0.5])
+    for pt in prof.grid:
+        assert pt.nabla == nabla_value(d, pt.s), pt.s
+    assert prof.grid[0].nabla.method == "quadrature_quantile"
+    assert [pt.nabla.method for pt in prof.grid[1:]] == ["closed_form"] * 2
+
+
 def test_delta_value_dispatch():
     d = make_negative_lomax(2.0)
     assert delta_value(d, -0.75).divergent

@@ -556,3 +556,18 @@ def test_risk_of_a_record_read_past_its_precision(s):
     d = from_quantile("lomax3", lomax3.quantile, (0.0, math.inf), qdensity=lomax3.qdensity)
     r = risk_nabla(d, s)
     assert r.value == pytest.approx(risk_nabla(lomax3, s).value, abs=r.abs_error_bound)
+
+
+def test_risk_axioms_check_reads_no_cdf_or_sf():
+    # the stochastic-order precondition compares quantiles, so a pair of
+    # from_quantile laws never reaches their bisection cdf
+    def unread(x):
+        raise AssertionError("cdf or sf was read")
+
+    base = make_s_logistic(0.5, 1.0)
+    lower = replace(base, cdf=unread, sf=unread)
+    upper = replace(affine(base, 1.0, 0.5), cdf=unread, sf=unread)
+    rep = risk_axioms_check(lower, upper, 0.5, a=2.0, b=1.0)
+    assert all(v for k, v in rep.items() if k.endswith("_ok"))
+    with pytest.raises(PreconditionNotMet):
+        risk_axioms_check(upper, lower, 0.5, a=2.0, b=1.0)

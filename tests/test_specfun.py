@@ -7,6 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctent import DomainError
+from ctent.distributions import make_exponential, sample
+from ctent.duality import duality_coefficient
+from ctent.extremal import bound_l2, gamma_gap, make_s_logistic, symmetric_upper
+from ctent.relevation import sample_Ns, simulate_total_lifetime_survival, simulate_Tn, simulate_Ys
+from ctent.risk import make_distortion, relevation_risk
 from ctent.specfun import (
     EULER_GAMMA,
     digamma,
@@ -174,3 +179,52 @@ def test_binomial_partial_sums_vanish(s):
     assert partial == pytest.approx(closed, rel=1e-6, abs=1e-10)
     bound = 1.5 / (abs(gamma_negative(s)) * N ** (1.0 + s))
     assert abs(partial) <= bound + 5e-12  # floor: rounding of 1e5 summands
+
+
+
+_EX = make_exponential()
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: pochhammer(1.5, math.nan), id="pochhammer(nan)"),
+    pytest.param(lambda: pochhammer(1.5, math.inf), id="pochhammer(inf)"),
+    pytest.param(lambda: pochhammer(1.5, 2.5), id="pochhammer(2.5)"),
+    pytest.param(lambda: relevation_risk(_EX, math.nan), id="relevation_risk(nan)"),
+    pytest.param(lambda: relevation_risk(_EX, math.inf), id="relevation_risk(inf)"),
+    pytest.param(lambda: make_distortion("H_tilde_n", math.nan), id="H_tilde_n(nan)"),
+    pytest.param(lambda: make_distortion("H_tilde_n", math.inf), id="H_tilde_n(inf)"),
+    pytest.param(lambda: simulate_Tn(_EX, 2.5, 100, 1), id="simulate_Tn(units=2.5)"),
+    pytest.param(lambda: simulate_Tn(_EX, 2, 100.5, 1), id="simulate_Tn(n=100.5)"),
+    pytest.param(lambda: simulate_Ys(_EX, 1.0, 100.5, 1), id="simulate_Ys(n=100.5)"),
+    pytest.param(lambda: simulate_total_lifetime_survival(_EX, 1.0, [1.0], 100.5, 1),
+                 id="simulate_total_lifetime_survival(n=100.5)"),
+    pytest.param(lambda: sample_Ns(-0.5, math.nan, 1), id="sample_Ns(n=nan)"),
+    pytest.param(lambda: sample(_EX, 2.5, 1), id="sample(2.5)"),
+    pytest.param(lambda: duality_coefficient(-0.5, math.nan), id="duality_coefficient(n=nan)"),
+    pytest.param(lambda: duality_coefficient(-0.5, 2.5), id="duality_coefficient(n=2.5)"),
+])
+def test_every_count_is_an_integer_in_range(call):
+    # each was a bare ValueError, an OverflowError, a TypeError or a silent
+    # truncation by int(n) before one check served every count
+    with pytest.raises(DomainError, match="must be an integer >= "):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: gamma_gap(math.inf), id="gamma_gap(inf)"),
+    pytest.param(lambda: gamma_gap(math.nan), id="gamma_gap(nan)"),
+    pytest.param(lambda: symmetric_upper(math.inf), id="symmetric_upper(inf)"),
+    pytest.param(lambda: bound_l2(math.inf), id="bound_l2(inf)"),
+    pytest.param(lambda: make_s_logistic(math.inf, 1.0), id="make_s_logistic(inf)"),
+    pytest.param(lambda: make_distortion("h_tilde_s", math.nan), id="h_tilde_s(nan)"),
+    pytest.param(lambda: make_distortion("h_tilde_s", math.inf), id="h_tilde_s(inf)"),
+    pytest.param(lambda: duality_coefficient(math.inf, 1), id="duality_coefficient(s=inf)"),
+    pytest.param(lambda: duality_coefficient(math.nan, 1), id="duality_coefficient(s=nan)"),
+    pytest.param(lambda: simulate_Ys(_EX, math.inf, 100, 1), id="simulate_Ys(s=inf)"),
+])
+def test_every_order_is_finite(call):
+    # gamma_gap and symmetric_upper gave nan, make_s_logistic raised
+    # NonIntegrableError, h_tilde_s took NaN, duality_coefficient gave -inf,
+    # and simulate_Ys ran its trials before its target refused the order
+    with pytest.raises(DomainError, match="must be finite and exceed"):
+        call()
