@@ -160,12 +160,8 @@ def _cmd_profile(args) -> int:
     prof = entropy.entropy_profile(d, grid)
     rows = []
     for pt in prof.grid:
-        row = {"s": pt.s}
-        row.update({k: v for k, v in _entropy_pair(pt.delta, "delta").items()
-                    if not k.endswith("method")})
-        row.update({k: v for k, v in _entropy_pair(pt.nabla, "nabla").items()
-                    if not k.endswith("method")})
-        rows.append(row)
+        row = {"s": pt.s, **_entropy_pair(pt.delta, "delta"), **_entropy_pair(pt.nabla, "nabla")}
+        rows.append({k: v for k, v in row.items() if not k.endswith("method")})
     payload = {"dist": d.label(), "rows": rows,
                "delta_nonincreasing": prof.delta_nonincreasing,
                "nabla_nondecreasing": prof.nabla_nondecreasing}
@@ -203,12 +199,8 @@ def _cmd_skew(args) -> int:
 
 def _cmd_bounds(args) -> int:
     s = args.s if args.s is not None else 0.0
-    if args.regime == "positive":
-        b = extremal.bound_positive(s)
-    elif args.regime == "l2":
-        b = extremal.bound_l2(s)
-    else:
-        b = extremal.bound_symmetric(s)
+    b = {"positive": extremal.bound_positive, "l2": extremal.bound_l2,
+         "symmetric": extremal.bound_symmetric}[args.regime](s)
     payload = {"regime": b.regime, "s": b.s, "upper": b.upper,
                "attained": b.attained,
                "maximizer": b.maximizer.label() if b.maximizer else None}
@@ -313,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("profile", help="entropy profile over an order grid")
     common(sp)
-    sp.add_argument("--s-grid", metavar="A:B:N", help="linspace grid")
+    sp.add_argument("--s-grid", metavar="A:B:N",
+                    help="linspace grid; a negative start needs '=', as in --s-grid=-0.4:3:8")
     sp.set_defaults(fn=_cmd_profile)
 
     sp = sub.add_parser("risk", help="both risk measures at one order")
@@ -342,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--units", type=int, default=2, help="units for --mode tn")
     sp.add_argument("--t-grid", metavar="A:B:N", default=None,
-                    help="time grid for --mode survival")
+                    help="time grid for --mode survival; a negative start needs "
+                         "the '=' form, --t-grid=A:B:N")
     sp.set_defaults(fn=_cmd_simulate)
 
     sp = sub.add_parser("estimate", help="plug-in estimates from a sample file")

@@ -36,6 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import tanhsinh
+from scipy.optimize import brentq
 from scipy.special import betaln, gammaincc, gammaln, ndtr, ndtri, poch, zeta
 from scipy.special import psi as digamma
 
@@ -48,6 +49,9 @@ NEAR_ZERO = 1e-4  # |s| below this switches closed forms to their limit branch
 CLOSED_BOUND = 1e-10
 _EPS = 2.220446049250313e-16
 _U_CLIP = 2.0 ** -53  # the smallest v at which 1 - v is exact
+# from_quantile's brackets, and a cap on its gap above |asinh a - asinh b| for finite a,
+# b, which keeps inf and NaN out of Brent's interpolation
+_TINY, _P_TOP, _LOG_TINY, _GAP_CAP = 2.0 ** -1074, 1.0 - _U_CLIP, math.log(2.0 ** -1074), 2e3
 
 # a closed form takes one order (returning a float) or a numpy array of
 # orders (returning an array)
@@ -61,7 +65,8 @@ class DistributionSpec:
     ``cdf`` and ``sf`` take a numpy array or a float.  A float gives a float,
     not a 0-d array, equal bit for bit to the value at a one-element array:
     NaN at NaN, and exactly 0 or 1 at and beyond a finite end of the support.
-    The scalar x-space integrals call them one float at a time.
+    The scalar x-space integrals call them one float at a time; a law given
+    by its quantile (:func:`from_quantile`) solves for each point on its own.
     ``quantile(u)`` is q(u).  ``quantile(u, v)``, with ``v = 1 - u`` passed
     separately and exactly, is the same q(u) read on the small side: a
     catalog law's closed form takes log v or ndtri(v) where 1 - u would
@@ -699,15 +704,16 @@ def from_quantile(name: str, quantile: Callable, support: tuple,
                   qdensity: Callable | None = None) -> DistributionSpec:
     """Build a spec from a strictly increasing quantile function.
 
-    The CDF is 80 steps of monotone bisection on (0,1), NaN at NaN.  An array
-    of points is bisected at once, one quantile call over the array per step,
-    with the midpoints of each point's scalar call and so with its bits;
-    ``quantile`` takes u alone and must accept numpy arrays.  The record's
-    ``quantile(u, v)`` calls it at u, which has rounded to 1 where the given
-    v is below 2^-53: there it gives NaN.  ``qdensity(u, v)``
-    is the quantile's derivative at u, given v = 1 - u exactly (see
-    :class:`DistributionSpec`); without it the quantile-space evaluators
-    refuse the law.
+    The CDF at x is one ``scipy.optimize.brentq`` solve of asinh q(p) = asinh x
+    per point, so a float and a one-element array give the same bits: below
+    the median in l = log p down to 2^-1074, above it in p up to 1 - 2^-53.
+    A NaN quantile counts as above x, a solve that does not converge raises
+    :class:`NonIntegrableError`, and sf is 1 - cdf.  ``quantile`` takes u
+    alone, as a float or a numpy array; the record's ``quantile(u, v)`` calls
+    it at u, which has rounded to 1 where v is below 2^-53: there it gives NaN.
+    ``qdensity(u, v)`` is the quantile's derivative at u, given v = 1 - u
+    exactly (see :class:`DistributionSpec`); without it the quantile-space
+    evaluators refuse the law.
     """
     lo, hi = support
 
@@ -718,35 +724,31 @@ def from_quantile(name: str, quantile: Callable, support: tuple,
             return np.where(np.less(v, _U_CLIP), math.nan, quantile(u))[()]
 
     def cdf_scalar(x: float) -> float:
-        if x <= lo:
-            return 0.0
-        if x >= hi:
+        if not lo < x < hi:
+            return math.nan if x != x else (0.0 if x <= lo else 1.0)
+        ax = math.asinh(x)
+
+        def gap(p: float) -> float:  # asinh(q(p)) - asinh(x), clamped, NaN above
+            g = math.asinh(float(quantile(p))) - ax
+            return -_GAP_CAP if g < -_GAP_CAP else (g if g <= _GAP_CAP else _GAP_CAP)
+
+        if gap(0.5) > 0.0:  # below the median, in l = log p
+            if gap(_TINY) > 0.0:
+                return 0.0
+            f, a, b, to_p = (lambda l: gap(math.exp(l))), _LOG_TINY, math.log(0.5), math.exp
+        elif gap(_P_TOP) < 0.0:
             return 1.0
-        a, b = 0.0, 1.0
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for _ in range(80):
-                m = 0.5 * (a + b)
-                # the midpoint can round onto an endpoint where the quantile
-                # is infinite; the comparison still sorts it correctly
-                if float(quantile(m)) <= x:
-                    a = m
-                else:
-                    b = m
-        return 0.5 * (a + b) if x == x else math.nan
+        else:
+            f, a, b, to_p = gap, 0.5, _P_TOP, float
+        root, r = brentq(f, a, b, xtol=_TINY, rtol=4.0 * _EPS, full_output=True, disp=False)
+        if not r.converged:
+            raise NonIntegrableError(f"the cdf of {name} at x = {x!r} did not converge (brentq)")
+        return to_p(root)
 
     def cdf(x):
         arr = np.asarray(x, dtype=float)
-        if arr.ndim == 0:
-            return np.float64(cdf_scalar(float(arr)))
-        a, b = np.zeros(arr.shape), np.ones(arr.shape)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for _ in range(80):
-                m = 0.5 * (a + b)
-                below = np.asarray(quantile(m), dtype=float) <= arr
-                a = np.where(below, m, a)
-                b = np.where(below, b, m)
-        mid = np.where(np.isnan(arr), math.nan, 0.5 * (a + b))
-        return np.where(arr <= lo, 0.0, np.where(arr >= hi, 1.0, mid))
+            return np.array([cdf_scalar(v) for v in arr.ravel().tolist()]).reshape(arr.shape)[()]
 
     return DistributionSpec(
         name=name, params=params or {},

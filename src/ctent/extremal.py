@@ -116,7 +116,7 @@ def make_s_logistic(s: float, beta: float) -> DistributionSpec:
     exactly above the order |s|/beta - 1, for beta <= |s| the tails have no
     mean and both entropies are infinite at every order, and the variance
     is infinite for beta <= 2|s|.  Built by :func:`from_quantile` with the
-    analytic quantile density (the CDF is its bisection inverse); the
+    analytic quantile density (the CDF is its Brent-solved inverse); the
     record's ``quantile(u, v)`` reads v, and a finite variance is the
     integral of q(u, v)^2 over both halves (``_quantile_moment``)."""
     s = _real(s, -0.5, "s")

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
 from scipy.optimize import brentq
 
 from .distributions import (
@@ -35,7 +36,7 @@ from .distributions import (
     make_power_uniform,
     negate,
 )
-from .entropy import as_order, delta_value, nabla_value
+from .entropy import _divergent, as_order, delta_value, nabla_value
 from .errors import DomainError, NonIntegrableError, NotBracketedError
 
 _S_HI_CAP = 1e4
@@ -88,14 +89,15 @@ def rho(d: DistributionSpec, kind: str = "rho", tol: float = 1e-8) -> float:
         if abs(d0.value - d0m.value) <= slack:
             return 0.0
 
-    def excess(s: float) -> float:
-        # clamped, so that an infinite ratio stays out of the interpolation
-        return min(diamond(d, s), 2.0) - 1.0
-
     lo = -1.0 + 1e-9
-    if excess(lo) > 0.0:
-        # the crossing sits against the left endpoint
+    if _divergent(d, "nabla", np.array(lo), False):  # no mean: an infinite ratio from lo on
         return lo
+
+    def excess(s: float) -> float:
+        # clamped, so that an infinite ratio stays out of the interpolation; at lo the
+        # dual vanishes and the mirrored entropy does not, so it is -1 unevaluated
+        return -1.0 if s == lo else min(diamond(d, s), 2.0) - 1.0
+
     hi = 1.0
     while not excess(hi) > 0.0:
         hi *= 4.0

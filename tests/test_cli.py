@@ -465,3 +465,26 @@ def test_symmetric_bound_forms_its_maximizer(capsys, s):
     code, out, err = run(capsys, "bounds", "--regime", "symmetric", f"--s={s}")
     assert code == 0 and err == ""
     assert json.loads(out)["maximizer"] == f"s_logistic(beta=1, s={float(s):g})"
+
+
+_DIST_VERBS = {"entropy": ["--s", "0.5"], "risk": ["--s", "0.5"], "skew": [],
+               "profile": ["--s-grid=-0.4:3:8"]}
+
+
+@pytest.mark.parametrize("verb", sorted(_DIST_VERBS))
+@pytest.mark.parametrize("name", sorted(dist._REGISTRY))
+def test_every_dist_verb_answers_on_every_registered_law(capsys, verb, name):
+    # beta = 2 where a law takes one; skew on gumbel once exited 3
+    params = ["--param", "beta=2"] if "beta" in dist._REGISTRY[name][1] else []
+    code, out, err = run(capsys, verb, "--dist", name, *params, *_DIST_VERBS[verb])
+    assert code == 0, err
+    assert json.loads(out)
+
+
+def test_negative_grid_start_answers_in_the_equals_form(capsys):
+    # argparse reads a separate "-0.49:5:150" as an option, so the start
+    # goes after '='
+    code, out, err = run(capsys, "profile", "--dist", "exponential", "--s-grid=-0.49:5:150")
+    assert code == 0, err
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 150 and rows[0]["s"] == -0.49

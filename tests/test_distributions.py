@@ -39,6 +39,7 @@ from ctent import (
     normal_spec,
     sample,
 )
+from ctent import distributions as dist
 from ctent.distributions import _REGISTRY, dist_mean, dist_std
 from ctent.risk import _quantile_mixture
 from ctent.series import pochhammer_ratio_tail, sign_fix_index
@@ -640,6 +641,29 @@ def test_bisection_cdf_over_arrays_equals_scalar_calls(d):
     assert np.array_equal(np.asarray(d.cdf(xs)), each, equal_nan=True)
     assert np.array_equal(np.asarray(d.cdf(xs[:400].reshape(20, 20))),
                           each[:400].reshape(20, 20))
+
+
+@pytest.mark.parametrize("p", [1e-20, 1e-24, 1e-40, 1e-300])
+def test_quantile_law_cdf_keeps_its_far_lower_tail(p):
+    # below the median the cdf is solved in log p, so it inverts q down to
+    # the subnormals
+    d = make_s_logistic(-0.3, 0.8)
+    assert float(d.cdf(float(d.quantile(p)))) == pytest.approx(p, rel=1e-13, abs=0.0)
+
+
+def test_quantile_law_cdf_with_a_nan_band_raises_no_runtime_error(monkeypatch):
+    # a NaN quantile counts as above x; a solve that does not converge is a
+    # NonIntegrableError, never scipy's RuntimeError
+    band = lambda u: np.where((u > 0.3) & (u < 0.4), math.nan, u)  # noqa: E731
+    d = from_quantile("nan_band", band, (0.0, 1.0))
+    xs = [0.1, 0.3, 0.35, 0.4, 0.7]
+    assert np.array_equal(d.cdf(np.array(xs)), [float(d.cdf(x)) for x in xs])
+    assert all(0.0 <= float(d.cdf(x)) <= 1.0 for x in xs)
+    solve = dist.brentq
+    monkeypatch.setattr(dist, "brentq", lambda *a, **k: solve(*a, **{**k, "maxiter": 2}))
+    for x in xs:
+        with pytest.raises(NonIntegrableError, match="did not converge"):
+            d.cdf(x)
 
 
 def _mp_normal_isf(v):

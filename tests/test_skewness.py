@@ -10,6 +10,7 @@ from ctent import (
     diamond_curve,
     make_frechet,
     make_exponential,
+    make_gumbel,
     make_logistic,
     make_lomax,
     make_negative_exponential,
@@ -71,7 +72,8 @@ def test_rho_defining_equations():
 
 @pytest.mark.parametrize("d", [make_exponential(), make_power_uniform(0.3),
                                make_reflected_power(2.0), make_lomax(3.0),
-                               make_negative_lomax(2.5), make_frechet(3.0)],
+                               make_negative_lomax(2.5), make_frechet(3.0),
+                               make_gumbel(), make_frechet(5.0)],
                          ids=lambda d: d.label())
 @pytest.mark.parametrize("tol", [1e-8, 1e-10])
 def test_rho_within_tol_of_the_unit_crossing(d, tol):
