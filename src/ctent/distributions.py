@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import wraps
+from functools import cache, wraps
 from typing import Callable, Optional
 
 import numpy as np
@@ -370,11 +370,11 @@ def _nabla_logistic(s):
 def _cdf_sf(support: tuple, log_cdf: Callable = None, log_sf: Callable = None) -> tuple:
     """(cdf, sf) of a law from one log-probability t(x), its log-cdf or its
     log-survival: that side is exp(t), the other -expm1(t), each exactly 0 or
-    1 at and beyond a finite end of the support and NaN at NaN.  t runs at
-    every point of an array, so it clamps its argument or silences its own
-    overflow.  A float x, as the scalar x-space integrals pass it, takes plain
-    comparisons at the ends and gives a Python float, bit for bit the array's
-    value, without forming a 0-d array."""
+    1 at and beyond a finite end of the support and NaN at NaN.  t clamps
+    nothing: a float x, as the scalar x-space integrals pass it, meets plain
+    comparisons at the finite ends first, so t sees it only inside the support,
+    at an infinite end or NaN, and gives a Python float, the array's bits; an
+    array runs t with numpy's errors silenced, then ``where`` sets the 0s and 1s."""
     t = log_sf if log_cdf is None else log_cdf
     lo, hi = support
     low, high = lo > -math.inf, hi < math.inf
@@ -390,7 +390,8 @@ def _cdf_sf(support: tuple, log_cdf: Callable = None, log_sf: Callable = None) -
                     return above
                 return float(exp(t(x))) if exp_form else float(-expm1(t(x)))
             x = asarray(x, dtype=float)
-            p = exp(t(x)) if exp_form else -expm1(t(x))
+            with np.errstate(all="ignore"):
+                p = exp(t(x)) if exp_form else -expm1(t(x))
             if low:
                 p = where(x <= lo, below, p)
             if high:
@@ -424,13 +425,10 @@ def _lomax_variance(b: float) -> float:
     return b / (b - 1.0) / (b - 1.0) / (b - 2.0) if b > 2.0 else math.inf
 
 
-_BELOW_ONE = 1.0 - 2.0 ** -53  # the largest float below 1: log1p(-x) stays finite
-
-
 def make_power_uniform(beta: float) -> DistributionSpec:
     """Law of U^(1/beta) on (0,1): cdf x^beta."""
     b = _real(beta, 0.0, "beta")
-    cdf, sf = _cdf_sf((0.0, 1.0), log_cdf=lambda x: b * np.log(np.clip(x, 1e-300, 1.0)))
+    cdf, sf = _cdf_sf((0.0, 1.0), log_cdf=lambda x: b * np.log(x))
     return DistributionSpec(
         name="power_uniform", params={"beta": b},
         # u^(1/b) keeps its digits where 1 - u rounds, so the pair reads u
@@ -447,7 +445,7 @@ def make_power_uniform(beta: float) -> DistributionSpec:
 def make_reflected_power(beta: float) -> DistributionSpec:
     """Law of 1 - U^(1/beta) on (0,1): cdf 1-(1-x)^beta."""
     b = _real(beta, 0.0, "beta")
-    cdf, sf = _cdf_sf((0.0, 1.0), log_sf=lambda x: b * np.log1p(-np.clip(x, 0.0, _BELOW_ONE)))
+    cdf, sf = _cdf_sf((0.0, 1.0), log_sf=lambda x: b * np.log1p(-x))
     return DistributionSpec(
         name="reflected_power", params={"beta": b},
         cdf=cdf, sf=sf, support=(0.0, 1.0),
@@ -463,7 +461,7 @@ def make_reflected_power(beta: float) -> DistributionSpec:
 
 def make_exponential() -> DistributionSpec:
     """Unit-rate exponential; rescale through affine()."""
-    cdf, sf = _cdf_sf((0.0, math.inf), log_sf=lambda x: -np.maximum(x, 0.0))
+    cdf, sf = _cdf_sf((0.0, math.inf), log_sf=lambda x: -x)
     return DistributionSpec(
         name="exponential", params={},
         cdf=cdf, sf=sf, quantile=lambda u, v=None: -np.log1p(-u) if v is None else -np.log(v),
@@ -480,7 +478,7 @@ def make_exponential() -> DistributionSpec:
 def make_lomax(beta: float) -> DistributionSpec:
     """Lomax (Pareto II) on (0, inf): cdf 1-(1+x)^(-beta), beta > 1."""
     b = _real(beta, 1.0, "beta")
-    cdf, sf = _cdf_sf((0.0, math.inf), log_sf=lambda x: -b * np.log1p(np.maximum(x, 0.0)))
+    cdf, sf = _cdf_sf((0.0, math.inf), log_sf=lambda x: -b * np.log1p(x))
     return DistributionSpec(
         name="lomax", params={"beta": b},
         cdf=cdf, sf=sf, support=(0.0, math.inf),
@@ -521,8 +519,8 @@ def _extreme(name: str, b: float, sign: float) -> DistributionSpec:
     1/b -> 0 after centring and scaling, and has a maker of its own."""
 
     def log_cdf(x):
-        with np.errstate(over="ignore", divide="ignore"):
-            return -np.power(np.maximum(sign * x, 0.0), -sign * b)
+        with np.errstate(over="ignore"):
+            return -np.power(sign * x, -sign * b)
 
     support = (0.0, math.inf) if sign > 0.0 else (-math.inf, 0.0)
     cdf, sf = _cdf_sf(support, log_cdf=log_cdf)
@@ -716,6 +714,7 @@ def from_quantile(name: str, quantile: Callable, support: tuple,
     evaluators refuse the law.
     """
     lo, hi = support
+    end = cache(lambda p: math.asinh(float(quantile(p))))  # at the brackets' ends, once per law
 
     def pair(u, v=None):
         if v is None:
@@ -729,7 +728,7 @@ def from_quantile(name: str, quantile: Callable, support: tuple,
         ax = math.asinh(x)
 
         def gap(p: float) -> float:  # asinh(q(p)) - asinh(x), clamped, NaN above
-            g = math.asinh(float(quantile(p))) - ax
+            g = (end(p) if p in (0.5, _TINY, _P_TOP) else math.asinh(float(quantile(p)))) - ax
             return -_GAP_CAP if g < -_GAP_CAP else (g if g <= _GAP_CAP else _GAP_CAP)
 
         if gap(0.5) > 0.0:  # below the median, in l = log p

@@ -497,8 +497,9 @@ def _plugin(x: EmpiricalSample, s, pair: Callable) -> EntropyValue:
     # i/n is sorted: pair(s)'s halves take its two slices, with _halves' bits
     s, u = as_order(s).s, np.arange(1, x.n) / x.n
     (lower, upper), h = pair(s), int(np.searchsorted(u, 0.5))
-    val = float(np.concatenate((lower(u[:h]), upper(1.0 - u[h:]))) @ np.diff(x.values))
-    if not math.isfinite(val):  # the dual kernel refuses the order
+    with np.errstate(over="ignore"):  # an overflow, such as a gap past 1.8e308, is refused below
+        val = float(np.concatenate((lower(u[:h]), upper(1.0 - u[h:]))) @ np.diff(x.values))
+    if not math.isfinite(val):  # the dual kernel refuses the order, or a term overflowed
         raise NonIntegrableError(f"the plug-in estimate at s={s:g} gives {val}")
     return EntropyValue(max(val, 0.0), 1e-13 * math.sqrt(x.n) * max(1.0, abs(val)), "plugin")
 

@@ -124,6 +124,20 @@ def test_estimate_verb(capsys, tmp_path):
     assert json.loads(out)["delta_plugin"] == 0.25
 
 
+def test_estimate_on_a_sample_spanning_the_float_range_exits_numeric(tmp_path):
+    # the gap 1e308 - (-1e308) overflows to inf: refused with exit 3 and no
+    # numpy warning; a child process shows what stderr would print
+    f = tmp_path / "x.csv"
+    f.write_text("1e308\n-1e308\n")
+    path = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), PYTHONWARNINGS="default")
+    script = "import sys; from ctent.cli import main; sys.exit(main(sys.argv[1:]))"
+    child = subprocess.run([sys.executable, "-c", script, "estimate", "--file", str(f), "--s", "1"],
+                           capture_output=True, text=True, env=env, timeout=600)
+    assert child.returncode == 3, child.stderr
+    assert "RuntimeWarning" not in child.stderr and "Traceback" not in child.stderr
+
+
 def test_bounds_verb(capsys):
     code, out, _ = run(capsys, "bounds", "--regime", "symmetric", "--s", "0")
     assert code == 0

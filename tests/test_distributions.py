@@ -222,6 +222,33 @@ def test_float_and_one_element_array_give_the_same_probability(d):
             assert np.float64(got).tobytes() == want.tobytes(), (x, got, want)
 
 
+def test_a_float_probability_calls_no_clamp(monkeypatch):
+    # the float path checks the support with plain comparisons, so a
+    # log-probability sees only an in-support float and clamps nothing; laws
+    # given by their quantile are exempt
+    def refuse(*args, **kwargs):
+        raise AssertionError("a float cdf or sf called np.clip, np.maximum or np.where")
+
+    for name in ("clip", "maximum", "where"):
+        monkeypatch.setattr(np, name, refuse)
+    inner = [-40.0, -3.0, -0.5, 1e-310, 0.3, 0.7, 1.5, 2.0, 3.5, 40.0]
+    for d in _registered():
+        for m in (d, negate(d), affine(d, 2.0, 1.0)):
+            for x in _float_grid(m) + inner:
+                for f in (m.cdf, m.sf):
+                    assert isinstance(f(x), float), (m.label(), x)
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.7, 1.0])
+def test_power_law_cdf_below_1e_300_is_x_to_the_beta(beta):
+    # no clamp at 1e-300: the cdf is x^beta down to the least subnormal
+    d = make_power_uniform(beta)
+    xs = [1e-301, 2.2250738585072014e-308, 1e-310, 5e-324]
+    for x in xs:
+        assert d.cdf(x) == float(np.exp(beta * np.log(x))), x
+    assert np.array_equal(d.cdf(np.array(xs)), np.exp(beta * np.log(xs)))
+
+
 def test_frechet_examples():
     d = make_frechet(2.0)
     assert d.closed_delta(0.0) == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-12)
