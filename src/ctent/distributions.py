@@ -9,9 +9,10 @@ exponential pair, the Lomax pair, Frechet, reverse Weibull, Gumbel and
 logistic, plus the standard normal (no closed forms).  Frechet and reverse
 Weibull are one maker, ``_extreme``: as the powers sign W^(-sign/beta) of a
 unit exponential W, sign +1 and -1, they share their cdf, quantile density,
-moments and closed forms.  ``affine`` and ``negate`` produce derived specs;
-``negate`` carries closed forms across whenever the mirrored law is itself
-(a translate of) a catalog member.
+moments and closed forms; their duals and the Gumbel's are duality series,
+summed by ``series._dual_series``.  ``affine`` and ``negate`` produce derived
+specs; ``negate`` carries closed forms across whenever the mirrored law is
+itself (a translate of) a catalog member.
 
 A catalog law states one log-probability t(x), its log-cdf or log-survival,
 and :func:`_cdf_sf` forms exp(t) on that side and -expm1(t) on the other, so
@@ -41,12 +42,10 @@ from scipy.special import betaln, gammaincc, gammaln, ndtr, ndtri, poch, zeta
 from scipy.special import psi as digamma
 
 from .errors import DivergentEntropy, DomainError, NonIntegrableError
-from .series import coefficient_density, pochhammer_ratio_tail, sign_fix_index
+from .series import CLOSED_BOUND, _dual_series
 from .specfun import EULER_GAMMA, _count, _real, lgamma
 
 NEAR_ZERO = 1e-4  # |s| below this switches closed forms to their limit branch
-# relative accuracy the closed forms promise: 1e-10 * max(1, |value|)
-CLOSED_BOUND = 1e-10
 _EPS = 2.220446049250313e-16
 _U_CLIP = 2.0 ** -53  # the smallest v at which 1 - v is exact
 # from_quantile's brackets, and a cap on its gap above |asinh a - asinh b| for finite a,
@@ -263,71 +262,6 @@ def _nabla_negative_exponential(s):
     return digamma(s + 2.0) + EULER_GAMMA
 
 
-_SERIES_HEAD = 1000
-# orders summed together, so that one (orders x head) temporary is at most 2 MiB
-_SERIES_ROWS = max(1, (1 << 18) // _SERIES_HEAD)
-
-
-def _tails(orders: np.ndarray, g: Callable) -> np.ndarray:
-    # pochhammer_ratio_tail over the orders, NaN at an order whose integral
-    # does not converge: a refused call is split in halves
-    try:
-        return pochhammer_ratio_tail(orders, _SERIES_HEAD, g)
-    except NonIntegrableError:
-        if orders.size == 1:
-            return np.array([math.nan])
-        h = orders.size // 2
-        return np.concatenate([_tails(orders[:h], g), _tails(orders[h:], g)])
-
-
-def _dual_series(s: np.ndarray, g: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """1 + sum_{n>=1} (-s)_n/(n+1)! g(n) for each order of s: a head of
-    N = ``_SERIES_HEAD`` terms, then the tail integral of the coefficient
-    density f (``series.coefficient_density``) from x0 = N + 1/2 with its
-    Euler-Maclaurin corrections f'(x0)/24 - 7 f'''(x0)/5760, whose derivatives
-    are central differences at x0 +- h, x0 +- 2h, h = x0/20.
-
-    The head's alternating terms, those below ``sign_fix_index(s)``, are
-    summed by ``math.fsum``; the rest keep one sign.  For large s they reach
-    ~C(s, s/2), each carrying a rounding error of a few eps of its magnitude;
-    an order where that exceeds the closed-form bound, or whose head
-    overflows, is refused before its tail is formed, and so is an order whose
-    tail integral does not converge: it is NaN in an array, and a single order
-    raises :class:`NonIntegrableError`.  That rule refuses every order whose
-    terms still alternate past N: the head is never extended.
-    """
-    orders = np.atleast_1d(s)
-    # integer orders s >= 0 terminate: their head is the whole series
-    terminating = (orders >= 0.0) & (orders == np.floor(orders))
-    total = np.empty(orders.shape)
-    size = np.empty(orders.shape)
-    n = np.arange(1, _SERIES_HEAD + 1, dtype=float)
-    gn = g(n)
-    for lo in range(0, orders.size, _SERIES_ROWS):
-        blk = orders[lo:lo + _SERIES_ROWS]
-        terms = np.cumprod((n - 1.0 - blk[:, None]) / (n + 1.0), axis=1) * gn
-        size[lo:lo + blk.size] = 1.0 + np.sum(np.abs(terms), axis=1)
-        for i, (row, order) in enumerate(zip(terms, blk.tolist()), start=lo):
-            k = sign_fix_index(order) - 1  # an overflowing head is refused below
-            total[i] = (math.fsum([1.0, *row[:k].tolist(), float(np.sum(row[k:]))])
-                        if math.isfinite(size[i]) else math.nan)
-    refused = ~(8.0 * _EPS * size <= CLOSED_BOUND * np.abs(total))
-    if np.ndim(s) == 0 and refused[0]:
-        raise NonIntegrableError(
-            f"the duality series at order s={float(s):g} sums to {total[0]:.3g} from terms "
-            f"of total size {size[0]:.3g}: its rounding exceeds the closed-form bound")
-    tailed = ~refused & ~terminating
-    if tailed.any():
-        o, x0, h = orders[tailed], _SERIES_HEAD + 0.5, 0.05 * (_SERIES_HEAD + 0.5)
-        f = coefficient_density(x0 + h * np.array([[-2.0], [-1.0], [1.0], [2.0]]), o, g)
-        d1 = (8.0 * (f[2] - f[1]) - (f[3] - f[0])) / (12.0 * h)
-        d3 = (f[3] - 2.0 * f[2] + 2.0 * f[1] - f[0]) / (2.0 * h ** 3)
-        tail = pochhammer_ratio_tail(o, _SERIES_HEAD, g) if np.ndim(s) == 0 else _tails(o, g)
-        total[tailed] += tail + d1 / 24.0 - 7.0 * d3 / 5760.0
-    total[refused] = np.nan
-    return total.reshape(np.shape(s))
-
-
 @_over_orders
 def _delta_extreme(beta: float, sign: float, s):
     # X = sign W^(-sign/beta), W a unit exponential: Frechet (+1), reverse Weibull (-1)
@@ -338,7 +272,7 @@ def _delta_extreme(beta: float, sign: float, s):
 @_over_orders
 def _nabla_extreme(beta: float, sign: float, s):
     g = np.exp(lgamma(1.0 - sign / beta))  # inf where Gamma overflows
-    series = _dual_series(s, lambda n: sign * beta * np.expm1(sign * np.log1p(n) / beta) / n)
+    series = _dual_series(s, lambda n: sign * beta * np.expm1(sign * np.log1p(n) / beta) / n)[0]
     return (s + 1.0) * g / beta * series
 
 
@@ -349,7 +283,7 @@ def _delta_gumbel(s):
 
 @_over_orders
 def _nabla_gumbel(s):
-    return (s + 1.0) * _dual_series(s, lambda n: np.log1p(n) / n)
+    return (s + 1.0) * _dual_series(s, lambda n: np.log1p(n) / n)[0]
 
 
 @_over_orders

@@ -38,6 +38,7 @@ from .distributions import (
 )
 from .entropy import _divergent, as_order, delta_value, nabla_value
 from .errors import DomainError, NonIntegrableError, NotBracketedError
+from .specfun import _real
 
 _S_HI_CAP = 1e4
 
@@ -80,6 +81,7 @@ def rho(d: DistributionSpec, kind: str = "rho", tol: float = 1e-8) -> float:
     """
     if kind not in ("rho", "rho_bar"):
         raise DomainError(f"kind must be 'rho' or 'rho_bar', got {kind!r}")
+    tol = _real(tol, 0.0, "tol")
     if kind == "rho_bar":  # rho_bar(X) = rho(-X)
         d = negate(d)
     d0 = delta_value(d, 0.0)

@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 
 import mpmath as mp
@@ -22,11 +23,13 @@ from ctent import (
     make_negative_lomax,
     make_power_uniform,
     make_reflected_power,
+    make_s_logistic,
     nabla_from_delta_series,
     nabla_value,
     normal_spec,
+    rho,
 )
-from ctent import duality
+from ctent import duality, series
 from ctent.series import pochhammer_ratio_tail
 from ctent.specfun import EULER_GAMMA, psi, psi1
 
@@ -110,6 +113,9 @@ def test_bnb_normalisation(s):
     part, tail = bnb_partial_sum(s, 1_000_000)
     assert 0.0 < part < 1.0
     assert part + tail == pytest.approx(1.0, abs=1e-4)
+    # the Euler-Maclaurin-corrected tail already holds after ten terms
+    part, tail = bnb_partial_sum(s, 10)
+    assert part + tail == pytest.approx(1.0, abs=1e-8)
     small = duality.duality_coefficient(s, 10)
     assert 0.0 < small < 1.0
 
@@ -160,15 +166,19 @@ def test_involution_examples():
         assert v == pytest.approx(lg.closed_delta(float(n)), abs=1e-12)
 
 
-def test_truncation_cap_raises(monkeypatch):
-    monkeypatch.setattr(duality, "_MAX_TERMS", 50)
+def test_truncation_cap_raises():
+    # the tail integral alone is only known to 1e-15: a tol below that raises
+    with pytest.raises(TruncationNotConverged, match="tol=1e-16"):
+        nabla_from_delta_series(make_exponential(), -0.3, tol=1e-16)
+    # as does a bound past the end of the tail integral above tol: at s = -0.9
+    # the exponential's M - nabla_n times the mass beyond n = 1e6 is ~1e-7
     with pytest.raises(TruncationNotConverged):
-        nabla_from_delta_series(make_exponential(), -0.3, tol=1e-12)
+        delta_from_nabla_series(make_exponential(), -0.9, tol=1e-9)
 
 
-def test_series_truncation_index_pinned():
-    # the block summation keeps the term-by-term tail test, so the series
-    # stops at the same n as a loop over single terms
+def test_lomax_series_meets_nabla_value():
+    # the Lomax's delta_n decays like n^(-2/3): the tail integral carries the
+    # series far past the 1 000-term head
     seen = []
     inner = duality._signed_series
 
@@ -182,48 +192,67 @@ def test_series_truncation_index_pinned():
         got = nabla_from_delta_series(make_lomax(3.0), -0.3, tol=1e-8)
     finally:
         duality._signed_series = inner
-    assert seen == [395313]
-    assert got.value == pytest.approx(nabla_value(make_lomax(3.0), -0.3).value, abs=1e-7)
+    assert seen == [series._HEAD]
+    assert got.value == pytest.approx(nabla_value(make_lomax(3.0), -0.3).value, abs=1e-12)
 
 
 def test_series_in_blocks_for_laws_without_closed_forms():
-    # a law without closed forms is evaluated a block of n at a time, by one
-    # vectorised quantile-space integral, and stops where the law with
-    # closed forms stops
-    d = replace(make_exponential(), closed_delta=None, closed_nabla=None)
-    calls = []
-
-    def values(n0, n1):
-        calls.append((n0, n1))
-        return duality._sequence(d, "delta")(n0, n1)
-
-    val, _, last = duality._signed_series(1.5, values, 1e-4, monotone_bound=True)
-    assert calls == [(0, 64)]
-    ref, _, ref_last = duality._signed_series(1.5, duality._sequence(make_exponential(), "delta"),
-                                              1e-4, monotone_bound=True)
-    assert last == ref_last
-    assert val == pytest.approx(ref, rel=1e-12)
+    # a law without closed forms takes its head from one vectorised quantile
+    # integral and its tail from quantile integrals at real orders: it meets
+    # the law with closed forms within their bounds
+    bare = replace(make_exponential(), closed_delta=None, closed_nabla=None)
+    for s in (-0.6, 0.5, 1.5):
+        got = nabla_from_delta_series(bare, s)
+        ref = nabla_from_delta_series(make_exponential(), s)
+        assert abs(got.value - ref.value) <= got.abs_error_bound + ref.abs_error_bound, s
 
 
-def test_normal_series_stops_where_single_values_stopped():
-    # the normal law has no closed forms: its delta_n come a block at a
-    # time from one vectorised quantile integral, and the series stops at the
-    # n and the value it reached with one integral per n
-    seen = []
-    inner = duality._signed_series
+@pytest.mark.parametrize("d", [normal_spec(), make_s_logistic(-0.2, 0.8)], ids=lambda d: d.label())
+def test_series_without_closed_forms_meets_nabla_value(d):
+    # neither law has closed forms: the head is one vectorised quantile integral
+    # and each tanh-sinh step of the tail one more
+    start = time.perf_counter()
+    got = nabla_from_delta_series(d, -0.3)
+    assert time.perf_counter() - start < 1.0
+    ref = nabla_value(d, -0.3)
+    assert abs(got.value - ref.value) <= got.abs_error_bound + ref.abs_error_bound
 
-    def spy(*args, **kwargs):
-        out = inner(*args, **kwargs)
-        seen.append(out[2])
-        return out
 
-    duality._signed_series = spy
-    try:
-        got = nabla_from_delta_series(normal_spec(), -0.3, tol=1e-6)
-    finally:
-        duality._signed_series = inner
-    assert seen == [3776]
-    assert got.value == pytest.approx(0.7385159635560782, rel=1e-12)
+@pytest.mark.parametrize("d, s", [(make_logistic(), -0.3), (make_logistic(), 0.5),
+                                  (make_lomax(3.0), -0.6), (make_reflected_power(2.0), -0.6)],
+                         ids=lambda x: x.label() if hasattr(x, "label") else str(x))
+def test_delta_from_nabla_meets_delta_value(d, s):
+    # the logistic's nabla_n grows like log n, summed to the end of its tail
+    # integral; the laws bounded below end at n = 1e6 with the M-form's bound
+    got = delta_from_nabla_series(d, s)
+    ref = delta_value(d, s)
+    assert abs(got.value - ref.value) <= got.abs_error_bound + ref.abs_error_bound
+
+
+@pytest.mark.parametrize("s, n", [(180.5, 200), (170.5, 200), (400.5, 60), (-0.5, 100),
+                                  (2.3, 1000)])
+def test_duality_coefficient_at_large_orders(s, n):
+    # at the first three the log-gammas of n - s and -s overflow, underflow or
+    # leave log_gamma's domain, though c_n is a normal float
+    with mp.workdps(40):
+        sm = mp.mpf(s)
+        exact = float((1 + sm) * mp.rf(-sm, n) / mp.factorial(n + 1))
+    assert duality.duality_coefficient(s, n) == pytest.approx(exact, rel=1e-12, abs=0.0)
+    # a terminating order: exactly zero past n = s, a product of ratios below
+    assert duality.duality_coefficient(3.0, 100) == 0.0
+    assert duality.duality_coefficient(100.0, 70) == pytest.approx(
+        float(101 * mp.rf(-100, 70) / mp.factorial(71)), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda tol: nabla_from_delta_series(make_exponential(), 0.5, tol=tol),
+    lambda tol: delta_from_nabla_series(make_exponential(), 0.5, tol=tol),
+    lambda tol: rho(make_lomax(3.0), tol=tol),
+], ids=["nabla_from_delta_series", "delta_from_nabla_series", "rho"])
+def test_tolerances_are_checked(call, tol):
+    with pytest.raises(DomainError, match="tol must be finite"):
+        call(tol)
 
 
 def test_pochhammer_ratio_tail_over_orders():
