@@ -42,7 +42,7 @@ from scipy.special import betaln, gammaincc, gammaln, ndtr, ndtri, poch, zeta
 from scipy.special import psi as digamma
 
 from .errors import DivergentEntropy, DomainError, NonIntegrableError
-from .series import CLOSED_BOUND, _dual_series
+from .series import _dual_series
 from .specfun import EULER_GAMMA, _count, _real, lgamma
 
 NEAR_ZERO = 1e-4  # |s| below this switches closed forms to their limit branch
@@ -696,8 +696,8 @@ _LADDER = np.concatenate([10.0 ** -np.arange(2.0, 19.0, 2.0), 10.0 ** -np.arange
                           [2.0 ** -1074]])
 _X = -np.log(_LADDER)
 _STEPS = _LADDER[:-1] * np.diff(_X)  # t dx: the probe's sum of t |f| in log t
-_CAP = 200.0  # the largest power m of the substitution t = y^m
-LOST_END = -10  # the status of a half whose end lies beyond the substitution's reach
+_REACH = 1.0 / 400.0  # the least a + 1 of an end f ~ t^a that runs in x = -log t: t^-0.9975
+LOST_END = -10  # the status of a half whose end lies beyond that reach
 
 
 def _end_mass(x, y, end):
@@ -720,12 +720,13 @@ def _refusal(what: str, status: int, nfev: int, end: tuple = ()) -> NonIntegrabl
         return NonIntegrableError(f"{what} (tanh-sinh status {status}, {nfev} evaluations)")
     mass = f"~{end[0]:.3g}" if end and math.isfinite(end[0]) else "not finite"
     below = f", {mass} below t = {end[1]:.3g}" if end else ""
-    return NonIntegrableError(f"{what} (it lost its tail{below}, beyond t = y^m, m <= {_CAP:g})")
+    return NonIntegrableError(f"{what} (it lost its tail{below}; no fit or steeper than t^-0.9975)")
 
 
 def _probe(p: np.ndarray, tolerances: dict) -> dict:
     # each half's end from its values p on the ladder, one row per element
-    # (see _both_halves): which halves fire, and how each of them runs
+    # (see _both_halves): each row's x_L, 0 where it does not fire and inf where
+    # it is lost (None where no row fires), and its end mass and error
     run = np.logical_and.accumulate(np.isfinite(p), axis=-1)
     n = run.sum(axis=-1)
     at = n[:, None] - np.arange(4, 0, -1)  # the last four finite points
@@ -739,71 +740,74 @@ def _probe(p: np.ndarray, tolerances: dict) -> dict:
                      * (np.where(run, np.abs(p), 0.0)[:, :-1] @ _STEPS))
     fire = (n > 0) & ~(mass <= tol)
     if not fire.any():
-        return {"fire": fire}
+        return {"x": None}
     closed = np.where(n >= 4, _end_mass(xs[:, 1:], ys[:, 1:], xs[:, 3]), np.nan)
     other = _end_mass(xs[:, :3], ys[:, :3], xs[:, 3])
-    ok = (a + 1.0 >= 0.5 / _CAP) & np.isfinite(closed - other) & (abs(np.sign(fs).sum(-1)) == 4)
-    m = np.clip(1.0 / (a + 1.0), 1.0, _CAP)
-    return {"fire": fire, "sub": fire & ok, "lost": fire & ~ok, "m": m, "hi": 0.5 ** (1.0 / m),
-            "lo": np.exp(-xs[:, 3] / m), "mass": np.sign(fs[:, 3]) * closed,
+    ok = (a + 1.0 >= _REACH) & np.isfinite(closed - other) & (abs(np.sign(fs).sum(-1)) == 4)
+    return {"x": np.where(fire, np.where(ok, xs[:, 3], np.inf), 0.0), "sub": fire & ok,
+            "mass": np.sign(fs[:, 3]) * closed,
             "error": np.abs(closed - other) * xs[:, 3] / (xs[:, 3] - xs[:, 2]),
             "end": (closed, _LADDER[n - 1])}
 
 
 def _both_halves(f: Callable, args: tuple = (), **tolerances):
     """integral_0^1 f(k, u, v, *args) du, v = 1 - u, as one tanh-sinh call over
-    both halves, side k = 0 in u and side 1 in v, each on (0, 1/2) in t (in u
+    both halves, side k = 0 in u and side 1 in v, each on y in (0, 1/2) (in u
     alone the nodes with 1 - u below ~1e-16, and the tail mass, are lost).
-    A row of nodes is one element of the side column broadcast against ``args``.
+    A row of nodes is one element of a (2, 1) column broadcast against
+    ``args``: the row's index, which scipy slices with the active rows.
 
     scipy's first call, one midpoint per element, also evaluates each half on
     ``_LADDER``: its finite run ends at t_L, where the last two points give
     f ~ t^a.  Where the mass below t_L, t_L |f(t_L)|/(a+1), exceeds max(atol,
-    rtol E), E the probe's sum of t |f| in log t, the half reads NaN at its
-    midpoint, which ends it, and runs again from t_L under t = y^m, m =
-    1/(a+1) in [1, 200], plus the mass below t_L: the fit C t^a (-log t)^b
-    through the last three finite points, in closed form, its error the
-    difference from the fit through the three before times x/dx (x = -log
-    t_L, dx the step between the fits' last points).  Other halves, those
-    finite at no probe point too, keep the run from 0, where scipy replaces a
-    non-finite node by its nearest finite neighbour.  One that fires with no
-    fit (under four finite points, b <= -1, mixed signs) or a + 1 < 1/400
-    (steeper than y^-1/2 at m = 200) gets the status ``LOST_END``, a NaN
-    integral and its figures in ``end``.  Returns scipy's result, side 0 first."""
+    rtol E), E the probe's sum of t |f| in log t, the half fires and runs in
+    x = -log t from x_L = -log t_L to log 2, t = exp(2 (x_L - log 2) y - x_L),
+    plus the mass below t_L: the fit C t^a (-log t)^b through the last three
+    finite points, in closed form, its error the difference from the fit
+    through the three before times x_L/dx (dx the step between the fits' last
+    points).  Other halves, those finite at no probe point too, run in t = y,
+    where scipy replaces a non-finite node by its nearest finite neighbour.
+    One that fires with no fit (under four finite points, b <= -1, mixed
+    signs) or a + 1 < 1/400 is lost: x_L = inf ends it at its first node, with
+    the status ``LOST_END``, a NaN integral and its figures in ``end``.
+    Returns scipy's result, side 0 first."""
+    rows = np.arange(np.broadcast(np.empty((2, 1)), *args).size).reshape(2, -1)
+    fit = {}  # the probe's findings, once the midpoint call has run
 
-    def g(t, side, *rest):
-        out, upper = np.empty_like(t), side[..., 0] == 1
-        for k, rows in enumerate((~upper, upper)):
-            if rows.any():
-                x = t[rows]
-                u, v = (x, 1.0 - x) if k == 0 else (1.0 - x, x)
-                out[rows] = f(k, u, v, *(a[rows] for a in rest))
-        return out
+    def g(y, row, *rest):
+        t, x = y, fit.get("x")
+        if x is not None:  # a half that fires runs in x = -log t, dt = w t dy
+            x = x[row]
+            w = 2.0 * (x - math.log(2.0))
+            t = np.where(x > 0.0, np.exp(w * y - x), y)
+        out, upper = np.empty_like(t), row[..., 0] >= rows.shape[1]
+        for k, at in enumerate((~upper, upper)):
+            if at.any():
+                p = t[at]
+                u, v = (p, 1.0 - p) if k == 0 else (1.0 - p, p)
+                out[at] = f(k, u, v, *(a[at] for a in rest))
+        return out if x is None else out * np.where(x > 0.0, w * t, 1.0)
 
-    def first(t, *rest):
-        if probe:
-            return g(t, *rest)
+    def first(y, *rest):
+        if fit:
+            return g(y, *rest)
         # the midpoint call: one row per element, its midpoint and the ladder
         cols = [np.reshape(a, (-1, 1)) for a in rest]
-        out = g(np.column_stack([t.ravel(), np.tile(_LADDER, (t.size, 1))]), *cols)
-        probe.update(_probe(out[:, 1:], tolerances), cols=cols)
-        return np.where(probe["fire"], np.nan, out[:, 0]).reshape(t.shape)
+        out = g(np.column_stack([y.ravel(), np.tile(_LADDER, (y.size, 1))]), *cols)
+        fit.update(_probe(out[:, 1:], tolerances))
+        if fit["x"] is not None:  # the midpoints of the halves that fire, NaN where lost
+            at = fit["x"] > 0.0
+            out[at, :1] = g(y.reshape(-1, 1)[at], *(c[at] for c in cols))
+        return out[:, 0].reshape(y.shape)
 
-    probe = {}
     with np.errstate(all="ignore"):
-        r = tanhsinh(first, 0.0, 0.5, args=(np.arange(2)[:, None],) + args, **tolerances)
-        sub = probe.get("sub", ())
-        if np.any(sub):  # the halves that fire run again, one row each: f(y^m) m y^(m-1)
-            side, *cols = [c[sub] for c in probe["cols"]]
-            again = tanhsinh(lambda y, k, m, *rest: g(y ** m, k, *rest) * (m * y ** (m - 1.0)),
-                             probe["lo"][sub, None], probe["hi"][sub, None],
-                             args=(side, probe["m"][sub, None], *cols), **tolerances)
-            at = np.flatnonzero(sub)
-            r.integral.flat[at] = again.integral[:, 0] + probe["mass"][sub]
-            r.error.flat[at] = again.error[:, 0] + probe["error"][sub]
-            r.status.flat[at], r.nfev.flat[at] = again.status[:, 0], again.nfev[:, 0]
-    at, r.end = np.flatnonzero(probe.get("lost", ())), probe.get("end")
-    r.integral.flat[at], r.status.flat[at] = np.nan, LOST_END
+        r = tanhsinh(first, 0.0, 0.5, args=(rows,) + args, **tolerances)
+    r.end = fit.get("end")
+    if fit["x"] is not None:  # the mass below t_L joins each half that fired
+        at, lost = np.flatnonzero(fit["sub"]), np.flatnonzero(np.isinf(fit["x"]))
+        r.integral.flat[at] += fit["mass"][at]
+        r.error.flat[at] += fit["error"][at]
+        r.integral.flat[lost], r.status.flat[lost] = np.nan, LOST_END
     return r
 
 

@@ -28,12 +28,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, gammasgn
+from scipy.special import gammaln, gammasgn, poch, rgamma
 
 from .distributions import DistributionSpec, dist_mean
 from .entropy import EntropyValue, _divergent, _entropy_values, _evaluate, as_order, delta_value
 from .errors import DivergentEntropy, DomainError, TruncationNotConverged
-from .series import CLOSED_BOUND, _HEAD, _dual_series, _em_tail, pochhammer_ratio_coeffs
+from .series import CLOSED_BOUND, _HEAD, _dual_series, pochhammer_ratio_coeffs
 from .specfun import _count, _real
 
 # where the tail integrals of v = delta_n and of v = M - nabla_n end: delta's
@@ -55,14 +55,16 @@ class SeriesTransform:
     def build(cls, s: float, truncation_n: int) -> "SeriesTransform":
         s = as_order(s).s
         c = (1.0 + s) * pochhammer_ratio_coeffs(s, _count(truncation_n, 0, "truncation_n"))
-        # sum_n c_n = 1: the unaccounted mass bounds the coefficient tail
-        tail = abs(1.0 - float(np.sum(c)))
-        return cls(s, c, truncation_n, tail)
+        # sum_{n > N} c_n = c_N (N - s)/(1 + s), from a_n = b_n - b_{n+1} and b_n =
+        # a_n (n + 1)/(1 + s) (see ``series``); the product's c_N drifts from N ~ 1e4
+        last = c[-1] if truncation_n < 10_000 else duality_coefficient(s, truncation_n)
+        return cls(s, c, truncation_n, abs(float(last) * (truncation_n - s) / (1.0 + s)))
 
 
 def duality_coefficient(s: float, n: int) -> float:
     """c_n = (1+s)(-s)_n/(n+1)! for a single n: a product of ratios below
-    n = 60, and one signed log-gamma above."""
+    n = 60, then one signed log-gamma, or from n = 1e4 (1+s) ``poch``(n+2,
+    -s-2) ``rgamma``(-s) where that is finite and nonzero (not from s ~ 170)."""
     s, n = as_order(s).s, _count(n, 0, "n")
     terminating = s >= 0.0 and s == math.floor(s)
     if n < 60 or (terminating and s >= n):  # gammaln has a pole at -s
@@ -71,8 +73,10 @@ def duality_coefficient(s: float, n: int) -> float:
         return 0.0  # (-s)_n vanishes for n > s
     # (1+s) Gamma(n-s) / (Gamma(-s) Gamma(n+2))
     sign = gammasgn(n - s) * gammasgn(-s)
-    with np.errstate(over="ignore"):  # beyond the float range: a signed inf
-        return float((1.0 + s) * sign * np.exp(gammaln(n - s) - gammaln(-s) - gammaln(n + 2.0)))
+    with np.errstate(all="ignore"):  # beyond the float range: a signed inf
+        c = float((1.0 + s) * poch(n + 2.0, -s - 2.0) * rgamma(-s)) if n >= 10_000 else 0.0
+        return c if math.isfinite(c) and c != 0.0 else float(
+            (1.0 + s) * sign * np.exp(gammaln(n - s) - gammaln(-s) - gammaln(n + 2.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +125,7 @@ def delta_from_nabla_series(d: DistributionSpec, s, tol: float = 1e-9) -> Entrop
     """delta(s) = sum_n c_n nabla_n, within ``tol``; laws bounded below are
     reformulated as M - sum_n c_n (M - nabla_n), M = E[X] - min X."""
     sv, tol = as_order(s).s, _real(tol, 0.0, "tol")
-    if _divergent(d, "delta", np.array([sv]), probe=False)[0]:
+    if _divergent(d, "delta", np.array([sv]))[0]:
         return EntropyValue.make_divergent("series")
     nabla = _entropy_at(d, "nabla")
     v0 = float(nabla(0.0))
@@ -146,15 +150,12 @@ def bnb_pmf(s: float, n: int) -> float:
 
 
 def bnb_partial_sum(s: float, n_terms: int) -> tuple:
-    """(partial sum over n < n_terms, the sum beyond): the sum beyond is the
-    duality series' tail, its integral with the Euler-Maclaurin corrections
-    (``series._em_tail``)."""
+    """(partial sum over n < n_terms, the sum beyond): the sum beyond is
+    :class:`SeriesTransform`'s tail in closed form."""
     if not (-1.0 < s < 0.0):
         raise DomainError(f"requires s in (-1, 0), got {s}")
-    n_terms = _count(n_terms, 1, "n_terms")
-    partial = float(np.sum((1.0 + s) * pochhammer_ratio_coeffs(s, n_terms - 1)))
-    tail, _ = _em_tail(np.array([s]), n_terms - 1)
-    return partial, (1.0 + s) * float(tail[0])
+    tr = SeriesTransform.build(s, _count(n_terms, 1, "n_terms") - 1)
+    return float(np.sum(tr.coefficients)), tr.tail_bound
 
 
 def binomial_involution(v) -> list:

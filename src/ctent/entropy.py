@@ -55,9 +55,9 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import psi
 
-from .distributions import CLOSED_BOUND, NEAR_ZERO, DistributionSpec, EmpiricalSample, _both_halves
-from .distributions import _refusal
+from .distributions import NEAR_ZERO, DistributionSpec, EmpiricalSample, _both_halves, _refusal
 from .errors import DomainError, NonIntegrableError
+from .series import CLOSED_BOUND
 from .specfun import _real
 
 
@@ -312,18 +312,18 @@ def _probe_infinite_mean(d: DistributionSpec) -> None:
             "lower-tail probe z*F(m - w z) does not vanish: mean appears infinite")
 
 
-def _divergent(d: DistributionSpec, which: str, s: np.ndarray, probe: bool) -> np.ndarray:
+def _divergent(d: DistributionSpec, which: str, s: np.ndarray) -> np.ndarray:
     # a stored threshold >= 0 marks a tail with an infinite mean, where both
     # entropies diverge at every order; else delta: the finiteness threshold
-    # when attached, else (with ``probe``) a heuristic stand-in for the
-    # F^{1+s} criterion
+    # when attached, else, for a law with no closed delta either, a heuristic
+    # stand-in for the F^{1+s} criterion on the lower tail
     thr = d.finiteness_threshold
     infinite_mean = any(t is not None and t >= 0.0 for t in (thr, d.neg_finiteness_threshold))
     if which == "nabla" or infinite_mean:
         return np.full(s.shape, infinite_mean)
     if thr is not None:
         return s <= thr
-    if not (probe and math.isinf(d.support[0]) and np.any(s < 0.0)):
+    if d.closed_delta is not None or not (math.isinf(d.support[0]) and np.any(s < 0.0)):
         return np.zeros(s.shape, dtype=bool)
     t = _PROBES[:, None] * _tail(d, 1)[:, None] ** (1.0 + s)
     return (s < 0.0) & _grows(t)
@@ -417,7 +417,7 @@ def _evaluate(d: DistributionSpec, which: str, s: np.ndarray, route: str = "best
     if route == "best":
         closed = d.closed_delta if which == "delta" else d.closed_nabla
         space = "x" if which == "delta" and d.qdensity is None else "quantile"
-    divergent = _divergent(d, which, s, probe=closed is None)
+    divergent = _divergent(d, which, s)
     value = np.where(divergent, np.inf, np.nan)
     todo = ~divergent
     if closed is not None and todo.any():

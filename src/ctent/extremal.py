@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
-from scipy.special import zeta
+from scipy.special import rgamma, zeta
 
 from .distributions import (
     DistributionSpec,
@@ -176,17 +176,15 @@ _GAP_BRACKET = (1e-6, 1.0 - 1e-6)  # where gamma_gap_argmax searches (0, 1)
 def gamma_gap(s: float) -> float:
     """phi(s) = Gamma(s+2)^2/Gamma(2s+1) - 1 - 2s + s^2 for s > -2.
 
-    A reciprocal-gamma (reflection) formulation keeps the evaluation smooth
-    across the poles of Gamma(2s+1) at nonpositive half-integers.
+    The reciprocal gamma function (``rgamma``), entire, keeps the evaluation
+    smooth across the poles of Gamma(2s+1) at nonpositive half-integers.
     """
     s = _real(s, -2.0, "gamma_gap's s")
     poly = 1.0 + 2.0 * s - s * s
     z = 2.0 * s + 1.0
     if z > 1e-8:
         return math.exp(2.0 * lgamma(s + 2.0) - lgamma(z)) - poly
-    # 1/Gamma(z) = sin(pi z) Gamma(1-z) / pi, entire in z
-    inv_gamma = math.sin(math.pi * z) * math.exp(lgamma(1.0 - z)) / math.pi
-    return math.exp(2.0 * lgamma(s + 2.0)) * inv_gamma - poly
+    return math.exp(2.0 * lgamma(s + 2.0)) * float(rgamma(z)) - poly
 
 
 def gamma_gap_argmax() -> tuple:

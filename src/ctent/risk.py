@@ -252,16 +252,28 @@ def _distortion_integral(d: DistributionSpec, d1: Callable, name: str) -> tuple:
                             minlevel=3)
 
 
-def _checked_risk(d: DistributionSpec, sv: float, label: str,
-                  mirrored: Callable, name: str, family: str) -> RiskValue:
-    # the distortion integral of ``label``, checked against mean + the mirrored
-    # entropy; an order where the stored thresholds make that infinite is refused
+# each family's distortion, mirrored entropy and its name
+_FAMILIES = {"delta": ("h_s", delta_value, "entropy"),
+             "nabla": ("k_s", nabla_value, "dual entropy")}
+
+
+def _finite_mirror(d: DistributionSpec, sv: float, family: str) -> DistributionSpec:
+    # negate(d), whose entropy of ``family`` the risk measure adds to the mean;
+    # an order where ``entropy._divergent`` finds it infinite is refused
     nd = negate(d)
-    if _divergent(nd, family, np.array([sv]), probe=False)[0]:
+    if _divergent(nd, family, np.array([sv]))[0]:
         raise DivergentEntropy(
-            f"risk measure diverges: the mirrored {name} of {d.label()} is infinite at s={sv:g} "
-            f"(finiteness threshold {nd.finiteness_threshold}, "
+            f"risk measure diverges: the mirrored {_FAMILIES[family][2]} of {d.label()} is "
+            f"infinite at s={sv:g} (finiteness threshold {nd.finiteness_threshold}, "
             f"mirrored {nd.neg_finiteness_threshold})")
+    return nd
+
+
+def _checked_risk(d: DistributionSpec, s, family: str) -> RiskValue:
+    # the distortion integral of ``family``, checked against mean + the mirrored
+    # entropy; an order where that is infinite is refused first
+    sv, (label, mirrored, name) = as_order(s).s, _FAMILIES[family]
+    nd = _finite_mirror(d, sv, family)
     val, err = _distortion_integral(d, make_distortion(label, sv).deriv1,
                                     f"the {label} distortion integral of {d.label()} at s={sv:g}")
     ref = mirrored(nd, sv)
@@ -279,14 +291,12 @@ def _checked_risk(d: DistributionSpec, sv: float, label: str,
 def risk_delta(d: DistributionSpec, s) -> RiskValue:
     """The entropy-family risk measure: distortion integral of h_s over the
     survival function, cross-checked against mean + delta of the mirror."""
-    sv = as_order(s).s
-    return _checked_risk(d, sv, "h_s", delta_value, "entropy", "delta")
+    return _checked_risk(d, s, "delta")
 
 
 def risk_nabla(d: DistributionSpec, s) -> RiskValue:
     """The dual-family risk measure via the k_s distortion."""
-    sv = as_order(s).s
-    return _checked_risk(d, sv, "k_s", nabla_value, "dual entropy", "nabla")
+    return _checked_risk(d, s, "nabla")
 
 
 def mrl_representation(d: DistributionSpec, s, which: str = "delta") -> RiskValue:
@@ -296,14 +306,17 @@ def mrl_representation(d: DistributionSpec, s, which: str = "delta") -> RiskValu
     resp. u^s/(1-u), it is (s+1) integral_0^1 w PM du; (s+1) integral_0^t w is
     the distortion's derivative D'(1-t), h_s'(1-t) = (s+1)(1 - (1-t)^s)/s resp.
     k_s'(1-t) = (s+1) J(1-t), so the exchanged integrals are integral_0^1 q(u)
-    D'(1-u) du, the risk's own integral (:func:`_distortion_integral`).  The
-    bound adds 1e-7 * max(1, |value|) to its error estimate, which can run
-    optimistic; a half that does not converge raises :class:`NonIntegrableError`."""
+    D'(1-u) du, the risk measure's own integral (:func:`_distortion_integral`)
+    with no oracle: its bound adds 1e-7 * max(1, |value|) to the error
+    estimate, which can run optimistic.  A divergent order raises
+    :class:`DivergentEntropy` as in the risk measures; a half that does not
+    converge raises :class:`NonIntegrableError`."""
     sv = as_order(s).s
-    if which not in ("delta", "nabla"):
+    if which not in _FAMILIES:
         raise DomainError("which must be 'delta' or 'nabla'")
+    _finite_mirror(d, sv, which)
     total, error = _distortion_integral(
-        d, make_distortion("h_s" if which == "delta" else "k_s", sv).deriv1,
+        d, make_distortion(_FAMILIES[which][0], sv).deriv1,
         f"the mean-residual-life integral of {d.label()} at s={sv:g} ({which})")
     return RiskValue(total, error + 1e-7 * max(1.0, abs(total)), which)
 
@@ -339,18 +352,6 @@ def risk_axioms_check(d1: DistributionSpec, d2: DistributionSpec, s,
     sv = as_order(s).s
     if not a > 0.0:
         raise DomainError("scale must be positive")
-    report = {"s": sv, "a": a, "b": b}
-
-    families = (("delta", risk_delta), ("nabla", risk_nabla))
-    at_d1, at_d2 = {}, {}  # each family's value at d1 and d2, formed once
-    for fam, fn in families:
-        base = at_d1[fam] = fn(d1, sv).value
-        moved = fn(affine(d1, a, b), sv).value
-        report[f"affine_{fam}_lhs"] = moved
-        report[f"affine_{fam}_rhs"] = a * base + b
-        report[f"affine_{fam}_ok"] = (abs(moved - (a * base + b))
-                                      <= _AXIOM_TOL * max(1.0, abs(moved)))
-
     # stochastic-order precondition, read on the quantiles
     us = np.linspace(0.005, 0.995, 199)
     q1 = np.asarray(d1.quantile(us), dtype=float)
@@ -359,24 +360,20 @@ def risk_axioms_check(d1: DistributionSpec, d2: DistributionSpec, s,
         raise PreconditionNotMet(
             "quantiles are not pointwise ordered on the test grid; "
             "monotonicity is not applicable")
-    for fam, fn in families:
-        v1 = at_d1[fam]
-        v2 = at_d2[fam] = fn(d2, sv).value
-        report[f"monotone_{fam}_ok"] = v1 <= v2 + _AXIOM_TOL * max(1.0, abs(v2))
-        report[f"monotone_{fam}_pair"] = (v1, v2)
 
-    # comonotone additivity: Y = 2X, so X + Y = 3X
-    for fam, fn in families:
-        lhs = fn(affine(d1, 3.0, 0.0), sv).value
-        rhs = at_d1[fam] + fn(affine(d1, 2.0, 0.0), sv).value
-        report[f"comonotone_{fam}_ok"] = abs(lhs - rhs) <= _AXIOM_TOL * max(1.0, abs(lhs))
-
-    # convexity along a quantile mixture (comonotone coupling: equality)
-    lam = 0.3
-    mix = _quantile_mixture(d1, d2, lam)
-    for fam, fn in families:
-        vm = fn(mix, sv).value
-        vb = lam * at_d1[fam] + (1 - lam) * at_d2[fam]
+    # comonotone additivity: Y = 2X, so X + Y = 3X; convexity along a quantile
+    # mixture (comonotone coupling: equality)
+    lam, report = 0.3, {"s": sv, "a": a, "b": b}
+    laws = (d1, affine(d1, a, b), d2, affine(d1, 3.0, 0.0), affine(d1, 2.0, 0.0),
+            _quantile_mixture(d1, d2, lam))
+    tol = lambda x: _AXIOM_TOL * max(1.0, abs(x))
+    for fam, fn in (("delta", risk_delta), ("nabla", risk_nabla)):
+        v1, moved, v2, lhs, doubled, vm = (fn(x, sv).value for x in laws)
+        report[f"affine_{fam}_lhs"], report[f"affine_{fam}_rhs"] = moved, a * v1 + b
+        report[f"affine_{fam}_ok"] = abs(moved - (a * v1 + b)) <= tol(moved)
+        report[f"monotone_{fam}_ok"], report[f"monotone_{fam}_pair"] = v1 <= v2 + tol(v2), (v1, v2)
+        report[f"comonotone_{fam}_ok"] = abs(lhs - (v1 + doubled)) <= tol(lhs)
+        vb = lam * v1 + (1 - lam) * v2
         report[f"mixture_convexity_{fam}_ok"] = vm <= vb + 1e-6 * max(1.0, abs(vb))
         report[f"mixture_convexity_{fam}_pair"] = (vm, vb)
     return report

@@ -110,8 +110,7 @@ def _tails(orders: np.ndarray, n_from: int, g: Callable, n_to: float) -> np.ndar
                                _tails(orders[h:], n_from, g, n_to)])
 
 
-def _em_tail(orders: np.ndarray, n_from: int, g: Callable | None = None,
-             n_to: float = math.inf) -> tuple:
+def _em_tail(orders: np.ndarray, n_from: int, g: Callable, n_to: float) -> tuple:
     """(tail, error) of sum_{n_from < n <= n_to} a_n g(n) for each order: the
     tail integral with its Euler-Maclaurin corrections at x0 = n_from + 1/2,
     f'(x0)/24 - 7 f'''(x0)/5760, whose derivatives are central differences at

@@ -92,7 +92,7 @@ def rho(d: DistributionSpec, kind: str = "rho", tol: float = 1e-8) -> float:
             return 0.0
 
     lo = -1.0 + 1e-9
-    if _divergent(d, "nabla", np.array(lo), False):  # no mean: an infinite ratio from lo on
+    if _divergent(d, "nabla", np.array(lo)):  # no mean: an infinite ratio from lo on
         return lo
 
     def excess(s: float) -> float:

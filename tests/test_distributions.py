@@ -1,5 +1,7 @@
+import ast
 import importlib
 import math
+import pathlib
 import pkgutil
 import warnings
 from dataclasses import replace
@@ -809,3 +811,50 @@ def test_one_quantile_space_integrator():
                 binders[name].add(mod.__name__)
     assert binders == {"quad": {"ctent.entropy"},
                        "tanhsinh": {"ctent.distributions", "ctent.series"}}
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ctent.delta_quantile(make_lomax(1.05), 0.5),
+    lambda: ctent.nabla_quadrature(make_lomax(1.05), 0.5),
+    lambda: ctent.risk_delta(make_lomax(1.5), -0.3),
+], ids=["delta", "nabla", "risk_delta"])
+def test_a_heavy_end_runs_inside_the_first_tanh_sinh_call(monkeypatch, call):
+    # the half that fires runs in x = -log t in the same call as the others:
+    # one tanh-sinh call per quantile-space integral
+    starts, ends = [], []
+    tanhsinh, probe = dist.tanhsinh, dist._probe
+
+    def spy(f, a, b, **kwargs):
+        starts.append(a)
+        return tanhsinh(f, a, b, **kwargs)
+
+    def probe_spy(p, tolerances):
+        ends.append(probe(p, tolerances))
+        return ends[-1]
+
+    monkeypatch.setattr(dist, "tanhsinh", spy)
+    monkeypatch.setattr(dist, "_probe", probe_spy)
+    call()
+    assert len(starts) == len(ends) == 1
+    x = ends[0]["x"]
+    assert x is not None and np.any((x > 0.0) & np.isfinite(x))
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # the package's lint: every name a module imports is read in it (the
+    # package's ``__init__`` re-exports, and a module's ``__all__``, are exempt)
+    unused = {}
+    for path in sorted(pathlib.Path(ctent.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {(a.asname or a.name).split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__" for a in node.names}
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        read |= {c.value for n in ast.walk(tree) if isinstance(n, ast.Assign)
+                 and any(getattr(t, "id", None) == "__all__" for t in n.targets)
+                 for c in ast.walk(n.value) if isinstance(c, ast.Constant)}
+        if imported - read:
+            unused[path.name] = sorted(imported - read)
+    assert unused == {}

@@ -51,6 +51,18 @@ def test_series_transform_invariants():
         1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("s", [-0.9, -0.5, 0.3, 2.2, 7.7])
+@pytest.mark.parametrize("n", [9, 100, 4000, 100_000])
+def test_series_transform_tail_matches_mpmath(s, n):
+    # sum_{m > n} c_m = Gamma(n+1-s)/(Gamma(-s) Gamma(n+2)); 1 - sum c read 1.2e-14
+    # for 2.8e-14 at (7.7, 100) and 8.2e-15 for 2.5e-28 at (7.7, 4000)
+    with mp.workdps(50):
+        sm = mp.mpf(s)
+        exact = float(abs(mp.gamma(n + 1 - sm) / (mp.gamma(-sm) * mp.gamma(n + 2))))
+    assert SeriesTransform.build(s, n).tail_bound == pytest.approx(exact, rel=1e-12, abs=0.0)
+    assert SeriesTransform.build(3.0, n).tail_bound == 0.0
+
+
 @pytest.mark.parametrize("call", [
     lambda: bnb_partial_sum(-0.5, 0),
     lambda: bnb_partial_sum(-0.5, 10.5),
@@ -113,9 +125,9 @@ def test_bnb_normalisation(s):
     part, tail = bnb_partial_sum(s, 1_000_000)
     assert 0.0 < part < 1.0
     assert part + tail == pytest.approx(1.0, abs=1e-4)
-    # the Euler-Maclaurin-corrected tail already holds after ten terms
+    # the closed-form tail already holds after ten terms
     part, tail = bnb_partial_sum(s, 10)
-    assert part + tail == pytest.approx(1.0, abs=1e-8)
+    assert part + tail == pytest.approx(1.0, abs=1e-14)
     small = duality.duality_coefficient(s, 10)
     assert 0.0 < small < 1.0
 
@@ -242,6 +254,16 @@ def test_duality_coefficient_at_large_orders(s, n):
     assert duality.duality_coefficient(3.0, 100) == 0.0
     assert duality.duality_coefficient(100.0, 70) == pytest.approx(
         float(101 * mp.rf(-100, 70) / mp.factorial(71)), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("s", [-0.9, -0.5, 0.3, 2.3, 7.7, 33.5])
+def test_duality_coefficient_keeps_its_digits_far_out(s):
+    # the log-gamma difference cancels like n eps: 7.2e-10 off at (-0.5, 1e6)
+    n = 10 ** 6
+    with mp.workdps(50):
+        sm = mp.mpf(s)
+        exact = float((1 + sm) * mp.gamma(n - sm) / (mp.gamma(-sm) * mp.gamma(n + 2)))
+    assert duality.duality_coefficient(s, n) == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])

@@ -192,6 +192,17 @@ def test_gamma_gap_values():
         gamma_gap(-2.0)
 
 
+def test_gamma_gap_matches_mpmath_below_minus_one_half():
+    # within 1e-14 of the larger of Gamma(s+2)^2/Gamma(2s+1) and the polynomial,
+    # which cancel at the root; a hand-written reflection was 1.1e-9 off at -1.9999999
+    for s in np.concatenate([np.linspace(-1.999, -0.5, 301), [-1.9999999, -1.5, -1.0]]):
+        with mp.workdps(50):
+            sm = mp.mpf(float(s))
+            ratio, poly = mp.gamma(sm + 2) ** 2 * mp.rgamma(2 * sm + 1), 1 + 2 * sm - sm ** 2
+            exact, scale = float(ratio - poly), float(max(abs(ratio), abs(poly)))
+        assert abs(gamma_gap(float(s)) - exact) <= 1e-14 * scale
+
+
 def test_gamma_gap_positive_on_grids():
     root = gamma_gap_root()
     for s in np.linspace(root + 1e-3, 4.0, 200):

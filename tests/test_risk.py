@@ -17,6 +17,7 @@ from ctent import (
     PreconditionNotMet,
     affine,
     coherence_diagnostics,
+    delta_from_nabla_series,
     delta_value,
     make_distortion,
     make_exponential,
@@ -183,9 +184,24 @@ def test_mrl_representation_answers_heavy_lomax(s, which, want):
 @pytest.mark.parametrize("beta, s", [(1.05, -0.3), (1.5, -0.4)])
 def test_mrl_representation_reports_tanh_sinh_failures(beta, s):
     # the mirrored law's entropy diverges here: the integrand grows faster
-    # than 1/v towards u = 1, and tanh-sinh's refusal raises
-    with pytest.raises(NonIntegrableError, match="does not converge"):
+    # than 1/v towards u = 1, and the order is refused before any integral,
+    # as risk_delta refuses it
+    with pytest.raises(DivergentEntropy, match="diverges"):
         mrl_representation(make_lomax(beta), s, "delta")
+
+
+def test_one_finiteness_answer_for_a_heavy_left_tail():
+    # q(u) = -2/sqrt(u), F(x) = 4/x^2 below -2: delta diverges at s <= -1/2.
+    # Each route once gave its own answer at -0.6: status -3 from the series,
+    # "lost its tail" (exit 3) from the risk and its mrl form
+    d = from_quantile("heavy_left", lambda u: -2.0 / np.sqrt(u), (-math.inf, -2.0),
+                      qdensity=lambda u, v: u ** -1.5)
+    assert delta_value(d, -0.6).divergent
+    assert delta_from_nabla_series(d, -0.6).divergent
+    with pytest.raises(DivergentEntropy):
+        risk_delta(negate(d), -0.6)
+    with pytest.raises(DivergentEntropy):
+        mrl_representation(negate(d), -0.6, "delta")
 
 
 def test_mrl_reads_the_tail_of_quantile_records():
